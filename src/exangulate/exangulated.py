@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
-from .linalg import Matrix, hstack, kernel_basis, rank, rref_solve
+from .linalg import Matrix, hstack, kernel_basis, rank, rref_solve, vstack
 from .quiver import (
     AlgebraPresentation,
     ExtElement,
@@ -657,7 +657,6 @@ class ExCategory:
                 rhs = rhs + c.compose(src.diffs[n])
             eq_rows.append(hstack(cols) if cols else Matrix.zeros(p, lhs_space, 0))
             rhs_rows.append(hom_coords(rhs))
-        from .linalg import vstack
         big = vstack(eq_rows)
         rhs_vec = vstack(rhs_rows)
         sol = rref_solve(big, rhs_vec)

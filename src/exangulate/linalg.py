@@ -24,14 +24,38 @@ def is_prime(p: int) -> bool:
     return True
 
 
+_PRIME_MODULI: set[int] = set()  # moduli already found prime
+
+
+def _check_modulus(p: int) -> None:
+    if p not in _PRIME_MODULI:
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        _PRIME_MODULI.add(p)
+
+
+def _check_shape(p: int, rows: int, cols: int) -> None:
+    _check_modulus(p)
+    if rows < 0 or cols < 0:
+        raise ValueError("negative matrix dimensions")
+
+
 def _inv_mod(a: int, p: int) -> int:
     # p is prime and a is nonzero mod p.
     return pow(a, p - 2, p)
 
 
-@dataclass(frozen=True)
+_new = object.__new__
+
+
+@dataclass(frozen=True, eq=False)
 class Matrix:
-    """Immutable row-major matrix over F_p. 0xN and Nx0 shapes are legal."""
+    """Immutable row-major matrix over F_p. 0xN and Nx0 shapes are legal.
+
+    The public constructor validates its arguments; `Matrix._trusted` skips
+    that for results that are valid by construction (arithmetic on valid
+    matrices, row reduction), and `validate` re-runs the full check.
+    """
 
     p: int
     rows: int
@@ -39,16 +63,44 @@ class Matrix:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        self.validate()
+
+    def validate(self) -> None:
+        _check_shape(self.p, self.rows, self.cols)
+        entries = self.entries
+        if len(entries) != self.rows * self.cols:
             raise ValueError(
-                f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
+                f"entry count {len(entries)} != {self.rows}x{self.cols}"
             )
-        if any(not (0 <= e < self.p) for e in self.entries):
+        if entries and (min(entries) < 0 or max(entries) >= self.p):
             raise ValueError("entries must be reduced residues mod p")
+
+    @classmethod
+    def _trusted(cls, p: int, rows: int, cols: int,
+                 entries: tuple[int, ...]) -> "Matrix":
+        """Unchecked constructor; the caller guarantees a valid matrix."""
+        m = _new(cls)
+        d = m.__dict__
+        d["p"] = p
+        d["rows"] = rows
+        d["cols"] = cols
+        d["entries"] = entries
+        return m
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Matrix:
+            return NotImplemented
+        return (self.entries == other.entries and self.rows == other.rows
+                and self.cols == other.cols and self.p == other.p)
+
+    def __hash__(self) -> int:
+        d = self.__dict__
+        h = d.get("_hash")
+        if h is None:
+            h = d["_hash"] = hash((self.p, self.rows, self.cols, self.entries))
+        return h
 
     # -- construction -----------------------------------------------------
 
@@ -72,15 +124,19 @@ class Matrix:
 
     @staticmethod
     def zeros(p: int, rows: int, cols: int) -> "Matrix":
-        return Matrix(p, rows, cols, (0,) * (rows * cols))
+        _check_shape(p, rows, cols)
+        return Matrix._trusted(p, rows, cols, (0,) * (rows * cols))
 
     @staticmethod
     def identity(p: int, n: int) -> "Matrix":
-        return Matrix(p, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        _check_shape(p, n, n)
+        return Matrix._trusted(
+            p, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @staticmethod
     def column(p: int, values: Sequence[int]) -> "Matrix":
-        return Matrix(p, len(values), 1, tuple(v % p for v in values))
+        _check_modulus(p)
+        return Matrix._trusted(p, len(values), 1, tuple(v % p for v in values))
 
     # -- access -----------------------------------------------------------
 
@@ -99,7 +155,7 @@ class Matrix:
         return [self.entries[i * self.cols + j] for i in range(self.rows)]
 
     def column_at(self, j: int) -> "Matrix":
-        return Matrix(self.p, self.rows, 1, tuple(self.col_list(j)))
+        return Matrix._trusted(self.p, self.rows, 1, tuple(self.col_list(j)))
 
     @property
     def is_zero(self) -> bool:
@@ -120,23 +176,23 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
         p = self.p
-        return Matrix(p, self.rows, self.cols,
-                      tuple((a + b) % p for a, b in zip(self.entries, other.entries)))
+        return Matrix._trusted(p, self.rows, self.cols,
+                               tuple((a + b) % p for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
         p = self.p
-        return Matrix(p, self.rows, self.cols,
-                      tuple((a - b) % p for a, b in zip(self.entries, other.entries)))
+        return Matrix._trusted(p, self.rows, self.cols,
+                               tuple((a - b) % p for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Matrix":
         p = self.p
-        return Matrix(p, self.rows, self.cols, tuple((-a) % p for a in self.entries))
+        return Matrix._trusted(p, self.rows, self.cols, tuple((-a) % p for a in self.entries))
 
     def scale(self, c: int) -> "Matrix":
         p = self.p
         c %= p
-        return Matrix(p, self.rows, self.cols, tuple((c * a) % p for a in self.entries))
+        return Matrix._trusted(p, self.rows, self.cols, tuple((c * a) % p for a in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.p != other.p:
@@ -157,12 +213,12 @@ class Matrix:
                     brow = b[t * m : (t + 1) * m]
                     for j in range(m):
                         orow[base + j] = (orow[base + j] + av * brow[j]) % p
-        return Matrix(p, n, m, tuple(out))
+        return Matrix._trusted(p, n, m, tuple(out))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.p, self.cols, self.rows,
-                      tuple(self.entries[i * self.cols + j]
-                            for j in range(self.cols) for i in range(self.rows)))
+        return Matrix._trusted(self.p, self.cols, self.rows,
+                               tuple(self.entries[i * self.cols + j]
+                                     for j in range(self.cols) for i in range(self.rows)))
 
 
 def hstack(blocks: Sequence[Matrix]) -> Matrix:
@@ -176,7 +232,7 @@ def hstack(blocks: Sequence[Matrix]) -> Matrix:
     for i in range(rows):
         for b in blocks:
             out.extend(b.entries[i * b.cols : (i + 1) * b.cols])
-    return Matrix(p, rows, sum(b.cols for b in blocks), tuple(out))
+    return Matrix._trusted(p, rows, sum(b.cols for b in blocks), tuple(out))
 
 
 def vstack(blocks: Sequence[Matrix]) -> Matrix:
@@ -188,7 +244,7 @@ def vstack(blocks: Sequence[Matrix]) -> Matrix:
     out: list[int] = []
     for b in blocks:
         out.extend(b.entries)
-    return Matrix(p, sum(b.rows for b in blocks), cols, tuple(out))
+    return Matrix._trusted(p, sum(b.rows for b in blocks), cols, tuple(out))
 
 
 def block_matrix(grid: Sequence[Sequence[Matrix]]) -> Matrix:
@@ -243,7 +299,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         if r == m.rows:
             break
     flat = tuple(x for row in rows for x in row)
-    return Matrix(p, m.rows, m.cols, flat), tuple(pivots)
+    return Matrix._trusted(p, m.rows, m.cols, flat), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -253,8 +309,12 @@ def rank(m: Matrix) -> int:
 def kernel_basis(m: Matrix) -> list[Matrix]:
     """Basis of the right null space, as column vectors.
 
-    One basis vector per free column, with a 1 in the free column's slot;
-    enumerated in increasing column order (leftmost-pivot convention).
+    One basis vector per free column, with a 1 in the free column's slot and
+    0 in every other free column; enumerated in increasing column order
+    (leftmost-pivot convention).  So the coordinates of a kernel element in
+    this basis are its entries at the free columns.  A row of the RREF is
+    zero left of its pivot, so a vector is nonzero only at its free column
+    and at pivot columns left of it.
     """
     r, pivots = rref(m)
     pivot_set = set(pivots)
@@ -266,7 +326,7 @@ def kernel_basis(m: Matrix) -> list[Matrix]:
         v[fc] = 1
         for i, pc in enumerate(pivots):
             v[pc] = (-r.at(i, fc)) % p
-        basis.append(Matrix.column(p, v))
+        basis.append(Matrix._trusted(p, m.cols, 1, tuple(v)))
     return basis
 
 
@@ -285,11 +345,12 @@ def rref_solve(a: Matrix, b: Matrix) -> Matrix | None:
     for pc in pivots:
         if pc >= a.cols:
             return None
-    sol_rows = [[0] * b.cols for _ in range(a.cols)]
+    bc, width = b.cols, r.cols
+    sol = [0] * (a.cols * bc)
     for i, pc in enumerate(pivots):
-        for j in range(b.cols):
-            sol_rows[pc][j] = r.at(i, a.cols + j)
-    return Matrix.from_rows(a.p, sol_rows, cols=b.cols)
+        start = i * width + a.cols
+        sol[pc * bc : (pc + 1) * bc] = r.entries[start : start + bc]
+    return Matrix._trusted(a.p, a.cols, bc, tuple(sol))
 
 
 def solve_unique(a: Matrix, b: Matrix) -> Matrix:
@@ -335,26 +396,26 @@ def quotient_with_section(p: int, dim: int, subspace: Sequence[Matrix]) -> tuple
     # Row-reduce the transpose: pivot coordinates belong to the subspace's
     # echelon support, the free coordinates index a complement.
     rt, pivots = rref(w.transpose())
-    sub_rank = len(pivots)
-    q = dim - sub_rank
-    free = [c for c in range(dim) if c not in set(pivots)]
+    pivot_row = {c: k for k, c in enumerate(pivots)}
+    free = [c for c in range(dim) if c not in pivot_row]
+    q = len(free)
     # Section: complement basis vectors.
-    sect = Matrix.from_rows(
-        p, [[1 if free[j] == i else 0 for j in range(q)] for i in range(dim)], cols=q
-    )
-    # Projection: for each coordinate, express e_i mod subspace in the
-    # complement coordinates.  Using the reduced rows: e_{pivot_k} ==
+    sect = [0] * (dim * q)
+    for j, fj in enumerate(free):
+        sect[fj * q + j] = 1
+    # Projection: column i expresses e_i mod subspace in the complement
+    # coordinates.  Using the reduced rows: e_{pivot_k} ==
     # -sum_{free j} rt[k][j] e_j (mod subspace).
-    proj_cols: list[list[int]] = []
-    for i in range(dim):
-        if i in set(pivots):
-            k = list(pivots).index(i)
-            col = [(-rt.at(k, fj)) % p for fj in free]
-        else:
-            col = [1 if fj == i else 0 for fj in free]
-        proj_cols.append(col)
-    proj = Matrix.from_rows(p, [[proj_cols[i][r_] for i in range(dim)] for r_ in range(q)], cols=dim)
-    return proj, sect
+    proj = [0] * (q * dim)
+    for j, fj in enumerate(free):
+        proj[j * dim + fj] = 1
+    width = rt.cols
+    for i, k in pivot_row.items():
+        row = rt.entries[k * width : (k + 1) * width]
+        for j, fj in enumerate(free):
+            proj[j * dim + i] = (-row[fj]) % p
+    return (Matrix._trusted(p, q, dim, tuple(proj)),
+            Matrix._trusted(p, dim, q, tuple(sect)))
 
 
 def enumerate_vectors(p: int, dim: int) -> Iterator[Matrix]:
@@ -366,7 +427,7 @@ def enumerate_vectors(p: int, dim: int) -> Iterator[Matrix]:
         for _ in range(dim):
             v.append(t % p)
             t //= p
-        yield Matrix.column(p, v)
+        yield Matrix._trusted(p, dim, 1, tuple(v))
 
 
 def is_invertible(m: Matrix) -> bool:

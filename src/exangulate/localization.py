@@ -35,9 +35,10 @@ from .exangulated import CheckResult, ExCategory, NExangle
 from .linalg import (Matrix, column_space_basis, enumerate_vectors, hstack,
                      kernel_basis, quotient_with_section, rank, rref_solve,
                      vstack)
-from .quiver import (ExtElement, ModMorphism, Module, direct_sum,
-                     enumerate_hom, hom_basis, identity_morphism, pull_back,
-                     push_forward, zero_module, zero_morphism)
+from .quiver import (ExtElement, ModMorphism, Module, block_morphism,
+                     direct_sum, enumerate_hom, hom_basis, identity_morphism,
+                     morphism_in_coords, pull_back, push_forward, zero_module,
+                     zero_morphism)
 
 CLASS_ENUM_LIMIT = 4096      # largest quotient hom-set we will enumerate
 SOLUTION_ENUM_LIMIT = 4096   # largest affine solution family we will scan
@@ -126,7 +127,7 @@ class IdealQuotient:
                 for N in self.nf_gens:
                     for g in hom_basis(N, Y):
                         for f in hom_basis(X, N):
-                            cols.append(_coords_of(g.compose(f), basis))
+                            cols.append(morphism_in_coords(g.compose(f), basis))
             proj, sect = quotient_with_section(self.p, len(basis), cols)
             got = (basis, proj, sect)
             self._tables[key] = got
@@ -138,7 +139,7 @@ class IdealQuotient:
     def project(self, f: ModMorphism) -> tuple[int, ...]:
         """Coordinates of the class of f in C-bar(source, target)."""
         basis, proj, _ = self.tables(f.source, f.target)
-        return tuple((proj @ _coords_of(f, basis)).col_list(0))
+        return tuple((proj @ morphism_in_coords(f, basis)).col_list(0))
 
     def rep(self, X: Module, Y: Module, coords: Sequence[int]) -> ModMorphism:
         """The chosen section representative of a class."""
@@ -185,11 +186,6 @@ class IdealQuotient:
 
     def fmt(self, m: Module) -> str:
         return self.base.format_object(m)
-
-
-def _coords_of(phi: ModMorphism, basis: Sequence[ModMorphism]) -> Matrix:
-    from .quiver import morphism_in_coords
-    return morphism_in_coords(phi, basis)
 
 
 def ideal_project(q: IdealQuotient, f: ModMorphism) -> tuple[int, ...]:
@@ -1298,7 +1294,6 @@ def _tilde_cone(src: TableComplex, dst: TableComplex,
     n = src.n
     p = src.terms[0].alg.p
     minus = p - 1
-    from .quiver import block_morphism
     terms: list[Module] = [src.terms[1]]
     for i in range(1, n + 1):
         total, _, _ = direct_sum([src.terms[i + 1], dst.terms[i]])
@@ -1326,7 +1321,6 @@ def _tilde_cocone(src: TableComplex, dst: TableComplex,
     n = src.n
     p = src.terms[0].alg.p
     minus = p - 1
-    from .quiver import block_morphism
     terms: list[Module] = [src.terms[0]]
     for i in range(1, n + 1):
         total, _, _ = direct_sum([src.terms[i], dst.terms[i - 1]])

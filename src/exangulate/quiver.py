@@ -30,6 +30,7 @@ from .linalg import (
     enumerate_vectors,
     hstack,
     in_column_space,
+    inverse as mat_inverse,
     is_invertible,
     is_prime,
     kernel_basis,
@@ -265,15 +266,59 @@ def algebra_dimension(alg: AlgebraPresentation) -> int:
 # -- modules ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+_new = object.__new__
+
+
+@dataclass(frozen=True, eq=False)
 class Module:
-    """Representation of the bound quiver: F_p space at each vertex, matrix per arrow."""
+    """Representation of the bound quiver: F_p space at each vertex, matrix per arrow.
+
+    The public constructor validates shapes and relations; `Module._trusted`
+    skips that for modules that are valid by construction (sums, kernels,
+    images, cokernels, radicals), and `validate` re-runs the full check.
+    """
 
     alg: AlgebraPresentation
     dims: tuple[int, ...]
     arrow_maps: tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
+        self.validate()
+
+    @classmethod
+    def _trusted(cls, alg: AlgebraPresentation, dims: tuple[int, ...],
+                 arrow_maps: tuple[Matrix, ...]) -> "Module":
+        """Unchecked constructor; the caller guarantees a valid module."""
+        m = _new(cls)
+        d = m.__dict__
+        d["alg"] = alg
+        d["dims"] = dims
+        d["arrow_maps"] = arrow_maps
+        return m
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Module:
+            return NotImplemented
+        return (self.dims == other.dims and self.arrow_maps == other.arrow_maps
+                and (self.alg is other.alg or self.alg == other.alg))
+
+    def __hash__(self) -> int:
+        d = self.__dict__
+        h = d.get("_hash")
+        if h is None:
+            h = d["_hash"] = hash((self.alg, self.dims, self.arrow_maps))
+        return h
+
+    def __getstate__(self) -> dict:
+        # the hash covers arrow-name strings, whose hashes differ between
+        # interpreter runs, so a pickle must not carry it
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    def validate(self) -> None:
         quiver = self.alg.quiver
         if len(self.dims) != quiver.vertex_count:
             raise ValueError("dimension vector length disagrees with vertex count")
@@ -433,11 +478,33 @@ def standard_module(alg: AlgebraPresentation, kind: str, v: int) -> Module:
 
 @dataclass(frozen=True)
 class ModMorphism:
+    """Module homomorphism: one matrix per vertex, every square commuting.
+
+    The public constructor checks ends, shapes and squares;
+    `ModMorphism._trusted` skips that for morphisms that are valid by
+    construction (composites, sums, multiples, inclusions, projections), and
+    `validate` re-runs the full check.
+    """
+
     source: Module
     target: Module
     maps: tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
+        self.validate()
+
+    @classmethod
+    def _trusted(cls, source: Module, target: Module,
+                 maps: tuple[Matrix, ...]) -> "ModMorphism":
+        """Unchecked constructor; the caller guarantees a valid morphism."""
+        f = _new(cls)
+        d = f.__dict__
+        d["source"] = source
+        d["target"] = target
+        d["maps"] = maps
+        return f
+
+    def validate(self) -> None:
         if self.source.alg != self.target.alg:
             raise ValueError("morphism between modules over different algebras")
         nv = self.source.alg.quiver.vertex_count
@@ -461,20 +528,21 @@ class ModMorphism:
         """self after other (other first)."""
         if other.target != self.source:
             raise ValueError("composition mismatch")
-        return ModMorphism(other.source, self.target,
-                           tuple(a @ b for a, b in zip(self.maps, other.maps)))
+        return ModMorphism._trusted(other.source, self.target,
+                                    tuple(a @ b for a, b in zip(self.maps, other.maps)))
 
     def __add__(self, other: "ModMorphism") -> "ModMorphism":
-        if (self.source, self.target) != (other.source, other.target):
+        if self.source != other.source or self.target != other.target:
             raise ValueError("sum of morphisms with different ends")
-        return ModMorphism(self.source, self.target,
-                           tuple(a + b for a, b in zip(self.maps, other.maps)))
+        return ModMorphism._trusted(self.source, self.target,
+                                    tuple(a + b for a, b in zip(self.maps, other.maps)))
 
     def __neg__(self) -> "ModMorphism":
-        return ModMorphism(self.source, self.target, tuple(-m for m in self.maps))
+        return ModMorphism._trusted(self.source, self.target, tuple(-m for m in self.maps))
 
     def scale(self, c: int) -> "ModMorphism":
-        return ModMorphism(self.source, self.target, tuple(m.scale(c) for m in self.maps))
+        return ModMorphism._trusted(self.source, self.target,
+                                    tuple(m.scale(c) for m in self.maps))
 
     @property
     def is_zero(self) -> bool:
@@ -493,16 +561,18 @@ class ModMorphism:
         return all(is_invertible(m) for m in self.maps)
 
     def inverse(self) -> "ModMorphism":
-        from .linalg import inverse as mat_inverse
-        return ModMorphism(self.target, self.source, tuple(mat_inverse(m) for m in self.maps))
+        return ModMorphism._trusted(self.target, self.source,
+                                    tuple(mat_inverse(m) for m in self.maps))
 
 
 def identity_morphism(m: Module) -> ModMorphism:
-    return ModMorphism(m, m, tuple(Matrix.identity(m.alg.p, d) for d in m.dims))
+    return ModMorphism._trusted(m, m, tuple(Matrix.identity(m.alg.p, d) for d in m.dims))
 
 
 def zero_morphism(src: Module, tgt: Module) -> ModMorphism:
-    return ModMorphism(src, tgt, tuple(
+    if src.alg is not tgt.alg and src.alg != tgt.alg:
+        raise ValueError("morphism between modules over different algebras")
+    return ModMorphism._trusted(src, tgt, tuple(
         Matrix.zeros(src.alg.p, tgt.dims[i], src.dims[i]) for i in range(len(src.dims))
     ))
 
@@ -510,25 +580,34 @@ def zero_morphism(src: Module, tgt: Module) -> ModMorphism:
 # hom coordinates: concatenate row-major vec of each vertex matrix, vertex order
 
 
-def hom_coords(phi: ModMorphism) -> Matrix:
+def _flat_entries(phi: ModMorphism) -> list[int]:
     vals: list[int] = []
     for m in phi.maps:
         vals.extend(m.entries)
-    return Matrix.column(phi.source.alg.p, vals)
+    return vals
 
 
-def hom_from_coords(src: Module, tgt: Module, coords: Matrix) -> ModMorphism:
+def hom_coords(phi: ModMorphism) -> Matrix:
+    vals = _flat_entries(phi)
+    return Matrix._trusted(phi.source.alg.p, len(vals), 1, tuple(vals))
+
+
+def _maps_from_coords(src: Module, tgt: Module, coords: Matrix) -> tuple[Matrix, ...]:
     p = src.alg.p
     vals = coords.col_list(0)
     maps = []
     pos = 0
     for v in range(1, len(src.dims) + 1):
         r, c = tgt.vertex_dim(v), src.vertex_dim(v)
-        maps.append(Matrix(p, r, c, tuple(vals[pos : pos + r * c])))
+        maps.append(Matrix._trusted(p, r, c, tuple(vals[pos : pos + r * c])))
         pos += r * c
     if pos != len(vals):
         raise ValueError("coordinate length mismatch")
-    return ModMorphism(src, tgt, tuple(maps))
+    return tuple(maps)
+
+
+def hom_from_coords(src: Module, tgt: Module, coords: Matrix) -> ModMorphism:
+    return ModMorphism(src, tgt, _maps_from_coords(src, tgt, coords))
 
 
 def _hom_constraint_matrix(src: Module, tgt: Module) -> Matrix:
@@ -560,11 +639,34 @@ def _hom_constraint_matrix(src: Module, tgt: Module) -> Matrix:
     return Matrix.from_rows(p, rows, cols=total)
 
 
+class _HomBasis(tuple):
+    """A `hom_basis` result: the basis morphisms, plus what reads coordinates.
+
+    The basis vectors are `kernel_basis` vectors of the constraint matrix, so
+    a morphism's coordinates are its entries at the free columns `free`.
+    `pivots` lists, for every other entry position, the basis elements
+    nonzero there with their values; a vector with those coordinates is in
+    the span iff every such entry is the matching combination.
+    """
+
+    free: tuple[int, ...]
+    pivots: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+
+
 @lru_cache(maxsize=None)
 def hom_basis(src: Module, tgt: Module) -> tuple[ModMorphism, ...]:
     """Deterministic basis of Hom(src, tgt)."""
     basis = kernel_basis(_hom_constraint_matrix(src, tgt))
-    return tuple(hom_from_coords(src, tgt, v) for v in basis)
+    out = _HomBasis(ModMorphism._trusted(src, tgt, _maps_from_coords(src, tgt, v))
+                    for v in basis)
+    cols = [v.entries for v in basis]
+    # kernel_basis puts each vector's free column at its last nonzero entry
+    out.free = tuple(max(i for i, x in enumerate(col) if x) for col in cols)
+    free = set(out.free)
+    out.pivots = tuple(
+        (i, tuple((k, col[i]) for k, col in enumerate(cols) if col[i]))
+        for i in range(len(cols[0]) if cols else 0) if i not in free)
+    return out
 
 
 def hom_dim(src: Module, tgt: Module) -> int:
@@ -586,14 +688,28 @@ def enumerate_hom(src: Module, tgt: Module) -> list[ModMorphism]:
 
 
 def morphism_in_coords(phi: ModMorphism, basis: Sequence[ModMorphism]) -> Matrix:
-    """Express phi in the given hom basis (raises if it is outside the span)."""
+    """Express phi in the given hom basis (raises if it is outside the span).
+
+    A basis from `hom_basis` gives the coordinates as phi's entries at its
+    free columns, checked against the other entries; any other basis is
+    solved for.
+    """
     p = phi.source.alg.p
     if not basis:
         if phi.is_zero:
             return Matrix.zeros(p, 0, 1)
         raise ValueError("nonzero morphism in zero hom space")
-    mat = hstack([hom_coords(b) for b in basis])
-    return solve_unique(mat, hom_coords(phi))
+    if basis.__class__ is not _HomBasis:
+        mat = hstack([hom_coords(b) for b in basis])
+        return solve_unique(mat, hom_coords(phi))
+    vals = _flat_entries(phi)
+    if len(vals) != len(basis.free) + len(basis.pivots):
+        raise ValueError("incompatible right-hand side")
+    coords = [vals[i] for i in basis.free]
+    for i, terms in basis.pivots:
+        if sum(coords[k] * x for k, x in terms) % p != vals[i]:
+            raise ValueError("inconsistent linear system")
+    return Matrix._trusted(p, len(coords), 1, tuple(coords))
 
 
 # -- sums, kernels, images ----------------------------------------------------
@@ -610,7 +726,7 @@ def direct_sum(parts: Sequence[Module]) -> tuple[Module, list[ModMorphism], list
     maps = []
     for k, a in enumerate(alg.quiver.arrows):
         maps.append(block_diag(p, [m.arrow_maps[k] for m in parts]))
-    total = Module(alg, dims, tuple(maps))
+    total = Module._trusted(alg, dims, tuple(maps))
     incls, projs = [], []
     for idx, m in enumerate(parts):
         inc_maps, prj_maps = [], []
@@ -625,8 +741,8 @@ def direct_sum(parts: Sequence[Module]) -> tuple[Module, list[ModMorphism], list
             ])
             inc_maps.append(inc)
             prj_maps.append(inc.transpose())
-        incls.append(ModMorphism(m, total, tuple(inc_maps)))
-        projs.append(ModMorphism(total, m, tuple(prj_maps)))
+        incls.append(ModMorphism._trusted(m, total, tuple(inc_maps)))
+        projs.append(ModMorphism._trusted(total, m, tuple(prj_maps)))
     return total, incls, projs
 
 
@@ -663,8 +779,8 @@ def kernel_module(phi: ModMorphism) -> tuple[Module, ModMorphism]:
     for a in alg.quiver.arrows:
         img = phi.source.arrow_map(a.name) @ kbases[a.source - 1]
         maps.append(solve_unique(kbases[a.target - 1], img))
-    ker = Module(alg, dims, tuple(maps))
-    incl = ModMorphism(ker, phi.source, tuple(kbases))
+    ker = Module._trusted(alg, dims, tuple(maps))
+    incl = ModMorphism._trusted(ker, phi.source, tuple(kbases))
     return ker, incl
 
 
@@ -682,11 +798,11 @@ def image_module(phi: ModMorphism) -> tuple[Module, ModMorphism, ModMorphism]:
     for a in alg.quiver.arrows:
         img = phi.target.arrow_map(a.name) @ ibases[a.source - 1]
         maps.append(solve_unique(ibases[a.target - 1], img))
-    im = Module(alg, dims, tuple(maps))
-    incl = ModMorphism(im, phi.target, tuple(ibases))
-    corestrict = ModMorphism(phi.source, im,
-                             tuple(solve_unique(ib, phi.map_at(v + 1))
-                                   for v, ib in enumerate(ibases)))
+    im = Module._trusted(alg, dims, tuple(maps))
+    incl = ModMorphism._trusted(im, phi.target, tuple(ibases))
+    corestrict = ModMorphism._trusted(phi.source, im,
+                                      tuple(solve_unique(ib, phi.map_at(v + 1))
+                                            for v, ib in enumerate(ibases)))
     return im, incl, corestrict
 
 
@@ -705,8 +821,8 @@ def cokernel_module(phi: ModMorphism) -> tuple[Module, ModMorphism]:
     maps = []
     for a in alg.quiver.arrows:
         maps.append(projs[a.target - 1] @ phi.target.arrow_map(a.name) @ sects[a.source - 1])
-    cok = Module(alg, dims, tuple(maps))
-    return cok, ModMorphism(phi.target, cok, tuple(projs))
+    cok = Module._trusted(alg, dims, tuple(maps))
+    return cok, ModMorphism._trusted(phi.target, cok, tuple(projs))
 
 
 def radical_inclusion(m: Module) -> tuple[Module, ModMorphism]:
@@ -726,8 +842,8 @@ def radical_inclusion(m: Module) -> tuple[Module, ModMorphism]:
         img = m.arrow_map(a.name) @ rbases[a.source - 1]
         # arrow images land in the radical, so this solve is consistent
         maps.append(solve_unique(rbases[a.target - 1], img))
-    rad = Module(alg, dims, tuple(maps))
-    return rad, ModMorphism(rad, m, tuple(rbases))
+    rad = Module._trusted(alg, dims, tuple(maps))
+    return rad, ModMorphism._trusted(rad, m, tuple(rbases))
 
 
 def projective_cover(m: Module) -> ModMorphism:
@@ -820,7 +936,6 @@ def _fitting_split(m: Module, rng: random.Random,
                 if not is_invertible(joint):
                     ok = False
                     break
-                from .linalg import inverse as mat_inverse
                 inv = mat_inverse(joint)
                 sel = incl.map_at(v) @ Matrix(
                     p, im.vertex_dim(v), joint.cols,

@@ -11,6 +11,7 @@ import pytest
 from exangulate.cli import ParseError, main, parse_input
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 CLUSTER = str(FIXTURES / "a4-cluster.exg")
 PROJINJ = str(FIXTURES / "a4-projinj.exg")
 TRIVIAL = str(FIXTURES / "a4-trivial.exg")
@@ -33,6 +34,12 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_golden(name, out, json_path):
+    """stdout and --json bytes equal the recorded `tests/golden/<name>.*`."""
+    assert out == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
+    assert json_path.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 # -- parsing ----------------------------------------------------------------------
@@ -190,9 +197,11 @@ def test_unknown_object_label_is_an_input_error(capsys):
 # -- check and localize --------------------------------------------------------------
 
 
-def test_check_passes_on_the_fixture_category(capsys):
-    code, out, _ = run(["check", TRIVIAL], capsys)
+def test_check_passes_on_the_fixture_category(capsys, tmp_path):
+    json_path = tmp_path / "report.json"
+    code, out, _ = run(["check", TRIVIAL, "--json", str(json_path)], capsys)
     assert code == 0
+    assert_golden("check-a4-trivial", out, json_path)
     lines = out.splitlines()
     assert lines[0] == "C1: pass (39 checks)"
     assert lines[-1] == "verdict: all core axioms hold"
@@ -204,6 +213,7 @@ def test_localize_cluster_report(capsys, tmp_path):
     code, out, _ = run(
         ["localize", CLUSTER, "--json", str(json_path)], capsys)
     assert code == 20
+    assert_golden("localize-a4-cluster", out, json_path)
     assert "verdict: fails weak-kc" in out
     assert ("weak-kc: FAIL — E(1/2, 4) coords [1]: covariant sequence "
             "not exact at position 2 with test object 1/2/3 "
@@ -230,17 +240,21 @@ def test_localize_cluster_report(capsys, tmp_path):
     assert len(data["kc"]) == 39
 
 
-def test_localize_trivial_is_2_exangulated(capsys):
-    code, out, _ = run(["localize", TRIVIAL], capsys)
+def test_localize_trivial_is_2_exangulated(capsys, tmp_path):
+    json_path = tmp_path / "report.json"
+    code, out, _ = run(["localize", TRIVIAL, "--json", str(json_path)], capsys)
     assert code == 0
+    assert_golden("localize-a4-trivial", out, json_path)
     assert "verdict: 2-exangulated" in out
     assert "equivalence: pass" in out
     assert "nf: (empty)" in out
 
 
-def test_localize_projinj_also_fails_weak_kc(capsys):
-    code, out, _ = run(["localize", PROJINJ], capsys)
+def test_localize_projinj_also_fails_weak_kc(capsys, tmp_path):
+    json_path = tmp_path / "report.json"
+    code, out, _ = run(["localize", PROJINJ, "--json", str(json_path)], capsys)
     assert code == 20
+    assert_golden("localize-a4-projinj", out, json_path)
     assert "verdict: fails weak-kc" in out
 
 

@@ -51,6 +51,42 @@ def test_from_rows_reduces_mod_p():
     assert m.entries == (1, 2, 0, 2)
 
 
+def test_boundary_constructors_keep_their_messages():
+    with pytest.raises(ValueError, match="entries must be reduced residues mod p"):
+        Matrix(3, 1, 2, (1, 3))
+    with pytest.raises(ValueError, match="entries must be reduced residues mod p"):
+        Matrix(3, 1, 2, (-1, 0))
+    with pytest.raises(ValueError, match="modulus 4 is not prime"):
+        Matrix.from_rows(4, [[5]])
+    with pytest.raises(ValueError, match="modulus 9 is not prime"):
+        Matrix.zeros(9, 1, 1)
+    with pytest.raises(ValueError, match="modulus 1 is not prime"):
+        Matrix.identity(1, 2)
+    with pytest.raises(ValueError, match="modulus 6 is not prime"):
+        Matrix.column(6, [1])
+    with pytest.raises(ValueError, match="negative matrix dimensions"):
+        Matrix.zeros(2, -1, -1)
+    with pytest.raises(ValueError, match=r"entry count 3 != 2x2"):
+        Matrix(2, 2, 2, (1, 0, 1))
+
+
+def test_validate_rechecks_an_unchecked_matrix():
+    with pytest.raises(ValueError, match="entries must be reduced residues mod p"):
+        Matrix._trusted(2, 1, 1, (2,)).validate()
+    with pytest.raises(ValueError, match="modulus 4 is not prime"):
+        Matrix._trusted(4, 1, 1, (1,)).validate()
+    Matrix.from_rows(5, [[7, -3]]).validate()
+
+
+def test_matrix_hash_and_equality_are_by_value():
+    a = Matrix.from_rows(3, [[1, 2]])
+    b = Matrix._trusted(3, 1, 2, (1, 2))
+    assert a == b and hash(a) == hash(b) and hash(a) == hash(a)
+    assert a != Matrix.from_rows(3, [[1, 2]]).transpose()
+    assert a != Matrix.from_rows(5, [[1, 2]])
+    assert len({a, b}) == 1
+
+
 def test_matmul_small_example():
     a = Matrix.from_rows(5, [[1, 2], [3, 4]])
     b = Matrix.from_rows(5, [[0, 1], [1, 1]])

@@ -134,6 +134,46 @@ def test_module_validation_catches_bad_shapes_and_relations():
             Matrix.identity(2, 1), Matrix.identity(2, 1), Matrix.identity(2, 1)))
 
 
+def test_trusted_module_keeps_its_relation_check_in_validate():
+    bad = (Matrix.identity(2, 1), Matrix.identity(2, 1), Matrix.identity(2, 1))
+    unchecked = Module._trusted(ALG, (1, 1, 1, 1), bad)
+    with pytest.raises(ValueError,
+                       match=r"do not satisfy relation on paths \(\('a', 'b', 'c'\),\)"):
+        unchecked.validate()
+    GENS["2/3/4"].validate()
+
+
+def test_mod_morphism_rejects_non_commuting_square():
+    m = GENS["3/4"]
+    # identity at vertex 3, zero at vertex 4: the square at c breaks
+    maps = (Matrix.zeros(2, 0, 0), Matrix.zeros(2, 0, 0),
+            Matrix.identity(2, 1), Matrix.zeros(2, 1, 1))
+    with pytest.raises(ValueError, match="square at arrow 'c' does not commute"):
+        ModMorphism(m, m, maps)
+    with pytest.raises(ValueError, match="does not commute"):
+        ModMorphism._trusted(m, m, maps).validate()
+
+
+def test_mod_morphism_rejects_wrong_vertex_shape():
+    m = GENS["3/4"]
+    maps = (Matrix.zeros(2, 0, 0), Matrix.zeros(2, 0, 0),
+            Matrix.zeros(2, 2, 1), Matrix.zeros(2, 1, 1))
+    with pytest.raises(ValueError, match=r"vertex 3 matrix is 2x1, expected \(1, 1\)"):
+        ModMorphism(m, m, maps)
+    with pytest.raises(ValueError, match="one matrix per vertex required"):
+        ModMorphism(m, m, maps[:3])
+
+
+def test_mod_morphism_rejects_modules_over_different_algebras():
+    other = AlgebraPresentation(A4, (), p=2)
+    src, tgt = GENS["4"], interval_module(other, 4, 4)
+    maps = (Matrix.zeros(2, 0, 0),) * 3 + (Matrix.identity(2, 1),)
+    with pytest.raises(ValueError, match="different algebras"):
+        ModMorphism(src, tgt, maps)
+    with pytest.raises(ValueError, match="different algebras"):
+        zero_morphism(src, tgt)
+
+
 # -- hom spaces ----------------------------------------------------------------
 
 

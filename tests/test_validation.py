@@ -1,0 +1,203 @@
+"""Internal constructors skip validation; these tests re-run it on their outputs.
+
+`Matrix`, `Module` and `ModMorphism` validate their arguments when built
+through the public constructors, but composites, sums, kernels and the like
+are built unchecked because they are valid by construction.  Here every such
+output over the generators of `fixtures/a4-cluster.exg` is handed back to the
+full `validate()`.  The second half pins the hom-coordinate read-off of
+`morphism_in_coords` against the linear solve it replaces.
+"""
+
+import itertools
+import pickle
+from pathlib import Path
+
+import pytest
+
+import exangulate.quiver as quiver
+from exangulate.cli import build_category, parse_input
+from exangulate.linalg import Matrix, hstack, solve_unique
+from exangulate.quiver import (
+    AlgebraPresentation,
+    Arrow,
+    ModMorphism,
+    Module,
+    Quiver,
+    Relation,
+    block_morphism,
+    cokernel_module,
+    decompose,
+    direct_sum,
+    enumerate_hom,
+    hom_basis,
+    hom_coords,
+    identity_morphism,
+    image_module,
+    interval_module,
+    kernel_module,
+    morphism_in_coords,
+    zero_morphism,
+)
+
+FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "a4-cluster.exg"
+GENS = build_category(parse_input(FIXTURE.read_text())).generators
+
+A3 = Quiver(3, (Arrow("a", 1, 2), Arrow("b", 2, 3)))
+ALG3 = AlgebraPresentation(A3, (Relation((1,), (("a", "b"),)),), p=3)
+GENS3 = [interval_module(ALG3, t, s) for t, s in
+         [(3, 3), (2, 3), (2, 2), (1, 2), (1, 1)]]
+# modules whose arrow matrices mix basis vectors, so that hom basis vectors
+# overlap outside their free columns
+GENS3 += [
+    Module(ALG3, (2, 1, 0), (Matrix.from_rows(3, [[1, 2]]), Matrix.zeros(3, 0, 1))),
+    Module(ALG3, (1, 2, 1), (Matrix.from_rows(3, [[1], [1]]),
+                             Matrix.from_rows(3, [[1, 2]]))),
+]
+
+
+def full_check(*values):
+    """Run the public constructors' validation on every value, recursively."""
+    for x in values:
+        if isinstance(x, Matrix):
+            x.validate()
+        elif isinstance(x, Module):
+            x.validate()
+            full_check(*x.arrow_maps)
+        elif isinstance(x, ModMorphism):
+            x.validate()
+            full_check(x.source, x.target, *x.maps)
+        else:
+            full_check(*x)
+
+
+def pairs(gens):
+    return list(itertools.product(gens, repeat=2))
+
+
+# -- internal constructors against the full validation ---------------------------
+
+
+def test_hom_basis_elements_validate():
+    for X, Y in pairs(GENS):
+        full_check(hom_basis(X, Y), identity_morphism(X), zero_morphism(X, Y))
+
+
+def test_compose_add_scale_negate_validate():
+    for X, Y, Z in itertools.product(GENS, repeat=3):
+        for f in hom_basis(X, Y):
+            full_check(f + f, f.scale(1), -f, f + zero_morphism(X, Y))
+            for g in hom_basis(Y, Z):
+                full_check(g.compose(f))
+
+
+def test_direct_sums_and_block_morphisms_validate():
+    for X, Y in pairs(GENS):
+        total, incls, projs = direct_sum([X, Y])
+        full_check(total, incls, projs)
+        blocks = [[identity_morphism(X), None],
+                  [None, identity_morphism(Y)]]
+        for f in hom_basis(X, Y):
+            blocks[1][0] = f
+        full_check(block_morphism([X, Y], [X, Y], blocks))
+
+
+def test_kernels_images_cokernels_validate():
+    for X, Y in pairs(GENS):
+        for f in list(hom_basis(X, Y)) + [zero_morphism(X, Y)]:
+            full_check(kernel_module(f), image_module(f), cokernel_module(f))
+        _, incl, proj = direct_sum([X, Y])
+        full_check(kernel_module(proj[0]), cokernel_module(incl[1]))
+
+
+def test_decompose_parts_validate():
+    for X, Y in itertools.combinations_with_replacement(GENS, 2):
+        total, _, _ = direct_sum([X, Y])
+        parts = decompose(total)
+        assert len(parts) == 2
+        full_check(parts)
+
+
+# -- hom coordinates: read-off against the solve ---------------------------------
+
+
+def solved_coords(phi, basis):
+    return solve_unique(hstack([hom_coords(b) for b in basis]), hom_coords(phi))
+
+
+@pytest.mark.parametrize("gens", [GENS, GENS3], ids=["a4-p2", "a3-p3"])
+def test_read_off_equals_the_solve(gens):
+    # sums of neighbours give hom spaces of dimension up to 4
+    gens = list(gens) + [direct_sum([X, Y])[0] for X, Y in zip(gens, gens[1:])]
+    checked = 0
+    for X, Y in pairs(gens):
+        basis = hom_basis(X, Y)
+        if not basis:
+            continue
+        # every element of a small space; the basis and its sum otherwise
+        if len(basis) <= 3:
+            elements = enumerate_hom(X, Y)
+        else:
+            elements = list(basis) + [sum(basis[1:], basis[0])]
+        for phi in elements:
+            assert morphism_in_coords(phi, basis) == solved_coords(phi, basis)
+            checked += 1
+        for W in gens:
+            for f in hom_basis(W, X):
+                for g in basis:
+                    phi = g.compose(f)
+                    target = hom_basis(W, Y)
+                    if target:
+                        assert (morphism_in_coords(phi, target)
+                                == solved_coords(phi, target))
+                        checked += 1
+    assert checked > 200
+
+
+def test_read_off_rejects_a_morphism_outside_the_span():
+    alg = GENS[0].alg
+    s3, s4 = interval_module(alg, 3, 3), interval_module(alg, 4, 4)
+    split, _, _ = direct_sum([s3, s4])
+    # the projection onto S3 as an endomorphism of S3 + S4: its vertex
+    # matrices are the vector (1, 0), while End(3/4) is spanned by (1, 1)
+    e = ModMorphism(split, split, tuple(
+        Matrix.identity(2, d) if v == 3 else Matrix.zeros(2, d, d)
+        for v, d in enumerate(split.dims, start=1)))
+    uniserial = interval_module(alg, 3, 4)
+    with pytest.raises(ValueError, match="inconsistent linear system"):
+        morphism_in_coords(e, hom_basis(uniserial, uniserial))
+    with pytest.raises(ValueError, match="inconsistent linear system"):
+        solved_coords(e, hom_basis(uniserial, uniserial))
+
+
+def test_other_bases_go_through_the_solve(monkeypatch):
+    solves = []
+    real = quiver.solve_unique
+
+    def spy(a, b):
+        solves.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(quiver, "solve_unique", spy)
+    X = GENS[0]
+    for Y in GENS:
+        basis = hom_basis(X, Y)
+        if not basis:
+            continue
+        phi = basis[0].scale(1)
+        for b in basis[1:]:
+            phi = phi + b
+        before = len(solves)
+        fast = morphism_in_coords(phi, basis)
+        assert len(solves) == before
+        other = tuple(reversed(basis))
+        slow = morphism_in_coords(phi, other)
+        assert len(solves) == before + 1
+        assert slow.col_list(0) == list(reversed(fast.col_list(0)))
+
+
+def test_module_hash_is_cached_but_not_pickled():
+    X = direct_sum([GENS[0], GENS[1]])[0]
+    assert hash(X) == hash(X) == hash(direct_sum([GENS[0], GENS[1]])[0])
+    copy = pickle.loads(pickle.dumps(X))
+    assert "_hash" not in copy.__dict__
+    assert copy == X and hash(copy) == hash(X)
