@@ -16,8 +16,8 @@ with the report's code (0 = n-exangulated, 10 = weakly n-exangulated,
 Internal errors exit 1; unreadable or ill-formed input exits 2.  `--json
 PATH` additionally writes a machine-readable report (schema 1) whose bytes
 are identical across runs for identical inputs.  The environment variable
-EXANGULATE_SEED fixes the seed used by the randomized Fitting-decomposition
-searches.
+EXANGULATE_SEED (0 when unset) fixes the seed used by the randomized
+Fitting-decomposition searches.
 
 Grammar (lines; `#` starts a comment; keys are `name = value`)::
 
@@ -66,12 +66,7 @@ from pathlib import Path
 
 from .exangulated import ExCategory, NExangle
 from .linalg import is_prime
-from .localization import (
-    LocalizationError,
-    LocalizationReport,
-    MorphismClassSpec,
-    localize,
-)
+from .localization import LocalizationError, MorphismClassSpec, localize
 from .quiver import (
     AlgebraPresentation,
     Arrow,
@@ -529,13 +524,11 @@ def _write_json(path: str, payload: dict) -> None:
     Path(path).write_text(blob, encoding="utf-8")
 
 
-def _print_results(results, out) -> None:
-    for name, res in results.items():
-        if res.passed:
-            print(f"{name}: pass ({res.checked} checks)", file=out)
-        else:
-            print(f"{name}: FAIL — {res.witness} ({res.checked} checks)",
-                  file=out)
+def _print_result(name: str, res, out) -> None:
+    if res.passed:
+        print(f"{name}: pass ({res.checked} checks)", file=out)
+    else:
+        print(f"{name}: FAIL — {res.witness} ({res.checked} checks)", file=out)
 
 
 def _base_payload(command: str, cfg: SessionConfig) -> dict:
@@ -552,7 +545,8 @@ def run_check(cfg: SessionConfig, args, out) -> int:
     cat = build_category(cfg)
     results = cat.check_core_axioms()
     probes = probe_verdicts(cfg, cat)
-    _print_results(results, out)
+    for name, res in results.items():
+        _print_result(name, res, out)
     for name, verdict in probes.items():
         print(f"probe {name}: {verdict}", file=out)
     failing = [name for name, res in results.items() if not res.passed]
@@ -587,12 +581,7 @@ def run_localize(cfg: SessionConfig, args, out) -> int:
     print(f"mode: {report.mode}", file=out)
     for name in _REPORT_ORDER:
         if name in report.checks:
-            res = report.checks[name]
-            if res.passed:
-                print(f"{name}: pass ({res.checked} checks)", file=out)
-            else:
-                print(f"{name}: FAIL — {res.witness} ({res.checked} checks)",
-                      file=out)
+            _print_result(name, report.checks[name], out)
         elif name in report.skipped:
             print(f"{name}: skipped — {report.skipped[name]}", file=out)
     if args.verbose:
@@ -726,14 +715,15 @@ _RUNNERS = {"check": run_check, "localize": run_localize,
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    seed_text = os.environ.get("EXANGULATE_SEED")
-    if seed_text is not None:
-        try:
-            set_default_seed(int(seed_text))
-        except ValueError:
-            print(f"error: EXANGULATE_SEED={seed_text!r} is not an integer",
-                  file=sys.stderr)
-            return 2
+    # set on every call, so a run without the variable does not inherit
+    # the seed of an earlier run in the same process
+    seed_text = os.environ.get("EXANGULATE_SEED", "0")
+    try:
+        set_default_seed(int(seed_text))
+    except ValueError:
+        print(f"error: EXANGULATE_SEED={seed_text!r} is not an integer",
+              file=sys.stderr)
+        return 2
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:

@@ -28,10 +28,11 @@ so is its second factor, and dually for inflations).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .linalg import Matrix, hstack, kernel_basis, rank, rref_solve, vstack
+from .linalg import (Matrix, enumerate_vectors, from_columns, hstack,
+                     kernel_basis, rank, rref_solve)
 from .quiver import (
     AlgebraPresentation,
     ExtElement,
@@ -40,12 +41,13 @@ from .quiver import (
     Module,
     block_morphism,
     cokernel_module,
+    combine,
     decompose,
     direct_sum,
     enumerate_hom,
     ext_group,
     hom_basis,
-    hom_coords,
+    hom_dim,
     identity_morphism,
     is_isomorphic,
     isomorphism_between,
@@ -543,20 +545,17 @@ class ExCategory:
         contravariant: C(tester, end_C) -> E(tester, end_A), f -> f^* delta.
         covariant:     C(end_A, tester) -> E(end_C, tester), g -> g_* delta.
         """
-        p = self.alg.p
         if variance == "contravariant":
             basis = hom_basis(tester, delta.end_C)
             target = ext_group(self.alg, self.n, tester, delta.end_A)
-            cols = [pull_back(delta, f).coords for f in basis]
+            cols = [pull_back(delta, f).coords.entries for f in basis]
         elif variance == "covariant":
             basis = hom_basis(delta.end_A, tester)
             target = ext_group(self.alg, self.n, delta.end_C, tester)
-            cols = [push_forward(delta, g).coords for g in basis]
+            cols = [push_forward(delta, g).coords.entries for g in basis]
         else:
             raise ValueError(f"unknown variance {variance!r}")
-        if not cols:
-            return Matrix.zeros(p, target.dim, 0)
-        return hstack(cols)
+        return from_columns(self.alg.p, target.dim, cols)
 
     def _hom_sequence(self, nex: NExangle, tester: Module, variance: str
                       ) -> tuple[list[int], list[Matrix]]:
@@ -566,8 +565,9 @@ class ExCategory:
             bases = [hom_basis(tester, t) for t in nex.terms]
             maps = []
             for i, d in enumerate(nex.diffs):
-                cols = [morphism_in_coords(d.compose(b), bases[i + 1]) for b in bases[i]]
-                maps.append(hstack(cols) if cols else Matrix.zeros(p, len(bases[i + 1]), 0))
+                cols = [morphism_in_coords(d.compose(b), bases[i + 1]).entries
+                        for b in bases[i]]
+                maps.append(from_columns(p, len(bases[i + 1]), cols))
             maps.append(self.delta_sharp(nex.delta, tester, "contravariant"))
             dims = [len(b) for b in bases] + [maps[-1].rows]
             return dims, maps
@@ -575,8 +575,9 @@ class ExCategory:
         maps = []
         rev_diffs = list(reversed(nex.diffs))
         for i, d in enumerate(rev_diffs):
-            cols = [morphism_in_coords(b.compose(d), bases[i + 1]) for b in bases[i]]
-            maps.append(hstack(cols) if cols else Matrix.zeros(p, len(bases[i + 1]), 0))
+            cols = [morphism_in_coords(b.compose(d), bases[i + 1]).entries
+                    for b in bases[i]]
+            maps.append(from_columns(p, len(bases[i + 1]), cols))
         maps.append(self.delta_sharp(nex.delta, tester, "covariant"))
         dims = [len(b) for b in bases] + [maps[-1].rows]
         return dims, maps
@@ -624,61 +625,12 @@ class ExCategory:
         exists.  The full solution set is the particular family plus any
         combination of the kernel families.
         """
-        n = self.n
-        if a.source != src.terms[0] or a.target != dst.terms[0]:
-            raise ValueError("end morphism a has wrong ends")
-        if c.source != src.terms[-1] or c.target != dst.terms[-1]:
-            raise ValueError("end morphism c has wrong ends")
-        bases = [hom_basis(src.terms[i], dst.terms[i]) for i in range(1, n + 1)]
-        p = self.alg.p
-        # unknown coordinate layout: coords of f_1 .. f_n concatenated
-        widths = [len(b) for b in bases]
-        eq_rows: list[Matrix] = []
-        rhs_rows: list[Matrix] = []
-        for block in range(n + 1):
-            # equation in Hom(src.terms[block], dst.terms[block + 1])
-            lhs_space = len(hom_coords(zero_morphism(src.terms[block], dst.terms[block + 1])).col_list(0))
-            cols: list[Matrix] = []
-            for fi in range(n):
-                basis = bases[fi]
-                block_cols = []
-                for b in basis:
-                    contrib = zero_morphism(src.terms[block], dst.terms[block + 1])
-                    if fi + 1 == block:        # f_{block} enters via d^dst . f
-                        contrib = contrib + dst.diffs[block].compose(b)
-                    if fi + 1 == block + 1:    # f_{block+1} enters via f . d^src
-                        contrib = contrib + (-(b.compose(src.diffs[block])))
-                    block_cols.append(hom_coords(contrib))
-                cols.extend(block_cols)
-            rhs = zero_morphism(src.terms[block], dst.terms[block + 1])
-            if block == 0:
-                rhs = rhs + (-(dst.diffs[0].compose(a)))
-            if block == n:
-                rhs = rhs + c.compose(src.diffs[n])
-            eq_rows.append(hstack(cols) if cols else Matrix.zeros(p, lhs_space, 0))
-            rhs_rows.append(hom_coords(rhs))
-        big = vstack(eq_rows)
-        rhs_vec = vstack(rhs_rows)
-        sol = rref_solve(big, rhs_vec)
-        if sol is None:
+        got = solve_lift(src, dst, a, c, _hom_coordinates, hom_dim)
+        if got is None:
             return None
-
-        def unpack(vec: Matrix) -> list[ModMorphism]:
-            out = []
-            pos = 0
-            for fi in range(n):
-                f = zero_morphism(src.terms[fi + 1], dst.terms[fi + 1])
-                for k in range(widths[fi]):
-                    cval = vec.at(pos + k, 0)
-                    if cval:
-                        f = f + bases[fi][k].scale(cval)
-                out.append(f)
-                pos += widths[fi]
-            return out
-
-        particular = unpack(sol)
-        kernel_families = [unpack(v) for v in kernel_basis(big)]
-        return particular, kernel_families
+        bases, particular, kernel = got
+        return (_unpack_lift(src, dst, bases, particular),
+                [_unpack_lift(src, dst, bases, v) for v in kernel])
 
     def lift_morphism(self, src: NExangle, dst: NExangle, a: ModMorphism,
                       c: ModMorphism) -> list[ModMorphism]:
@@ -694,19 +646,7 @@ class ExCategory:
 
     def all_lifts(self, src: NExangle, dst: NExangle, a: ModMorphism,
                   c: ModMorphism) -> Iterator[list[ModMorphism]]:
-        got = self.lift_space(src, dst, a, c)
-        if got is None:
-            return
-        particular, families = got
-        p = self.alg.p
-        if p ** len(families) > LIFT_ENUM_LIMIT:
-            raise RuntimeError("lift space too large to enumerate")
-        for coeffs in itertools.product(range(p), repeat=len(families)):
-            lift = list(particular)
-            for cval, fam in zip(coeffs, families):
-                if cval:
-                    lift = [f + g.scale(cval) for f, g in zip(lift, fam)]
-            yield lift
+        return enumerate_lifts(src, dst, a, c, _hom_coordinates, hom_dim)
 
     def mapping_cone(self, src: NExangle, dst: NExangle,
                      f: Sequence[ModMorphism], delta: ExtElement) -> NExangle:
@@ -715,33 +655,12 @@ class ExCategory:
         For f: src -> dst with f_0 = id the cone is
         src_1 -> src_2 + dst_1 -> ... -> src_{n+1} + dst_n -> dst_{n+1}.
         """
-        n = self.n
-        if len(f) != n + 2:
+        if len(f) != self.n + 2:
             raise ValueError("need all n+2 components of the morphism")
         if f[0] != identity_morphism(src.terms[0]):
             raise ValueError("mapping cone requires the identity in degree 0")
         self._check_chain_map(src, dst, f)
-        minus = self.alg.p - 1
-        terms: list[Module] = [src.terms[1]]
-        for i in range(1, n + 1):
-            total, _, _ = direct_sum([src.terms[i + 1], dst.terms[i]])
-            terms.append(total)
-        terms.append(dst.terms[-1])
-        diffs: list[ModMorphism] = []
-        d0 = block_morphism([src.terms[1]], [src.terms[2], dst.terms[1]],
-                            [[src.diffs[1].scale(minus)], [f[1]]])
-        diffs.append(d0)
-        for i in range(1, n):
-            blocks = [
-                [src.diffs[i + 1].scale(minus), None],
-                [f[i + 1], dst.diffs[i]],
-            ]
-            diffs.append(block_morphism([src.terms[i + 1], dst.terms[i]],
-                                        [src.terms[i + 2], dst.terms[i + 1]], blocks))
-        dn = block_morphism([src.terms[n + 1], dst.terms[n]], [dst.terms[n + 1]],
-                            [[f[n + 1], dst.diffs[n]]])
-        diffs.append(dn)
-        return NExangle(tuple(terms), tuple(diffs), delta)
+        return NExangle(*cone(src, dst, f, 1), delta)
 
     def mapping_cocone(self, src: NExangle, dst: NExangle,
                        f: Sequence[ModMorphism], delta: ExtElement) -> NExangle:
@@ -756,27 +675,7 @@ class ExCategory:
         if f[n + 1] != identity_morphism(src.terms[-1]):
             raise ValueError("mapping cocone requires the identity in degree n+1")
         self._check_chain_map(src, dst, f)
-        minus = self.alg.p - 1
-        terms: list[Module] = [src.terms[0]]
-        for i in range(1, n + 1):
-            total, _, _ = direct_sum([src.terms[i], dst.terms[i - 1]])
-            terms.append(total)
-        terms.append(dst.terms[n])
-        diffs: list[ModMorphism] = []
-        d0 = block_morphism([src.terms[0]], [src.terms[1], dst.terms[0]],
-                            [[src.diffs[0].scale(minus)], [f[0]]])
-        diffs.append(d0)
-        for i in range(1, n):
-            blocks = [
-                [src.diffs[i].scale(minus), None],
-                [f[i], dst.diffs[i - 1]],
-            ]
-            diffs.append(block_morphism([src.terms[i], dst.terms[i - 1]],
-                                        [src.terms[i + 1], dst.terms[i]], blocks))
-        dn = block_morphism([src.terms[n], dst.terms[n - 1]], [dst.terms[n]],
-                            [[f[n], dst.diffs[n - 1]]])
-        diffs.append(dn)
-        return NExangle(tuple(terms), tuple(diffs), delta)
+        return NExangle(*cone(src, dst, f, 0), delta)
 
     def _check_chain_map(self, src: NExangle, dst: NExangle,
                          f: Sequence[ModMorphism]) -> None:
@@ -1090,6 +989,130 @@ class ExCategory:
         out["C4"] = self._check_c4()
         out["WIC"] = self._check_wic()
         return out
+
+
+# -- complex operations shared with the localized engine ----------------------
+#
+# `src` and `dst` below are complexes of either engine: anything with
+# `terms` (X_0 .. X_{n+1}) and `diffs` (X_i -> X_{i+1}).
+
+
+def cone(src, dst, f: Sequence[ModMorphism], shift: int
+         ) -> tuple[tuple[Module, ...], tuple[ModMorphism, ...]]:
+    """Terms and differentials of the mapping cone (shift 1, for f_0 = id) or
+    cocone (shift 0, for f_{n+1} = id) of the chain map f: src -> dst:
+
+    src_s -> src_{1+s} + dst_s -> ... -> src_{n+s} + dst_{n-1+s} -> dst_{n+s},
+
+    with differential (x, y) -> (-d x, f x + d' y).  Each middle sum is built
+    once; the differentials go through its inclusions and projections.
+    """
+    n = len(src.terms) - 2
+    s = shift
+    mids = [direct_sum([src.terms[i + s], dst.terms[i - 1 + s]])
+            for i in range(1, n + 1)]
+    terms = (src.terms[s],) + tuple(m[0] for m in mids) + (dst.terms[n + s],)
+
+    def piece(i: int, k_in: int, k_out: int, g: ModMorphism) -> ModMorphism:
+        """g from summand k_in of terms[i] to summand k_out of terms[i+1]."""
+        if i > 0:
+            g = g.compose(mids[i - 1][2][k_in])
+        if i < n:
+            g = mids[i][1][k_out].compose(g)
+        return g
+
+    diffs = []
+    for i in range(n + 1):
+        pieces, coeffs = [piece(i, 0, 1, f[i + s])], [1]
+        if i < n:
+            pieces.append(piece(i, 0, 0, src.diffs[i + s]))
+            coeffs.append(-1)
+        if i > 0:
+            pieces.append(piece(i, 1, 1, dst.diffs[i - 1 + s]))
+            coeffs.append(1)
+        diffs.append(combine(terms[i], terms[i + 1], pieces, coeffs))
+    return terms, tuple(diffs)
+
+
+def _hom_coordinates(f: ModMorphism) -> tuple[int, ...]:
+    return morphism_in_coords(f, hom_basis(f.source, f.target)).entries
+
+
+Coords = Callable[[ModMorphism], Sequence[int]]
+Width = Callable[[Module, Module], int]
+
+
+def solve_lift(src, dst, a: ModMorphism, c: ModMorphism, coords: Coords,
+               width: Width) -> tuple[list, Matrix, list[Matrix]] | None:
+    """The linear system of the lifts of the end morphisms (a, c).
+
+    A lift is a family f_1 .. f_n, f_i: src_i -> dst_i, with
+    f_{i+1} . d_i = d'_i . f_i for i = 0 .. n (f_0 = a, f_{n+1} = c).  Each
+    square is read through `coords`, a linear coordinate map on the hom
+    spaces whose dimension `width` gives: hom-basis coordinates in C, class
+    coordinates in an ideal quotient.  Returns (bases, particular, kernel):
+    the hom bases of the unknowns, and vectors in their concatenated
+    coordinates; None when no lift exists.
+    """
+    n = len(src.terms) - 2
+    if a.source != src.terms[0] or a.target != dst.terms[0]:
+        raise ValueError("end morphism a has wrong ends")
+    if c.source != src.terms[-1] or c.target != dst.terms[-1]:
+        raise ValueError("end morphism c has wrong ends")
+    p = a.source.alg.p
+    bases = [hom_basis(src.terms[i], dst.terms[i]) for i in range(1, n + 1)]
+    offsets = [0]
+    for i in range(n + 1):
+        offsets.append(offsets[-1] + width(src.terms[i], dst.terms[i + 1]))
+
+    def put(vals: list[int], square: int, f: ModMorphism, sign: int) -> None:
+        for k, x in enumerate(coords(f), offsets[square]):
+            vals[k] = (vals[k] + sign * x) % p
+
+    cols = []
+    for i in range(1, n + 1):
+        for b in bases[i - 1]:
+            col = [0] * offsets[-1]
+            put(col, i - 1, b.compose(src.diffs[i - 1]), 1)
+            put(col, i, dst.diffs[i].compose(b), -1)
+            cols.append(col)
+    rhs = [0] * offsets[-1]
+    put(rhs, 0, dst.diffs[0].compose(a), 1)
+    put(rhs, n, c.compose(src.diffs[n]), -1)
+    mat = from_columns(p, offsets[-1], cols)
+    particular = rref_solve(mat, from_columns(p, offsets[-1], [rhs]))
+    if particular is None:
+        return None
+    return bases, particular, kernel_basis(mat)
+
+
+def _unpack_lift(src, dst, bases: Sequence[Sequence[ModMorphism]],
+                vec: Matrix) -> list[ModMorphism]:
+    """The family f_1 .. f_n with the given concatenated coordinates."""
+    vals = vec.entries
+    out = []
+    at = 0
+    for i, basis in enumerate(bases, start=1):
+        out.append(combine(src.terms[i], dst.terms[i], basis,
+                           vals[at:at + len(basis)]))
+        at += len(basis)
+    return out
+
+
+def enumerate_lifts(src, dst, a: ModMorphism, c: ModMorphism, coords: Coords,
+                    width: Width) -> Iterator[list[ModMorphism]]:
+    """Every lift of (a, c), lazily: the particular solution plus each
+    combination of the kernel basis, in `enumerate_vectors` order."""
+    got = solve_lift(src, dst, a, c, coords, width)
+    if got is None:
+        return
+    bases, particular, kernel = got
+    p = a.source.alg.p
+    if p ** len(kernel) > LIFT_ENUM_LIMIT:
+        raise RuntimeError("lift space too large to enumerate")
+    kmat = hstack(kernel) if kernel else Matrix.zeros(p, particular.rows, 0)
+    for combo in enumerate_vectors(p, len(kernel)):
+        yield _unpack_lift(src, dst, bases, particular + kmat @ combo)
 
 
 # -- module-level operation names -------------------------------------------

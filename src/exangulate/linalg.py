@@ -10,7 +10,7 @@ leftmost available pivot so that bases and solutions are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 def is_prime(p: int) -> bool:
@@ -233,6 +233,16 @@ def hstack(blocks: Sequence[Matrix]) -> Matrix:
         for b in blocks:
             out.extend(b.entries[i * b.cols : (i + 1) * b.cols])
     return Matrix._trusted(p, rows, sum(b.cols for b in blocks), tuple(out))
+
+
+def from_columns(p: int, rows: int, columns: Sequence[Sequence[int]]) -> Matrix:
+    """The rows x len(columns) matrix with the given columns.
+
+    The entries must already be residues mod p, as the outputs of coordinate
+    maps are; they are not checked again.
+    """
+    return Matrix._trusted(p, rows, len(columns),
+                           tuple(x for row in zip(*columns) for x in row))
 
 
 def vstack(blocks: Sequence[Matrix]) -> Matrix:

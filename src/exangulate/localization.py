@@ -31,12 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exangulated import CheckResult, ExCategory, NExangle
-from .linalg import (Matrix, column_space_basis, enumerate_vectors, hstack,
-                     kernel_basis, quotient_with_section, rank, rref_solve,
-                     vstack)
-from .quiver import (ExtElement, ModMorphism, Module, block_morphism,
-                     direct_sum, enumerate_hom, hom_basis, identity_morphism,
+from .exangulated import CheckResult, ExCategory, NExangle, cone, enumerate_lifts
+from .linalg import (Matrix, column_space_basis, enumerate_vectors,
+                     from_columns, hstack, kernel_basis, quotient_with_section,
+                     rank, rref_solve, vstack)
+from .quiver import (ExtElement, ModMorphism, Module, combine, direct_sum,
+                     enumerate_hom, hom_basis, identity_morphism,
                      morphism_in_coords, pull_back, push_forward, zero_module,
                      zero_morphism)
 
@@ -149,10 +149,7 @@ class IdealQuotient:
         if got is None:
             basis, _, sect = self.tables(X, Y)
             col = sect @ Matrix.column(self.p, list(coords))
-            got = zero_morphism(X, Y)
-            for c, b in zip(col.col_list(0), basis):
-                if c:
-                    got = got + b.scale(c)
+            got = combine(X, Y, basis, col.entries)
             self._reps[key] = got
         return got
 
@@ -184,6 +181,11 @@ class IdealQuotient:
                         fc: Sequence[int], gc: Sequence[int]) -> tuple[int, ...]:
         return self.project(self.rep(Y, Z, gc).compose(self.rep(X, Y, fc)))
 
+    def lifts(self, src, dst, a: ModMorphism, c: ModMorphism):
+        """Every filler (f_1 .. f_n) of the end components (a, c) between
+        two complexes, making each square commute in C-bar; lazily."""
+        return enumerate_lifts(src, dst, a, c, self.project, self.qdim)
+
     def fmt(self, m: Module) -> str:
         return self.base.format_object(m)
 
@@ -200,17 +202,9 @@ def _class_invertible(q: IdealQuotient, X: Module, Y: Module,
                       coords: tuple[int, ...]) -> bool:
     """Two-sided invertibility of a class, by one joint linear solve."""
     f = q.rep(X, Y, coords)
-    back = q.basis_reps(Y, X)
-    cols = []
-    for b in back:
-        left = Matrix.column(q.p, list(q.project(b.compose(f))))
-        right = Matrix.column(q.p, list(q.project(f.compose(b))))
-        cols.append(vstack([left, right]))
-    rhs = vstack([Matrix.column(q.p, list(q.identity_class(X))),
-                  Matrix.column(q.p, list(q.identity_class(Y)))])
-    if not cols:
-        return rhs.is_zero
-    return rref_solve(hstack(cols), rhs) is not None
+    lhs = vstack([_pre(q, f, X), _post(q, Y, f)])
+    rhs = Matrix.column(q.p, q.identity_class(X) + q.identity_class(Y))
+    return rref_solve(lhs, rhs) is not None
 
 
 def _invertible_classes(q: IdealQuotient, X: Module, Y: Module) -> frozenset:
@@ -238,14 +232,15 @@ def _sum_class(q: IdealQuotient, items: Sequence[tuple[int, int, tuple]]):
     _, t_incl, _ = direct_sum([gens[j] for j in tgt_ms])
     src_used = [False] * len(src_ms)
     tgt_used = [False] * len(tgt_ms)
-    total = zero_morphism(src_obj, tgt_obj)
+    parts = []
     for gi, gj, cls in items:
         si = next(k for k, g in enumerate(src_ms) if g == gi and not src_used[k])
         ti = next(k for k, g in enumerate(tgt_ms) if g == gj and not tgt_used[k])
         src_used[si] = True
         tgt_used[ti] = True
         rep = q.rep(gens[gi], gens[gj], cls)
-        total = total + t_incl[ti].compose(rep).compose(s_proj[si])
+        parts.append(t_incl[ti].compose(rep).compose(s_proj[si]))
+    total = combine(src_obj, tgt_obj, parts, [1] * len(parts))
     return (src_obj, tgt_obj), q.project(total)
 
 
@@ -345,10 +340,7 @@ def ore_right(spec: MorphismClassSpec, q: IdealQuotient,
         mc = member_classes(spec, q, Z, W)
         if not mc:
             continue
-        breps = q.basis_reps(Y, W)
-        cols = [Matrix.column(q.p, list(q.project(b.compose(s))))
-                for b in breps]
-        lhs = hstack(cols) if cols else Matrix.zeros(q.p, q.qdim(X, W), 0)
+        lhs = _pre(q, s, W)
         for s2c in sorted(mc):
             s2 = q.rep(Z, W, s2c)
             rhs = Matrix.column(q.p, list(q.project(s2.compose(f))))
@@ -368,10 +360,7 @@ def ore_left(spec: MorphismClassSpec, q: IdealQuotient,
         mc = member_classes(spec, q, W, Z)
         if not mc:
             continue
-        breps = q.basis_reps(W, Y)
-        cols = [Matrix.column(q.p, list(q.project(s.compose(b))))
-                for b in breps]
-        lhs = hstack(cols) if cols else Matrix.zeros(q.p, q.qdim(W, s.target), 0)
+        lhs = _post(q, W, s)
         for s2c in sorted(mc):
             s2 = q.rep(W, Z, s2c)
             rhs = Matrix.column(q.p, list(q.project(f.compose(s2))))
@@ -489,11 +478,7 @@ def _check_mr2(spec, q, mem, keys) -> CheckResult:
             s = q.rep(X, Y, sc)
             for Z in q.universe:
                 # fast path: W = Z, s2 = identity
-                breps = q.basis_reps(Y, Z)
-                cols = [Matrix.column(q.p, list(q.project(b.compose(s))))
-                        for b in breps]
-                lhs = hstack(cols) if cols else Matrix.zeros(
-                    q.p, q.qdim(X, Z), 0)
+                lhs = _pre(q, s, Z)
                 for fc in q.classes(X, Z):
                     checked += 1
                     rhs = Matrix.column(q.p, list(fc))
@@ -510,11 +495,7 @@ def _check_mr2(spec, q, mem, keys) -> CheckResult:
         for sc in sorted(mem[(Y, X)]):
             s = q.rep(Y, X, sc)
             for Z in q.universe:
-                breps = q.basis_reps(Z, Y)
-                cols = [Matrix.column(q.p, list(q.project(s.compose(b))))
-                        for b in breps]
-                lhs = hstack(cols) if cols else Matrix.zeros(
-                    q.p, q.qdim(Z, X), 0)
+                lhs = _post(q, Z, s)
                 for fc in q.classes(Z, X):
                     checked += 1
                     rhs = Matrix.column(q.p, list(fc))
@@ -1010,31 +991,35 @@ def s_tilde(cat: ExCategory, spec: MorphismClassSpec, q: IdealQuotient,
 # -- quotient hom matrices and the weak kernel-cokernel criterion ---------------
 
 
-def _post_matrix(q: IdealQuotient, T: Module, d: ModMorphism) -> Matrix:
+def _post(q: IdealQuotient, T: Module, d: ModMorphism) -> Matrix:
     """Matrix of postcomposition with d: C-bar(T, src d) -> C-bar(T, tgt d)."""
+    return from_columns(q.p, q.qdim(T, d.target),
+                        [q.project(d.compose(b))
+                         for b in q.basis_reps(T, d.source)])
+
+
+def _pre(q: IdealQuotient, d: ModMorphism, T: Module) -> Matrix:
+    """Matrix of precomposition with d: C-bar(tgt d, T) -> C-bar(src d, T)."""
+    return from_columns(q.p, q.qdim(d.source, T),
+                        [q.project(b.compose(d))
+                         for b in q.basis_reps(d.target, T)])
+
+
+def _post_matrix(q: IdealQuotient, T: Module, d: ModMorphism) -> Matrix:
+    """`_post`, cached on the quotient."""
     key = (T, d)
     got = q._postm.get(key)
     if got is None:
-        reps = q.basis_reps(T, d.source)
-        rows = q.qdim(T, d.target)
-        cols = [Matrix.column(q.p, list(q.project(d.compose(b))))
-                for b in reps]
-        got = hstack(cols) if cols else Matrix.zeros(q.p, rows, 0)
-        q._postm[key] = got
+        got = q._postm[key] = _post(q, T, d)
     return got
 
 
 def _pre_matrix(q: IdealQuotient, d: ModMorphism, T: Module) -> Matrix:
-    """Matrix of precomposition with d: C-bar(tgt d, T) -> C-bar(src d, T)."""
+    """`_pre`, cached on the quotient."""
     key = (d, T)
     got = q._prem.get(key)
     if got is None:
-        reps = q.basis_reps(d.target, T)
-        rows = q.qdim(d.source, T)
-        cols = [Matrix.column(q.p, list(q.project(b.compose(d))))
-                for b in reps]
-        got = hstack(cols) if cols else Matrix.zeros(q.p, rows, 0)
-        q._prem[key] = got
+        got = q._prem[key] = _pre(q, d, T)
     return got
 
 
@@ -1136,44 +1121,28 @@ class FractionHoms:
         return (w, self.q.project(d2.compose(f)), self.q.project(s2))
 
     def _equal(self, X: Module, Y: Module, it1, it2) -> bool:
+        q = self.q
         f1, s1 = self._morphs(X, Y, it1)
         f2, s2 = self._morphs(X, Y, it2)
-        w1, w2 = f1.target, f2.target
-        p = self.q.p
-        for V in self.q.universe:
-            b1 = self.q.basis_reps(w1, V)
-            b2 = self.q.basis_reps(w2, V)
-            rows = self.q.qdim(Y, V) + self.q.qdim(X, V)
-            cols = []
-            s1_cols = []
-            for b in b1:
-                top = Matrix.column(p, list(self.q.project(b.compose(s1))))
-                bot = Matrix.column(p, list(self.q.project(b.compose(f1))))
-                cols.append(vstack([top, bot]))
-                s1_cols.append(top)
-            for b in b2:
-                top = Matrix.column(p, list(self.q.project(b.compose(s2))))
-                bot = Matrix.column(p, list(self.q.project(b.compose(f2))))
-                cols.append(vstack([top, bot]).scale(p - 1))
-            mat = hstack(cols) if cols else Matrix.zeros(p, rows, 0)
+        p = q.p
+        for V in q.universe:
+            s1_mat = _pre(q, s1, V)
+            mat = hstack([vstack([s1_mat, _pre(q, f1, V)]),
+                          vstack([_pre(q, s2, V), _pre(q, f2, V)]).scale(p - 1)])
             kb = kernel_basis(mat)
             if not kb:
                 continue
             if p ** len(kb) > SOLUTION_ENUM_LIMIT:
                 raise LocalizationError(
                     "fraction comparison family too large")
-            s1_mat = (hstack(s1_cols) if s1_cols
-                      else Matrix.zeros(p, self.q.qdim(Y, V), 0))
+            kmat = hstack(kb)
             for combo in enumerate_vectors(p, len(kb)):
                 if combo.is_zero:
                     continue
-                vec = kb[0].scale(0)
-                for cf, col in zip(combo.col_list(0), kb):
-                    if cf:
-                        vec = vec + col.scale(cf)
-                u1 = Matrix.column(p, vec.col_list(0)[:len(b1)])
-                cls = tuple((s1_mat @ u1).col_list(0))
-                if cls in member_classes(self.spec, self.q, Y, V):
+                vec = kmat @ combo
+                u1 = Matrix.column(p, vec.entries[:s1_mat.cols])
+                cls = tuple((s1_mat @ u1).entries)
+                if cls in member_classes(self.spec, q, Y, V):
                     return True
         return False
 
@@ -1220,161 +1189,28 @@ def _kc_fractions(cat, spec, q, nex):
 # -- the axiom suite on the materialized quotient (iso mode) --------------------
 
 
-def _tilde_lift_space(q: IdealQuotient, src: TableComplex, dst: TableComplex,
-                      a: ModMorphism, c: ModMorphism,
-                      cap: int = SOLUTION_ENUM_LIMIT) -> list[list[ModMorphism]]:
-    """All fillers (f_1 ... f_n) making every square commute in C-bar, for
-    fixed end components a and c.  Enumerated up to `cap` solutions."""
-    n = src.n
-    p = q.p
-    bases = [hom_basis(src.terms[i], dst.terms[i]) for i in range(1, n + 1)]
-    sq_dims = [q.qdim(src.terms[i], dst.terms[i + 1]) for i in range(n + 1)]
-    offsets = []
-    pos = 0
-    for i in range(n + 1):
-        offsets.append(pos)
-        pos += sq_dims[i]
-    total_rows = pos
-
-    def eq_col(j: int, b: ModMorphism) -> Matrix:
-        vals = [0] * total_rows
-        contrib = q.project(b.compose(src.diffs[j - 1]))
-        for k, v in enumerate(contrib):
-            vals[offsets[j - 1] + k] = v
-        contrib = q.project(dst.diffs[j].compose(b))
-        for k, v in enumerate(contrib):
-            vals[offsets[j] + k] = (vals[offsets[j] + k] - v) % p
-        return Matrix.column(p, vals)
-
-    cols = []
-    for j in range(1, n + 1):
-        for b in bases[j - 1]:
-            cols.append(eq_col(j, b))
-    rhs_vals = [0] * total_rows
-    for k, v in enumerate(q.project(dst.diffs[0].compose(a))):
-        rhs_vals[offsets[0] + k] = v
-    for k, v in enumerate(q.project(c.compose(src.diffs[n]))):
-        rhs_vals[offsets[n] + k] = (rhs_vals[offsets[n] + k] - v) % p
-    rhs = Matrix.column(p, rhs_vals)
-    mat = hstack(cols) if cols else Matrix.zeros(p, total_rows, 0)
-    particular = rref_solve(mat, rhs)
-    if particular is None:
-        return []
-    kb = kernel_basis(mat)
-    if p ** len(kb) > cap:
-        raise LocalizationError("lift family too large to enumerate")
-
-    def unpack(vec: Matrix) -> list[ModMorphism]:
-        vals = vec.col_list(0)
-        out = []
-        at = 0
-        for j in range(1, n + 1):
-            basis = bases[j - 1]
-            f = zero_morphism(src.terms[j], dst.terms[j])
-            for cf, b in zip(vals[at:at + len(basis)], basis):
-                if cf:
-                    f = f + b.scale(cf)
-            at += len(basis)
-            out.append(f)
-        return out
-
-    sols = []
-    for combo in enumerate_vectors(p, len(kb)):
-        vec = particular
-        for cf, col in zip(combo.col_list(0), kb):
-            if cf:
-                vec = vec + col.scale(cf)
-        sols.append(unpack(vec))
-    return sols
-
-
-def _tilde_cone(src: TableComplex, dst: TableComplex,
-                f: Sequence[ModMorphism]) -> TableComplex:
-    """Mapping cone of a quotient-level chain map with f_0 the identity."""
-    n = src.n
-    p = src.terms[0].alg.p
-    minus = p - 1
-    terms: list[Module] = [src.terms[1]]
-    for i in range(1, n + 1):
-        total, _, _ = direct_sum([src.terms[i + 1], dst.terms[i]])
-        terms.append(total)
-    terms.append(dst.terms[-1])
-    diffs: list[ModMorphism] = [block_morphism(
-        [src.terms[1]], [src.terms[2], dst.terms[1]],
-        [[src.diffs[1].scale(minus)], [f[1]]])]
-    for i in range(1, n):
-        diffs.append(block_morphism(
-            [src.terms[i + 1], dst.terms[i]],
-            [src.terms[i + 2], dst.terms[i + 1]],
-            [[src.diffs[i + 1].scale(minus), None],
-             [f[i + 1], dst.diffs[i]]]))
-    diffs.append(block_morphism(
-        [src.terms[n + 1], dst.terms[n]], [dst.terms[n + 1]],
-        [[f[n + 1], dst.diffs[n]]]))
-    return TableComplex(tuple(terms), tuple(diffs))
-
-
-def _tilde_cocone(src: TableComplex, dst: TableComplex,
-                  f: Sequence[ModMorphism]) -> TableComplex:
-    """Mapping cocone of a quotient-level chain map with f_{n+1} the
-    identity."""
-    n = src.n
-    p = src.terms[0].alg.p
-    minus = p - 1
-    terms: list[Module] = [src.terms[0]]
-    for i in range(1, n + 1):
-        total, _, _ = direct_sum([src.terms[i], dst.terms[i - 1]])
-        terms.append(total)
-    terms.append(dst.terms[n])
-    diffs: list[ModMorphism] = [block_morphism(
-        [src.terms[0]], [src.terms[1], dst.terms[0]],
-        [[src.diffs[0].scale(minus)], [f[0]]])]
-    for i in range(1, n):
-        diffs.append(block_morphism(
-            [src.terms[i], dst.terms[i - 1]],
-            [src.terms[i + 1], dst.terms[i]],
-            [[src.diffs[i].scale(minus), None],
-             [f[i], dst.diffs[i - 1]]]))
-    diffs.append(block_morphism(
-        [src.terms[n], dst.terms[n - 1]], [dst.terms[n]],
-        [[f[n], dst.diffs[n - 1]]]))
-    return TableComplex(tuple(terms), tuple(diffs))
-
-
 def _null_homotopic(q: IdealQuotient, cx: TableComplex,
                     phi: Sequence[ModMorphism]) -> bool:
     """Is the self chain map phi (zero end components) null-homotopic mod
     the ideal?  Solves phi_j = d_{j-1} h_j + h_{j+1} d_j linearly."""
-    n = cx.n
     p = q.p
-    bases = [hom_basis(cx.terms[i], cx.terms[i - 1]) for i in range(1, n + 2)]
-    eq_dims = [q.qdim(cx.terms[j], cx.terms[j]) for j in range(n + 2)]
-    offsets = []
-    pos = 0
-    for d in eq_dims:
-        offsets.append(pos)
-        pos += d
-    total_rows = pos
+    offsets = [0]
+    for t in cx.terms:
+        offsets.append(offsets[-1] + q.qdim(t, t))
 
-    def unknown_col(i: int, b: ModMorphism) -> Matrix:
-        vals = [0] * total_rows
-        for k, v in enumerate(q.project(cx.diffs[i - 1].compose(b))):
-            vals[offsets[i] + k] = v
-        for k, v in enumerate(q.project(b.compose(cx.diffs[i - 1]))):
-            vals[offsets[i - 1] + k] = (vals[offsets[i - 1] + k] + v) % p
-        return Matrix.column(p, vals)
+    def unknown_col(i: int, b: ModMorphism) -> list[int]:
+        vals = [0] * offsets[-1]
+        for k, v in enumerate(q.project(cx.diffs[i - 1].compose(b)), offsets[i]):
+            vals[k] = v
+        for k, v in enumerate(q.project(b.compose(cx.diffs[i - 1])),
+                              offsets[i - 1]):
+            vals[k] = (vals[k] + v) % p
+        return vals
 
-    cols = []
-    for i in range(1, n + 2):
-        for b in bases[i - 1]:
-            cols.append(unknown_col(i, b))
-    rhs_vals = [0] * total_rows
-    for j in range(n + 2):
-        for k, v in enumerate(q.project(phi[j])):
-            rhs_vals[offsets[j] + k] = v
-    rhs = Matrix.column(p, rhs_vals)
-    mat = hstack(cols) if cols else Matrix.zeros(p, total_rows, 0)
-    return rref_solve(mat, rhs) is not None
+    cols = [unknown_col(i, b) for i in range(1, cx.n + 2)
+            for b in hom_basis(cx.terms[i], cx.terms[i - 1])]
+    rhs = Matrix.column(p, [x for g in phi for x in q.project(g)])
+    return rref_solve(from_columns(p, offsets[-1], cols), rhs) is not None
 
 
 def _tilde_equivalent(spec: MorphismClassSpec, q: IdealQuotient,
@@ -1387,13 +1223,12 @@ def _tilde_equivalent(spec: MorphismClassSpec, q: IdealQuotient,
         return False
     a = identity_morphism(cx1.terms[0])
     c = identity_morphism(cx1.terms[-1])
-    fwd = _tilde_lift_space(q, cx1, cx2, a, c)
-    if not fwd:
-        return False
-    bwd = _tilde_lift_space(q, cx2, cx1, a, c)
     zero_end = (zero_morphism(cx1.terms[0], cx1.terms[0]),)
     zero_end2 = (zero_morphism(cx1.terms[-1], cx1.terms[-1]),)
-    for u in fwd:
+    bwd = None
+    for u in q.lifts(cx1, cx2, a, c):
+        if bwd is None:
+            bwd = list(q.lifts(cx2, cx1, a, c))
         for v in bwd:
             vu = zero_end + tuple(
                 vi.compose(ui) + (-identity_morphism(ui.source))
@@ -1433,20 +1268,18 @@ def _tilde_exangle_verdict(cat: ExCategory, spec: MorphismClassSpec,
             if side == "contravariant":
                 mats = [_post_matrix(q, T, d) for d in cx.diffs]
                 ebt = ebar_group(spec, q, T, A_end)
-                reps = q.basis_reps(T, C_end)
-                cols = [Matrix.column(q.p, list(ebt.project(_pull(q, delta, r))))
-                        for r in reps]
-                sharp = hstack(cols) if cols else Matrix.zeros(q.p, ebt.dim, 0)
+                sharp = from_columns(q.p, ebt.dim, [
+                    ebt.project(_pull(q, delta, r))
+                    for r in q.basis_reps(T, C_end)])
                 seq = mats + [sharp]
                 dims = [q.qdim(T, cx.terms[i]) for i in range(1, n + 2)]
             else:
                 mats = [_pre_matrix(q, cx.diffs[i], T)
                         for i in range(n, -1, -1)]
                 ebt = ebar_group(spec, q, C_end, T)
-                reps = q.basis_reps(A_end, T)
-                cols = [Matrix.column(q.p, list(ebt.project(_push(q, delta, r))))
-                        for r in reps]
-                sharp = hstack(cols) if cols else Matrix.zeros(q.p, ebt.dim, 0)
+                sharp = from_columns(q.p, ebt.dim, [
+                    ebt.project(_push(q, delta, r))
+                    for r in q.basis_reps(A_end, T)])
                 seq = mats + [sharp]
                 dims = [q.qdim(cx.terms[i], T) for i in range(n, -1, -1)]
             for k in range(len(seq) - 1):
@@ -1541,28 +1374,26 @@ def _tilde_c3(cat, spec, q, dual: bool) -> CheckResult:
                                 spec, q, C, B, moved))
                             src, dst = cx, other
                             ends = (arrow, identity_morphism(C))
-                        lifts = _tilde_lift_space(q, src, dst,
-                                                  ends[0], ends[1])
-                        if not lifts:
+                        found_lift = False
+                        good = False
+                        for sol in q.lifts(src, dst, ends[0], ends[1]):
+                            found_lift = True
+                            f = [ends[0]] + sol + [ends[1]]
+                            if dual:
+                                eps = ebar_push(spec, q, eb, coords,
+                                                src.diffs[0])
+                            else:
+                                eps = ebar_pull(spec, q, eb, coords,
+                                                dst.diffs[cat.n])
+                            cand = TableComplex(*cone(src, dst, f, 1 if dual else 0))
+                            if _tilde_distinguished(cat, spec, q, cand, eps):
+                                good = True
+                                break
+                        if not found_lift:
                             return CheckResult(
                                 name, False,
                                 f"{tag}: no lift of the end classes exists",
                                 checked)
-                        good = False
-                        for sol in lifts:
-                            f = [ends[0]] + sol + [ends[1]]
-                            if dual:
-                                eb_src = ebar_group(spec, q, C, A)
-                                eps = ebar_push(spec, q, eb_src, coords,
-                                                src.diffs[0])
-                                cand = _tilde_cone(src, dst, f)
-                            else:
-                                eps = ebar_pull(spec, q, eb, coords,
-                                                dst.diffs[cat.n])
-                                cand = _tilde_cocone(src, dst, f)
-                            if _tilde_distinguished(cat, spec, q, cand, eps):
-                                good = True
-                                break
                         if not good:
                             return CheckResult(
                                 name, False,
@@ -1704,7 +1535,6 @@ def _tilde_wic(cat, spec, q) -> CheckResult:
             if not infl_tot and not defl_tot:
                 continue
             for mid in q.universe:
-                first_reps = q.basis_reps(g, mid)
                 infl_first = (_tilde_edge_classes(cat, spec, q, g, mid,
                                                   dual=False)
                               if infl_tot else frozenset())
@@ -1712,12 +1542,7 @@ def _tilde_wic(cat, spec, q) -> CheckResult:
                                                    dual=True)
                                if defl_tot else frozenset())
                 for sc in q.classes(mid, h):
-                    srep = q.rep(mid, h, sc)
-                    cols = [Matrix.column(
-                        q.p, list(q.project(srep.compose(b))))
-                        for b in first_reps]
-                    lhs = hstack(cols) if cols else Matrix.zeros(
-                        q.p, q.qdim(g, h), 0)
+                    lhs = _post(q, g, q.rep(mid, h, sc))
                     if infl_tot:
                         for tot in sorted(infl_tot):
                             rhs = Matrix.column(q.p, list(tot))

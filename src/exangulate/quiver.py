@@ -17,19 +17,19 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Sequence
 
 from .linalg import (
     Matrix,
     block_diag,
     column_space_basis,
     enumerate_vectors,
+    from_columns,
     hstack,
-    in_column_space,
     inverse as mat_inverse,
     is_invertible,
     is_prime,
@@ -577,6 +577,27 @@ def zero_morphism(src: Module, tgt: Module) -> ModMorphism:
     ))
 
 
+def combine(src: Module, tgt: Module, basis: Sequence[ModMorphism],
+            coeffs: Sequence[int]) -> ModMorphism:
+    """The morphism sum_k coeffs[k] * basis[k] in Hom(src, tgt).
+
+    One pass over the vertex entries of the terms with a nonzero
+    coefficient; no intermediate morphisms are built.
+    """
+    p = src.alg.p
+    terms = [(c % p, b.maps) for c, b in zip(coeffs, basis) if c % p]
+    cs = [c for c, _ in terms]
+    maps = []
+    for v, (rows, cols) in enumerate(zip(tgt.dims, src.dims)):
+        if terms:
+            entries = tuple(sum(map(mul, cs, col)) % p
+                            for col in zip(*(m[v].entries for _, m in terms)))
+        else:
+            entries = (0,) * (rows * cols)
+        maps.append(Matrix._trusted(p, rows, cols, entries))
+    return ModMorphism._trusted(src, tgt, tuple(maps))
+
+
 # hom coordinates: concatenate row-major vec of each vertex matrix, vertex order
 
 
@@ -676,15 +697,8 @@ def hom_dim(src: Module, tgt: Module) -> int:
 def enumerate_hom(src: Module, tgt: Module) -> list[ModMorphism]:
     """Every element of Hom(src, tgt), zero first, in coordinate order."""
     basis = hom_basis(src, tgt)
-    p = src.alg.p
-    out = []
-    for v in enumerate_vectors(p, len(basis)):
-        phi = zero_morphism(src, tgt)
-        for c, b in zip(v.col_list(0), basis):
-            if c:
-                phi = phi + b.scale(c)
-        out.append(phi)
-    return out
+    return [combine(src, tgt, basis, v.entries)
+            for v in enumerate_vectors(src.alg.p, len(basis))]
 
 
 def morphism_in_coords(phi: ModMorphism, basis: Sequence[ModMorphism]) -> Matrix:
@@ -754,15 +768,15 @@ def block_morphism(src_parts: Sequence[Module], tgt_parts: Sequence[Module],
     """
     src, _, sprj = direct_sum(src_parts)
     tgt, tinc, _ = direct_sum(tgt_parts)
-    total = zero_morphism(src, tgt)
+    parts = []
     for i, row in enumerate(blocks):
         for j, blk in enumerate(row):
             if blk is None:
                 continue
             if blk.source != src_parts[j] or blk.target != tgt_parts[i]:
                 raise ValueError(f"block ({i},{j}) has wrong ends")
-            total = total + tinc[i].compose(blk.compose(sprj[j]))
-    return total
+            parts.append(tinc[i].compose(blk.compose(sprj[j])))
+    return combine(src, tgt, parts, [1] * len(parts))
 
 
 def kernel_module(phi: ModMorphism) -> tuple[Module, ModMorphism]:
@@ -896,13 +910,9 @@ def _split_by_idempotent(m: Module, e: ModMorphism) -> list[tuple[Module, ModMor
 
 
 def _find_idempotent(m: Module, basis: Sequence[ModMorphism]) -> ModMorphism | None:
-    p = m.alg.p
     ident = identity_morphism(m)
-    for v in enumerate_vectors(p, len(basis)):
-        phi = zero_morphism(m, m)
-        for c, b in zip(v.col_list(0), basis):
-            if c:
-                phi = phi + b.scale(c)
+    for v in enumerate_vectors(m.alg.p, len(basis)):
+        phi = combine(m, m, basis, v.entries)
         if phi.is_zero or phi == ident:
             continue
         if phi.compose(phi) == phi:
@@ -916,11 +926,7 @@ def _fitting_split(m: Module, rng: random.Random,
     p = m.alg.p
     d = m.total_dim
     for _ in range(DECOMPOSE_FITTING_TRIES):
-        phi = zero_morphism(m, m)
-        for b in basis:
-            c = rng.randrange(p)
-            if c:
-                phi = phi + b.scale(c)
+        phi = combine(m, m, basis, [rng.randrange(p) for _ in basis])
         power = phi
         for _ in range(max(d.bit_length(), 1)):
             power = power.compose(power)
@@ -994,10 +1000,8 @@ def decompose(m: Module, seed: int | None = None) -> list[tuple[Module, ModMorph
             stack.append((part, incl.compose(pincl), pproj.compose(proj)))
     result.sort(key=lambda t: (-t[0].total_dim, t[0].dims))
     # sanity: the summands reassemble the identity of m
-    total = zero_morphism(m, m)
-    for part, incl, proj in result:
-        ip = incl.compose(proj)
-        total = total + ip
+    total = combine(m, m, [incl.compose(proj) for _, incl, proj in result],
+                    [1] * len(result))
     if total != identity_morphism(m):
         raise RuntimeError("decomposition did not reassemble the identity")
     return result
@@ -1016,19 +1020,12 @@ def isomorphism_between(a: Module, b: Module, seed: int | None = None) -> ModMor
     rng = random.Random(_default_seed if seed is None else seed)
     # random combinations first, then exhaustive while the space is small
     for _ in range(32):
-        phi = zero_morphism(a, b)
-        for bb in basis:
-            c = rng.randrange(p)
-            if c:
-                phi = phi + bb.scale(c)
+        phi = combine(a, b, basis, [rng.randrange(p) for _ in basis])
         if phi.is_iso:
             return phi
     if p ** len(basis) <= DECOMPOSE_FALLBACK_ENUM:
         for v in enumerate_vectors(p, len(basis)):
-            phi = zero_morphism(a, b)
-            for c, bb in zip(v.col_list(0), basis):
-                if c:
-                    phi = phi + bb.scale(c)
+            phi = combine(a, b, basis, v.entries)
             if phi.is_iso:
                 return phi
         return None
@@ -1071,13 +1068,9 @@ def resolution(m: Module, length: int) -> Resolution:
 def _precompose_matrix(d: ModMorphism, src_basis: Sequence[ModMorphism],
                        tgt_basis: Sequence[ModMorphism]) -> Matrix:
     """Matrix of phi -> phi . d between hom spaces in the given bases."""
-    p = d.source.alg.p
-    cols = []
-    for phi in src_basis:
-        cols.append(morphism_in_coords(phi.compose(d), tgt_basis))
-    if not cols:
-        return Matrix.zeros(p, len(tgt_basis), 0)
-    return hstack(cols)
+    return from_columns(d.source.alg.p, len(tgt_basis),
+                        [morphism_in_coords(phi.compose(d), tgt_basis).entries
+                         for phi in src_basis])
 
 
 class ExtSpace:
@@ -1100,8 +1093,7 @@ class ExtSpace:
         self.hom_n = hom_basis(res.terms[n], end_A)
         hom_n1 = hom_basis(res.terms[n + 1], end_A)
         hom_n_1 = hom_basis(res.terms[n - 1], end_A) if n >= 1 else ()
-        d_next = _precompose_matrix(res.diffs[n + 1], self.hom_n, hom_n1) \
-            if self.hom_n or hom_n1 else Matrix.zeros(alg.p, len(hom_n1), len(self.hom_n))
+        d_next = _precompose_matrix(res.diffs[n + 1], self.hom_n, hom_n1)
         self._cocycle_basis = kernel_basis(d_next)
         zmat = hstack(self._cocycle_basis) if self._cocycle_basis else Matrix.zeros(
             alg.p, len(self.hom_n), 0)
@@ -1126,10 +1118,8 @@ class ExtSpace:
             raise ValueError(f"coords must be a {self.dim}-vector")
         hom_vec = self._zmat @ (self._sect @ col) if self.dim else Matrix.zeros(
             self.alg.p, len(self.hom_n), 1)
-        cocycle = zero_morphism(self.res.terms[self.n], self.end_A)
-        for c, b in zip(hom_vec.col_list(0), self.hom_n):
-            if c:
-                cocycle = cocycle + b.scale(c)
+        cocycle = combine(self.res.terms[self.n], self.end_A, self.hom_n,
+                          hom_vec.entries)
         return ExtElement(self.n, self.end_C, self.end_A, col, cocycle)
 
     def zero(self) -> "ExtElement":
@@ -1214,11 +1204,7 @@ def _solve_postcompose(f: ModMorphism, src: Module, rhs: ModMorphism) -> ModMorp
     sol = rref_solve(mat, hom_coords(rhs))
     if sol is None:
         raise ValueError("lifting problem has no solution")
-    u = zero_morphism(src, f.source)
-    for c, b in zip(sol.col_list(0), basis):
-        if c:
-            u = u + b.scale(c)
-    return u
+    return combine(src, f.source, basis, sol.entries)
 
 
 def push_forward(delta: ExtElement, a: ModMorphism) -> ExtElement:

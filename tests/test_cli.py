@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import exangulate.quiver as quiver
 from exangulate.cli import ParseError, main, parse_input
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -325,3 +326,12 @@ def test_seed_env_accepted(capsys, monkeypatch):
     code, out, _ = run(["hom", CLUSTER, "4", "4"], capsys)
     assert code == 0
     assert out == "dim Hom(4, 4) = 1\n"
+
+
+def test_seed_does_not_leak_into_a_later_run(capsys, monkeypatch):
+    monkeypatch.setenv("EXANGULATE_SEED", "7")
+    assert run(["hom", CLUSTER, "4", "4"], capsys)[0] == 0
+    assert quiver._default_seed == 7
+    monkeypatch.delenv("EXANGULATE_SEED")
+    assert run(["hom", CLUSTER, "4", "4"], capsys)[0] == 0
+    assert quiver._default_seed == 0

@@ -10,6 +10,7 @@ from exangulate.exangulated import (
     ExCategory,
     NExangle,
     check_core_axioms,
+    cone,
     delta_sharp,
     is_n_exangle,
     lift_morphism,
@@ -22,6 +23,7 @@ from exangulate.quiver import (
     Arrow,
     Quiver,
     Relation,
+    block_morphism,
     enumerate_hom,
     hom_basis,
     identity_morphism,
@@ -265,6 +267,54 @@ def test_mapping_cone_of_pullback_lift():
     assert cone.terms[0] == src.terms[1]
     assert cone.terms[-1] == gen("1")
     assert CAT.is_distinguished(cone)
+
+
+def block_cone(src, dst, f, shift):
+    """Differentials of the cone (shift 1) or cocone (shift 0) as block
+    morphisms, one grid per degree: the reference for `cone`."""
+    n, s = len(src.terms) - 2, shift
+    minus = src.terms[0].alg.p - 1
+    S, D = src.terms, dst.terms
+    mids = [[S[i + s], D[i - 1 + s]] for i in range(1, n + 1)]
+    diffs = [block_morphism([S[s]], mids[0],
+                            [[src.diffs[s].scale(minus)], [f[s]]])]
+    for i in range(1, n):
+        diffs.append(block_morphism(mids[i - 1], mids[i],
+                                    [[src.diffs[i + s].scale(minus), None],
+                                     [f[i + s], dst.diffs[i - 1 + s]]]))
+    diffs.append(block_morphism(mids[-1], [D[n + s]],
+                                [[f[n + s], dst.diffs[n - 1 + s]]]))
+    return tuple(diffs)
+
+
+def test_cone_matches_block_matrices_at_p3():
+    # p = 3 so that the sign of -d is visible
+    quiver = Quiver(3, (Arrow("a", 1, 2), Arrow("b", 2, 3)))
+    alg = AlgebraPresentation(quiver, (Relation((1,), (("a", "b"),)),), p=3)
+    gens = [interval_module(alg, t, b) for t, b in [(3, 3), (2, 3), (1, 2), (1, 1)]]
+    cat = ExCategory(alg, 2, gens)
+    compared = 0
+    for C in gens:
+        for A in gens:
+            for delta in cat.ext_elements(C, A):
+                X = cat.realize(delta)
+                for B in gens:
+                    for arrow in enumerate_hom(A, B):
+                        Y = cat.realize(push_forward(delta, arrow))
+                        for lift in cat.all_lifts(X, Y, arrow, identity_morphism(C)):
+                            f = [arrow] + lift + [identity_morphism(C)]
+                            terms, diffs = cone(X, Y, f, 0)
+                            assert diffs == block_cone(X, Y, f, 0)
+                            assert terms == tuple([d.source for d in diffs]
+                                                  + [diffs[-1].target])
+                            compared += 1
+                    for arrow in enumerate_hom(B, C):
+                        Y = cat.realize(pull_back(delta, arrow))
+                        for lift in cat.all_lifts(Y, X, identity_morphism(A), arrow):
+                            f = [identity_morphism(A)] + lift + [arrow]
+                            assert cone(Y, X, f, 1)[1] == block_cone(Y, X, f, 1)
+                            compared += 1
+    assert compared > 100
 
 
 def test_inflations_and_deflations():

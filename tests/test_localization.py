@@ -42,9 +42,12 @@ from exangulate.quiver import (
     Quiver,
     Relation,
     direct_sum,
+    enumerate_hom,
     hom_basis,
     identity_morphism,
     interval_module,
+    pull_back,
+    push_forward,
     zero_morphism,
 )
 
@@ -375,6 +378,34 @@ def test_s_tilde_absorbs_denominators():
     assert cx.terms[-1] == gen("1")
     labels = [CAT.format_object(t) for t in cx.terms]
     assert labels == ["4", "2/3/4 + 2/3/4", "2/3/4 + 1/2/3", "1"]
+
+
+def test_lift_families_agree_in_both_coordinates():
+    """With no null system the quotient's class coordinates are hom-basis
+    coordinates, so C and C-bar solve the same lift problems: the pairs
+    visited by C3 and C3' give the same families in the same order."""
+    q = trivial_quotient()
+    compared = several = 0
+
+    def compare(*ends):
+        nonlocal compared, several
+        lifts = list(CAT.all_lifts(*ends))
+        assert lifts and lifts == list(q.lifts(*ends))
+        compared += 1
+        several += len(lifts) > 1
+
+    for C in GENS:
+        for A in GENS:
+            for delta in CAT.ext_elements(C, A):
+                X = CAT.realize(delta)
+                for B in GENS:
+                    for arrow in enumerate_hom(A, B):
+                        Y = CAT.realize(push_forward(delta, arrow))
+                        compare(X, Y, arrow, identity_morphism(C))
+                    for arrow in enumerate_hom(B, C):
+                        Y = CAT.realize(pull_back(delta, arrow))
+                        compare(Y, X, identity_morphism(A), arrow)
+    assert compared > 600 and several > 0
 
 
 def test_table_complex_validation():

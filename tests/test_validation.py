@@ -26,6 +26,7 @@ from exangulate.quiver import (
     Relation,
     block_morphism,
     cokernel_module,
+    combine,
     decompose,
     direct_sum,
     enumerate_hom,
@@ -88,6 +89,27 @@ def test_compose_add_scale_negate_validate():
             full_check(f + f, f.scale(1), -f, f + zero_morphism(X, Y))
             for g in hom_basis(Y, Z):
                 full_check(g.compose(f))
+
+
+@pytest.mark.parametrize("gens", [GENS, GENS3], ids=["a4-p2", "a3-p3"])
+def test_combinations_validate_and_equal_the_sum(gens):
+    p = gens[0].alg.p
+    gens = list(gens) + [direct_sum([X, Y])[0] for X, Y in zip(gens, gens[1:])]
+    checked = 0
+    for X, Y in pairs(gens):
+        basis = hom_basis(X, Y)
+        # coefficients -1 .. p (unreduced ones included) on the first three
+        # basis elements, 1 on the rest
+        for coeffs in itertools.product(range(-1, p + 1), repeat=min(len(basis), 3)):
+            coeffs = list(coeffs) + [1] * (len(basis) - len(coeffs))
+            phi = combine(X, Y, basis, coeffs)
+            full_check(phi)
+            ref = zero_morphism(X, Y)
+            for c, b in zip(coeffs, basis):
+                ref = ref + b.scale(c)
+            assert phi == ref
+            checked += 1
+    assert checked > 100
 
 
 def test_direct_sums_and_block_morphisms_validate():
