@@ -27,7 +27,10 @@ so is its second factor, and dually for inflations).
 
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -63,6 +66,30 @@ from .quiver import (
 
 HOM_ENUM_LIMIT = 4096   # largest hom space enumerated element by element
 LIFT_ENUM_LIMIT = 4096  # largest affine space of lifts searched for a good lift
+
+
+def memo(fn: Callable) -> Callable:
+    """Cache fn's results on the object that owns them.
+
+    The owner is fn's argument named `q` if it has one, else its first
+    argument, and must carry `_memo = defaultdict(dict)`: one dict per
+    function, keyed by all positional arguments (fn takes no keywords).
+    The caches live and die with their owner; nothing module-global holds
+    them.  A call that raises caches nothing.
+    """
+    params = list(inspect.signature(fn).parameters)
+    at = params.index("q") if "q" in params else 0
+
+    @functools.wraps(fn)
+    def cached(*args):
+        cache = args[at]._memo[fn]
+        try:
+            return cache[args]
+        except KeyError:
+            got = cache[args] = fn(*args)
+            return got
+
+    return cached
 
 
 @dataclass(frozen=True)
@@ -212,11 +239,8 @@ class ExCategory:
                     raise ValueError("table entry has wrong degree")
                 key = (nex.delta.end_C, nex.delta.end_A, nex.delta.coords.entries)
                 self._table[key] = nex
-        self._realize_cache: dict[tuple[Module, Module, tuple[int, ...]], NExangle] = {}
-        self._materialize_cache: dict[tuple[int, ...], Module] = {}
-        self._inflation_class_cache: dict = {}
-        self._deflation_class_cache: dict = {}
         self._iso_class_reps: dict = {}
+        self._memo: defaultdict = defaultdict(dict)
 
     # -- objects ----------------------------------------------------------
 
@@ -229,14 +253,13 @@ class ExCategory:
 
     def materialize(self, multiset: Sequence[int]) -> Module:
         """Direct sum of generators by index; () is the zero module."""
-        key = tuple(sorted(multiset))
-        if key not in self._materialize_cache:
-            if not key:
-                self._materialize_cache[key] = zero_module(self.alg)
-            else:
-                total, _, _ = direct_sum([self.generators[i] for i in key])
-                self._materialize_cache[key] = total
-        return self._materialize_cache[key]
+        return self._materialize(tuple(sorted(multiset)))
+
+    @memo
+    def _materialize(self, key: tuple[int, ...]) -> Module:
+        if not key:
+            return zero_module(self.alg)
+        return direct_sum([self.generators[i] for i in key])[0]
 
     def endpoint_multisets(self, max_summands: int = 2) -> list[tuple[int, ...]]:
         """Zero, generators, and sums of up to max_summands generators."""
@@ -265,17 +288,18 @@ class ExCategory:
             return "0"
         return " + ".join(self.labels[i] for i in ms)
 
-    def _iso_key(self, m: Module):
-        """Isomorphism-class token used for caching object-level properties."""
+    def _iso_rep(self, m: Module) -> Module:
+        """The stored representative of m's isomorphism class (m itself the
+        first time the class is met); a cache key for object properties."""
         sig = (m.dims,
                tuple(len(hom_basis(g, m)) for g in self.generators),
                tuple(len(hom_basis(m, g)) for g in self.generators))
         reps = self._iso_class_reps.setdefault(sig, [])
-        for tag, rep in enumerate(reps):
+        for rep in reps:
             if is_isomorphic(m, rep):
-                return (sig, tag)
+                return rep
         reps.append(m)
-        return (sig, len(reps) - 1)
+        return m
 
     # -- realizations -------------------------------------------------------
 
@@ -297,6 +321,7 @@ class ExCategory:
         diffs.append(identity_morphism(C))
         return NExangle(tuple(terms), tuple(diffs), delta)
 
+    @memo
     def realize(self, delta: ExtElement) -> NExangle:
         """Distinguished realization of an extension class.
 
@@ -305,17 +330,11 @@ class ExCategory:
         the subcategory ordered by total dimension, and the declared backend
         looks the class up in its table.
         """
-        key = (delta.end_C, delta.end_A, delta.coords.entries)
-        if key in self._realize_cache:
-            return self._realize_cache[key]
         if delta.is_zero:
-            nex = self.split_realization(delta)
-        elif self.backend == "declared":
-            nex = self._declared_realize(delta)
-        else:
-            nex = self._search_realization(delta)
-        self._realize_cache[key] = nex
-        return nex
+            return self.split_realization(delta)
+        if self.backend == "declared":
+            return self._declared_realize(delta)
+        return self._search_realization(delta)
 
     def _declared_realize(self, delta: ExtElement) -> NExangle:
         """Table lookup, closed under direct sums and isomorphism.
@@ -418,23 +437,18 @@ class ExCategory:
         terms = [delta.end_A] + sum_terms[1:-1] + [delta.end_C]
         return NExangle(tuple(terms), tuple(diffs), delta)
 
-    def _monos(self, src: Module, tgt: Module) -> Iterator[ModMorphism]:
-        dim = len(hom_basis(src, tgt))
-        if self.alg.p ** dim > HOM_ENUM_LIMIT:
+    def _bounded_homs(self, src: Module, tgt: Module) -> list[ModMorphism]:
+        if self.alg.p ** len(hom_basis(src, tgt)) > HOM_ENUM_LIMIT:
             raise RuntimeError("hom space too large to enumerate")
-        for phi in enumerate_hom(src, tgt):
-            if phi.is_mono:
-                yield phi
+        return enumerate_hom(src, tgt)
+
+    def _monos(self, src: Module, tgt: Module) -> Iterator[ModMorphism]:
+        return (phi for phi in self._bounded_homs(src, tgt) if phi.is_mono)
 
     def _isos(self, src: Module, tgt: Module) -> Iterator[ModMorphism]:
         if src.dims != tgt.dims:
-            return
-        dim = len(hom_basis(src, tgt))
-        if self.alg.p ** dim > HOM_ENUM_LIMIT:
-            raise RuntimeError("hom space too large to enumerate")
-        for phi in enumerate_hom(src, tgt):
-            if phi.is_iso:
-                yield phi
+            return iter(())
+        return (phi for phi in self._bounded_homs(src, tgt) if phi.is_iso)
 
     def _search_realization(self, delta: ExtElement) -> NExangle:
         A, C = delta.end_A, delta.end_C
@@ -689,82 +703,42 @@ class ExCategory:
         """f occurs as d_0 of some distinguished exangle (bounded search)."""
         if not f.is_mono:
             return False
-        cok, _ = cokernel_module(f)
         if self.backend == "declared":
             return self._declared_edge_search(f, 0)
-        return self._has_coresolution(cok, self.n)
+        return self._resolvable(cokernel_module(f)[0], self.n, False)
 
     def is_deflation(self, f: ModMorphism) -> bool:
         """f occurs as d_n of some distinguished exangle (bounded search)."""
         if not f.is_epi:
             return False
-        ker, _ = kernel_module(f)
         if self.backend == "declared":
             return self._declared_edge_search(f, self.n)
-        return self._has_resolution(ker, self.n)
+        return self._resolvable(kernel_module(f)[0], self.n, True)
 
-    def _has_coresolution(self, w: Module, steps: int) -> bool:
-        """0 -> w -> Z_1 -> ... -> Z_steps -> 0 exact with Z_i in the subcategory."""
+    def _resolvable(self, w: Module, steps: int, dual: bool) -> bool:
+        """0 -> w -> Z_1 -> ... -> Z_steps -> 0 exact with Z_i in the
+        subcategory (dual: 0 -> Z_steps -> ... -> Z_1 -> w -> 0).  Decided
+        once per isomorphism class of w, from its stored representative."""
         if w.is_zero:
             return True
-        key = (self._iso_key(w), steps)
-        if key in self._inflation_class_cache:
-            return self._inflation_class_cache[key]
-        if steps <= 0:
-            result = False
-        elif steps == 1:
-            result = self.objects.contains(w)
-        else:
-            result = False
-            for ms in self.completion_multisets():
-                z = self.materialize(ms)
-                if z.total_dim < w.total_dim:
-                    continue
-                if any(z.dims[v] < w.dims[v] for v in range(len(w.dims))):
-                    continue
-                for j in self._monos(w, z):
-                    cok, _ = cokernel_module(j)
-                    if self._has_coresolution(cok, steps - 1):
-                        result = True
-                        break
-                if result:
-                    break
-        self._inflation_class_cache[key] = result
-        return result
+        return self._resolvable_rep(self._iso_rep(w), steps, dual)
 
-    def _has_resolution(self, w: Module, steps: int) -> bool:
-        """0 -> Z_steps -> ... -> Z_1 -> w -> 0 exact with Z_i in the subcategory."""
-        if w.is_zero:
-            return True
-        key = (self._iso_key(w), steps)
-        if key in self._deflation_class_cache:
-            return self._deflation_class_cache[key]
-        if steps <= 0:
-            result = False
-        elif steps == 1:
-            result = self.objects.contains(w)
-        else:
-            result = False
-            for ms in self.completion_multisets():
-                z = self.materialize(ms)
-                if z.total_dim < w.total_dim:
-                    continue
-                if any(z.dims[v] < w.dims[v] for v in range(len(w.dims))):
-                    continue
-                dim = len(hom_basis(z, w))
-                if self.alg.p ** dim > HOM_ENUM_LIMIT:
-                    raise RuntimeError("hom space too large to enumerate")
-                for e in enumerate_hom(z, w):
-                    if not e.is_epi:
-                        continue
-                    ker, _ = kernel_module(e)
-                    if self._has_resolution(ker, steps - 1):
-                        result = True
-                        break
-                if result:
-                    break
-        self._deflation_class_cache[key] = result
-        return result
+    @memo
+    def _resolvable_rep(self, w: Module, steps: int, dual: bool) -> bool:
+        if steps <= 1:
+            return steps == 1 and self.objects.contains(w)
+        for ms in self.completion_multisets():
+            z = self.materialize(ms)
+            if any(z.dims[v] < w.dims[v] for v in range(len(w.dims))):
+                continue
+            if dual:
+                rests = (kernel_module(e)[0]
+                         for e in self._bounded_homs(z, w) if e.is_epi)
+            else:
+                rests = (cokernel_module(j)[0] for j in self._monos(w, z))
+            if any(self._resolvable(r, steps - 1, dual) for r in rests):
+                return True
+        return False
 
     def _declared_edge_search(self, f: ModMorphism, position: int) -> bool:
         for nex in self._table.values():
@@ -879,6 +853,8 @@ class ExCategory:
                                     cand = self.mapping_cone(src, dst, f, eps)
                                 else:
                                     eps = pull_back(delta, dst.diffs[self.n])
+                                    if cocone_sign(self.n) < 0:
+                                        eps = -eps
                                     cand = self.mapping_cocone(src, dst, f, eps)
                                 if self.is_distinguished(cand):
                                     good = True
@@ -948,10 +924,10 @@ class ExCategory:
         for gi, g in enumerate(self.generators):
             for hj, h in enumerate(self.generators):
                 for mid in mids:
-                    monos = [f for f in enumerate_hom(g, mid) if f.is_mono]
-                    epis = [f for f in enumerate_hom(mid, h) if f.is_epi]
                     all_first = enumerate_hom(g, mid)
                     all_second = enumerate_hom(mid, h)
+                    monos = [f for f in all_first if f.is_mono]
+                    epis = [t for t in all_second if t.is_epi]
                     for f in monos:
                         for t in all_second:
                             comp = t.compose(f)
@@ -1032,6 +1008,20 @@ def cone(src, dst, f: Sequence[ModMorphism], shift: int
             coeffs.append(1)
         diffs.append(combine(terms[i], terms[i + 1], pieces, coeffs))
     return terms, tuple(diffs)
+
+
+def cocone_sign(n: int) -> int:
+    """The sign s for which cone(src, dst, f, 0) realizes s * (d_n)^* rho,
+    where rho is the class of src and d_n the last differential of dst.
+
+    The chain map from the cocone to the pull-back of src along d_n that is
+    (x, y) -> (x, f_n x + d'_{n-1} y) in degree n must be (-1)^(n-i) on the
+    src summand of degree i, because `cone` negates the src differentials;
+    on the left end it is (-1)^n.  (EA2^op) pairs the cocone with
+    (d_n)^* rho, so both engines test it against rho's pull-back times this
+    sign.  At p = 2 the sign is invisible.
+    """
+    return -1 if n % 2 else 1
 
 
 def _hom_coordinates(f: ModMorphism) -> tuple[int, ...]:

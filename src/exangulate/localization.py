@@ -28,10 +28,12 @@ an explicit message when a bound is exhausted, rather than guessing.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exangulated import CheckResult, ExCategory, NExangle, cone, enumerate_lifts
+from .exangulated import (CheckResult, ExCategory, NExangle, cocone_sign, cone,
+                          enumerate_lifts, memo)
 from .linalg import (Matrix, column_space_basis, enumerate_vectors,
                      from_columns, hstack, kernel_basis, quotient_with_section,
                      rank, rref_solve, vstack)
@@ -93,45 +95,23 @@ class IdealQuotient:
         self.nf_gens = tuple(base.generators[i] for i in idx)
         self.universe = tuple(base.materialize(ms)
                               for ms in base.endpoint_multisets())
-        self._tables: dict = {}
-        self._breps: dict = {}
-        self._reps: dict = {}
-        self._inv: dict = {}
-        self._sat: dict = {}
-        self._members: dict = {}
-        self._k: dict = {}
-        self._ebar: dict = {}
-        self._push_ok: set = set()
-        self._pull_ok: set = set()
-        self._pushc: dict = {}
-        self._pullc: dict = {}
-        self._postm: dict = {}
-        self._prem: dict = {}
-        self._etilde: dict = {}
-        self._frac: dict = {}
-        self._infl_cls: dict = {}
-        self._defl_cls: dict = {}
-        self._edges: dict = {}
+        self._memo: defaultdict = defaultdict(dict)
 
     @property
     def nf_labels(self) -> tuple[str, ...]:
         return tuple(self.base.labels[i] for i in self.nf_indices)
 
+    @memo
     def tables(self, X: Module, Y: Module):
-        key = (X, Y)
-        got = self._tables.get(key)
-        if got is None:
-            basis = hom_basis(X, Y)
-            cols: list[Matrix] = []
-            if basis:
-                for N in self.nf_gens:
-                    for g in hom_basis(N, Y):
-                        for f in hom_basis(X, N):
-                            cols.append(morphism_in_coords(g.compose(f), basis))
-            proj, sect = quotient_with_section(self.p, len(basis), cols)
-            got = (basis, proj, sect)
-            self._tables[key] = got
-        return got
+        basis = hom_basis(X, Y)
+        cols: list[Matrix] = []
+        if basis:
+            for N in self.nf_gens:
+                for g in hom_basis(N, Y):
+                    for f in hom_basis(X, N):
+                        cols.append(morphism_in_coords(g.compose(f), basis))
+        proj, sect = quotient_with_section(self.p, len(basis), cols)
+        return basis, proj, sect
 
     def qdim(self, X: Module, Y: Module) -> int:
         return self.tables(X, Y)[1].rows
@@ -143,26 +123,19 @@ class IdealQuotient:
 
     def rep(self, X: Module, Y: Module, coords: Sequence[int]) -> ModMorphism:
         """The chosen section representative of a class."""
-        coords = tuple(coords)
-        key = (X, Y, coords)
-        got = self._reps.get(key)
-        if got is None:
-            basis, _, sect = self.tables(X, Y)
-            col = sect @ Matrix.column(self.p, list(coords))
-            got = combine(X, Y, basis, col.entries)
-            self._reps[key] = got
-        return got
+        return self._rep(X, Y, tuple(coords))
 
+    @memo
+    def _rep(self, X: Module, Y: Module, coords: tuple[int, ...]) -> ModMorphism:
+        basis, _, sect = self.tables(X, Y)
+        col = sect @ Matrix.column(self.p, list(coords))
+        return combine(X, Y, basis, col.entries)
+
+    @memo
     def basis_reps(self, X: Module, Y: Module) -> tuple[ModMorphism, ...]:
-        key = (X, Y)
-        got = self._breps.get(key)
-        if got is None:
-            d = self.qdim(X, Y)
-            got = tuple(self.rep(X, Y, tuple(1 if i == k else 0
-                                             for i in range(d)))
-                        for k in range(d))
-            self._breps[key] = got
-        return got
+        d = self.qdim(X, Y)
+        return tuple(self.rep(X, Y, tuple(1 if i == k else 0 for i in range(d)))
+                     for k in range(d))
 
     def classes(self, X: Module, Y: Module) -> list[tuple[int, ...]]:
         """Every class of C-bar(X, Y), the zero class first."""
@@ -171,6 +144,7 @@ class IdealQuotient:
             raise LocalizationError("quotient hom space too large to enumerate")
         return [tuple(v.col_list(0)) for v in enumerate_vectors(self.p, d)]
 
+    @memo
     def identity_class(self, X: Module) -> tuple[int, ...]:
         return self.project(identity_morphism(X))
 
@@ -207,14 +181,10 @@ def _class_invertible(q: IdealQuotient, X: Module, Y: Module,
     return rref_solve(lhs, rhs) is not None
 
 
+@memo
 def _invertible_classes(q: IdealQuotient, X: Module, Y: Module) -> frozenset:
-    key = (X, Y)
-    got = q._inv.get(key)
-    if got is None:
-        got = frozenset(c for c in q.classes(X, Y)
-                        if _class_invertible(q, X, Y, c))
-        q._inv[key] = got
-    return got
+    return frozenset(c for c in q.classes(X, Y)
+                     if _class_invertible(q, X, Y, c))
 
 
 def _sum_class(q: IdealQuotient, items: Sequence[tuple[int, int, tuple]]):
@@ -244,12 +214,10 @@ def _sum_class(q: IdealQuotient, items: Sequence[tuple[int, int, tuple]]):
     return (src_obj, tgt_obj), q.project(total)
 
 
+@memo
 def _saturate_extra(spec: MorphismClassSpec, q: IdealQuotient) -> dict:
     """Fixpoint of the seeded closure, minus the classes that are already
     invertible (those are members for free)."""
-    got = q._sat.get(spec)
-    if got is not None:
-        return got
     extra: dict[tuple[Module, Module], set] = {}
 
     def add(X: Module, Y: Module, cls: tuple[int, ...]) -> bool:
@@ -302,23 +270,17 @@ def _saturate_extra(spec: MorphismClassSpec, q: IdealQuotient) -> dict:
                 (sx, sy), cls = _sum_class(q, [a, b])
                 if add(sx, sy, cls):
                     changed = True
-    q._sat[spec] = extra
     return extra
 
 
+@memo
 def member_classes(spec: MorphismClassSpec, q: IdealQuotient,
                    X: Module, Y: Module) -> frozenset:
     """All classes of C-bar(X, Y) that lie in F-bar."""
-    key = (spec, X, Y)
-    got = q._members.get(key)
-    if got is None:
-        inv = _invertible_classes(q, X, Y)
-        if spec.mode == "iso":
-            got = inv
-        else:
-            got = frozenset(inv | _saturate_extra(spec, q).get((X, Y), set()))
-        q._members[key] = got
-    return got
+    inv = _invertible_classes(q, X, Y)
+    if spec.mode == "iso":
+        return inv
+    return frozenset(inv | _saturate_extra(spec, q).get((X, Y), set()))
 
 
 def fbar_membership(spec: MorphismClassSpec, q: IdealQuotient,
@@ -581,15 +543,12 @@ def _mr3_filler(spec, q, x1, x2, a, c) -> bool:
 # -- the killed subgroup K and E-bar ------------------------------------------
 
 
+@memo
 def k_subgroup(spec: MorphismClassSpec, q: IdealQuotient,
                end_C: Module, end_A: Module) -> list[tuple[int, ...]]:
     """Basis (coordinate vectors) of K(C, A): the classes some member of F
     pushes to zero.  The dual pull-back characterization is computed
     independently; disagreement aborts."""
-    key = (spec, end_C, end_A)
-    got = q._k.get(key)
-    if got is not None:
-        return got
     cat = q.base
     space = cat.ext(end_C, end_A)
     if q.p ** space.dim > CLASS_ENUM_LIMIT:
@@ -627,9 +586,7 @@ def k_subgroup(spec: MorphismClassSpec, q: IdealQuotient,
                     "K is not closed under addition within the bound")
     cols = [Matrix.column(q.p, list(v)) for v in sorted(killed_push) if any(v)]
     basis = column_space_basis(hstack(cols)) if cols else []
-    got = [tuple(b.col_list(0)) for b in basis]
-    q._k[key] = got
-    return got
+    return [tuple(b.col_list(0)) for b in basis]
 
 
 @dataclass(frozen=True)
@@ -669,36 +626,38 @@ class EbarSpace:
         return (0,) * self.dim
 
 
+@memo
 def ebar_group(spec: MorphismClassSpec, q: IdealQuotient,
                end_C: Module, end_A: Module) -> EbarSpace:
-    key = (spec, end_C, end_A)
-    got = q._ebar.get(key)
-    if got is None:
-        space = q.base.ext(end_C, end_A)
-        kb = tuple(k_subgroup(spec, q, end_C, end_A))
-        proj, sect = quotient_with_section(
-            q.p, space.dim, [Matrix.column(q.p, list(b)) for b in kb])
-        got = EbarSpace(spec, space, kb, proj, sect)
-        q._ebar[key] = got
-    return got
+    space = q.base.ext(end_C, end_A)
+    kb = tuple(k_subgroup(spec, q, end_C, end_A))
+    proj, sect = quotient_with_section(
+        q.p, space.dim, [Matrix.column(q.p, list(b)) for b in kb])
+    return EbarSpace(spec, space, kb, proj, sect)
 
 
+@memo
 def _push(q: IdealQuotient, delta: ExtElement, f: ModMorphism) -> ExtElement:
-    key = (delta, f)
-    got = q._pushc.get(key)
-    if got is None:
-        got = push_forward(delta, f)
-        q._pushc[key] = got
-    return got
+    return push_forward(delta, f)
 
 
+@memo
 def _pull(q: IdealQuotient, delta: ExtElement, f: ModMorphism) -> ExtElement:
-    key = (delta, f)
-    got = q._pullc.get(key)
-    if got is None:
-        got = pull_back(delta, f)
-        q._pullc[key] = got
-    return got
+    return pull_back(delta, f)
+
+
+@memo
+def _keeps_k(spec: MorphismClassSpec, q: IdealQuotient, end_C: Module,
+             end_A: Module, f: ModMorphism, pull: bool) -> bool:
+    """Does the push-forward (pull: pull-back) along f carry K(C, A) into
+    the K of its target?"""
+    eb = ebar_group(spec, q, end_C, end_A)
+    if pull:
+        tgt, move = ebar_group(spec, q, f.source, end_A), _pull
+    else:
+        tgt, move = ebar_group(spec, q, end_C, f.target), _push
+    return not any(any(tgt.project(move(q, eb.space.element(list(kb)), f)))
+                   for kb in eb.k_basis)
 
 
 def ebar_push(spec: MorphismClassSpec, q: IdealQuotient, eb: EbarSpace,
@@ -706,14 +665,9 @@ def ebar_push(spec: MorphismClassSpec, q: IdealQuotient, eb: EbarSpace,
     """Descended push-forward E-bar(C, A) -> E-bar(C, B) along f: A -> B."""
     if f.source != eb.end_A:
         raise ValueError("push morphism must start at the A end")
+    if not _keeps_k(spec, q, eb.end_C, eb.end_A, f, False):
+        raise LocalizationError("push-forward does not carry K into K")
     tgt = ebar_group(spec, q, eb.end_C, f.target)
-    vkey = (eb.end_C, eb.end_A, f)
-    if vkey not in q._push_ok:
-        for kb in eb.k_basis:
-            if any(tgt.project(_push(q, eb.space.element(list(kb)), f))):
-                raise LocalizationError(
-                    "push-forward does not carry K into K")
-        q._push_ok.add(vkey)
     return tgt.project(_push(q, eb.lift(coords), f))
 
 
@@ -722,14 +676,9 @@ def ebar_pull(spec: MorphismClassSpec, q: IdealQuotient, eb: EbarSpace,
     """Descended pull-back E-bar(C, A) -> E-bar(D, A) along f: D -> C."""
     if f.target != eb.end_C:
         raise ValueError("pull morphism must end at the C end")
+    if not _keeps_k(spec, q, eb.end_C, eb.end_A, f, True):
+        raise LocalizationError("pull-back does not carry K into K")
     tgt = ebar_group(spec, q, f.source, eb.end_A)
-    vkey = (eb.end_C, eb.end_A, f)
-    if vkey not in q._pull_ok:
-        for kb in eb.k_basis:
-            if any(tgt.project(_pull(q, eb.space.element(list(kb)), f))):
-                raise LocalizationError(
-                    "pull-back does not carry K into K")
-        q._pull_ok.add(vkey)
     return tgt.project(_pull(q, eb.lift(coords), f))
 
 
@@ -882,14 +831,11 @@ class EtildeGroup:
     ebar: EbarSpace
 
 
+@memo
 def etilde_group(spec: MorphismClassSpec, q: IdealQuotient,
                  end_C: Module, end_A: Module) -> EtildeGroup:
     """E-tilde(C, A) by enumerating roofs over the bounded universe and
     merging them with the common-denominator equality."""
-    key = (spec, end_C, end_A)
-    got = q._etilde.get(key)
-    if got is not None:
-        return got
     pool: list[Roof] = []
     for Z in q.universe:
         tmem = member_classes(spec, q, Z, end_C)
@@ -936,11 +882,8 @@ def etilde_group(spec: MorphismClassSpec, q: IdealQuotient,
     mu_map = tuple(
         locate(identity_roof(spec, q, end_C, end_A, coords))
         for coords in ebar.classes())
-    zero_index = mu_map[0]
-    got = EtildeGroup(end_C, end_A, tuple(reps), add_table, zero_index,
-                      mu_map, ebar)
-    q._etilde[key] = got
-    return got
+    return EtildeGroup(end_C, end_A, tuple(reps), add_table, mu_map[0],
+                       mu_map, ebar)
 
 
 # -- realization of roofs and complexes in the quotient ------------------------
@@ -1005,22 +948,8 @@ def _pre(q: IdealQuotient, d: ModMorphism, T: Module) -> Matrix:
                          for b in q.basis_reps(d.target, T)])
 
 
-def _post_matrix(q: IdealQuotient, T: Module, d: ModMorphism) -> Matrix:
-    """`_post`, cached on the quotient."""
-    key = (T, d)
-    got = q._postm.get(key)
-    if got is None:
-        got = q._postm[key] = _post(q, T, d)
-    return got
-
-
-def _pre_matrix(q: IdealQuotient, d: ModMorphism, T: Module) -> Matrix:
-    """`_pre`, cached on the quotient."""
-    key = (d, T)
-    got = q._prem.get(key)
-    if got is None:
-        got = q._prem[key] = _pre(q, d, T)
-    return got
+_post_matrix = memo(_post)
+_pre_matrix = memo(_pre)
 
 
 def weak_kc_check(cat: ExCategory, spec: MorphismClassSpec, q: IdealQuotient,
@@ -1073,24 +1002,21 @@ class FractionHoms:
     def __init__(self, spec: MorphismClassSpec, q: IdealQuotient) -> None:
         self.spec = spec
         self.q = q
-        self._sets: dict = {}
+        self._memo: defaultdict = defaultdict(dict)
 
+    @memo
     def reps(self, X: Module, Y: Module) -> list:
-        key = (X, Y)
-        got = self._sets.get(key)
-        if got is None:
-            items = [(Y, fc, None) for fc in self.q.classes(X, Y)]
-            for W in self.q.universe:
-                for sc in sorted(member_classes(self.spec, self.q, Y, W)):
-                    if sc in _invertible_classes(self.q, Y, W):
-                        continue
-                    for fc in self.q.classes(X, W):
-                        items.append((W, fc, sc))
-            got = []
-            for it in items:
-                if not any(self._equal(X, Y, it, r) for r in got):
-                    got.append(it)
-            self._sets[key] = got
+        items = [(Y, fc, None) for fc in self.q.classes(X, Y)]
+        for W in self.q.universe:
+            for sc in sorted(member_classes(self.spec, self.q, Y, W)):
+                if sc in _invertible_classes(self.q, Y, W):
+                    continue
+                for fc in self.q.classes(X, W):
+                    items.append((W, fc, sc))
+        got: list = []
+        for it in items:
+            if not any(self._equal(X, Y, it, r) for r in got):
+                got.append(it)
         return got
 
     def class_index(self, X: Module, Y: Module, item) -> int:
@@ -1147,11 +1073,13 @@ class FractionHoms:
         return False
 
 
+@memo
+def _fraction_homs(spec: MorphismClassSpec, q: IdealQuotient) -> FractionHoms:
+    return FractionHoms(spec, q)
+
+
 def _kc_fractions(cat, spec, q, nex):
-    fr = q._frac.get(spec)
-    if fr is None:
-        fr = FractionHoms(spec, q)
-        q._frac[spec] = fr
+    fr = _fraction_homs(spec, q)
     n = nex.n
     checked = 0
     for side in ("covariant", "contravariant"):
@@ -1383,8 +1311,10 @@ def _tilde_c3(cat, spec, q, dual: bool) -> CheckResult:
                                 eps = ebar_push(spec, q, eb, coords,
                                                 src.diffs[0])
                             else:
-                                eps = ebar_pull(spec, q, eb, coords,
-                                                dst.diffs[cat.n])
+                                eps = tuple(cocone_sign(cat.n) * x % q.p
+                                            for x in ebar_pull(
+                                                spec, q, eb, coords,
+                                                dst.diffs[cat.n]))
                             cand = TableComplex(*cone(src, dst, f, 1 if dual else 0))
                             if _tilde_distinguished(cat, spec, q, cand, eps):
                                 good = True
@@ -1403,21 +1333,15 @@ def _tilde_c3(cat, spec, q, dual: bool) -> CheckResult:
     return CheckResult(name, True, None, checked)
 
 
+@memo
 def _inflation_edges(cat: ExCategory, q: IdealQuotient, src: Module,
                      tgt: Module, dual: bool) -> tuple[ModMorphism, ...]:
-    key = (src, tgt, dual)
-    got = q._edges.get(key)
-    if got is None:
-        if dual:
-            got = tuple(f for f in enumerate_hom(src, tgt)
-                        if cat.is_deflation(f))
-        else:
-            got = tuple(f for f in enumerate_hom(src, tgt)
-                        if cat.is_inflation(f))
-        q._edges[key] = got
-    return got
+    """The deflations (dual) or inflations src -> tgt of C."""
+    edge = cat.is_deflation if dual else cat.is_inflation
+    return tuple(f for f in enumerate_hom(src, tgt) if edge(f))
 
 
+@memo
 def _tilde_edge_classes(cat: ExCategory, spec: MorphismClassSpec,
                         q: IdealQuotient, X: Module, Y: Module,
                         dual: bool) -> frozenset:
@@ -1425,28 +1349,21 @@ def _tilde_edge_classes(cat: ExCategory, spec: MorphismClassSpec,
     structure: F-member conjugates of realized edges.  Post-isomorphism
     orbits are materialized, so membership tests against these sets may drop
     any leading isomorphism factor."""
-    cache = q._defl_cls if dual else q._infl_cls
-    key = (spec, X, Y)
-    got = cache.get(key)
-    if got is None:
-        out = set()
-        for mid_src in q.universe:
-            pre = member_classes(spec, q, X, mid_src)
-            if not pre:
+    out = set()
+    for mid_src in q.universe:
+        pre = member_classes(spec, q, X, mid_src)
+        if not pre:
+            continue
+        for mid_tgt in q.universe:
+            post = member_classes(spec, q, mid_tgt, Y)
+            if not post:
                 continue
-            for mid_tgt in q.universe:
-                post = member_classes(spec, q, mid_tgt, Y)
-                if not post:
-                    continue
-                for g in _inflation_edges(cat, q, mid_src, mid_tgt, dual):
-                    for sc in sorted(pre):
-                        left = q.project(g.compose(q.rep(X, mid_src, sc)))
-                        for hc in sorted(post):
-                            out.add(q.compose_classes(
-                                X, mid_tgt, Y, left, hc))
-        got = frozenset(out)
-        cache[key] = got
-    return got
+            for g in _inflation_edges(cat, q, mid_src, mid_tgt, dual):
+                for sc in sorted(pre):
+                    left = q.project(g.compose(q.rep(X, mid_src, sc)))
+                    for hc in sorted(post):
+                        out.add(q.compose_classes(X, mid_tgt, Y, left, hc))
+    return frozenset(out)
 
 
 def _survivors(q: IdealQuotient) -> list[tuple[int, Module]]:
@@ -1465,7 +1382,7 @@ def _tilde_c4(cat, spec, q) -> CheckResult:
     survivors = _survivors(q)
     for gi, g in survivors:
         for mid in q.universe:
-            first = _tilde_edge_classes(cat, spec, q, g, mid, dual=False)
+            first = _tilde_edge_classes(cat, spec, q, g, mid, False)
             if not first:
                 continue
             for mid2 in q.universe:
@@ -1473,11 +1390,10 @@ def _tilde_c4(cat, spec, q) -> CheckResult:
                 if not adj:
                     continue
                 for far in q.universe:
-                    edges = _inflation_edges(cat, q, mid2, far, dual=False)
+                    edges = _inflation_edges(cat, q, mid2, far, False)
                     if not edges:
                         continue
-                    target = _tilde_edge_classes(cat, spec, q, g, far,
-                                                 dual=False)
+                    target = _tilde_edge_classes(cat, spec, q, g, far, False)
                     for fc in sorted(first):
                         for sc in sorted(adj):
                             left = q.compose_classes(g, mid, mid2, fc, sc)
@@ -1493,7 +1409,7 @@ def _tilde_c4(cat, spec, q) -> CheckResult:
                                         "compose to a non-inflation", checked)
     for gi, g in survivors:
         for mid in q.universe:
-            second = _tilde_edge_classes(cat, spec, q, mid, g, dual=True)
+            second = _tilde_edge_classes(cat, spec, q, mid, g, True)
             if not second:
                 continue
             for mid2 in q.universe:
@@ -1501,11 +1417,10 @@ def _tilde_c4(cat, spec, q) -> CheckResult:
                 if not adj:
                     continue
                 for far in q.universe:
-                    edges = _inflation_edges(cat, q, far, mid2, dual=True)
+                    edges = _inflation_edges(cat, q, far, mid2, True)
                     if not edges:
                         continue
-                    target = _tilde_edge_classes(cat, spec, q, far, g,
-                                                 dual=True)
+                    target = _tilde_edge_classes(cat, spec, q, far, g, True)
                     for sc in sorted(second):
                         for ac in sorted(adj):
                             right = q.compose_classes(mid2, mid, g, ac, sc)
@@ -1530,16 +1445,14 @@ def _tilde_wic(cat, spec, q) -> CheckResult:
     survivors = _survivors(q)
     for gi, g in survivors:
         for hj, h in survivors:
-            infl_tot = _tilde_edge_classes(cat, spec, q, g, h, dual=False)
-            defl_tot = _tilde_edge_classes(cat, spec, q, g, h, dual=True)
+            infl_tot = _tilde_edge_classes(cat, spec, q, g, h, False)
+            defl_tot = _tilde_edge_classes(cat, spec, q, g, h, True)
             if not infl_tot and not defl_tot:
                 continue
             for mid in q.universe:
-                infl_first = (_tilde_edge_classes(cat, spec, q, g, mid,
-                                                  dual=False)
+                infl_first = (_tilde_edge_classes(cat, spec, q, g, mid, False)
                               if infl_tot else frozenset())
-                defl_second = (_tilde_edge_classes(cat, spec, q, mid, h,
-                                                   dual=True)
+                defl_second = (_tilde_edge_classes(cat, spec, q, mid, h, True)
                                if defl_tot else frozenset())
                 for sc in q.classes(mid, h):
                     lhs = _post(q, g, q.rep(mid, h, sc))

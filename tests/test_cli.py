@@ -30,6 +30,16 @@ n = 2
 generators = 4, 3/4, 2/3/4, 1/2/3, 1/2, 1
 """
 
+A2 = """\
+[quiver]
+vertices = 2
+arrow = a: 1 -> 2
+
+[category]
+n = 1
+generators = 2, 1/2, 1
+"""
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -279,6 +289,19 @@ def test_localize_saturate_without_seeds_is_weakly_exangulated(capsys, tmp_path)
     assert code == 10
     assert "verdict: weakly 2-exangulated" in out
     assert "C1: skipped — not computed in saturate mode" in out
+
+
+@pytest.mark.parametrize("command, verdict", [
+    ("check", "all core axioms hold"), ("localize", "1-exangulated")])
+def test_a2_at_p3_is_1_exangulated(capsys, tmp_path, command, verdict):
+    """mod kA2 is abelian, so 1-exangulated.  At p = 3 the C3 check sees
+    the sign of the cocone's class, which p = 2 cannot show."""
+    f = tmp_path / "a2.exg"
+    f.write_text(A2)
+    code, out, _ = run([command, str(f), "--prime", "3"], capsys)
+    assert code == 0
+    assert "C3: pass" in out
+    assert f"verdict: {verdict}" in out
 
 
 def test_verbose_lists_every_kc_class(capsys):

@@ -10,6 +10,7 @@ from exangulate.exangulated import (
     ExCategory,
     NExangle,
     check_core_axioms,
+    cocone_sign,
     cone,
     delta_sharp,
     is_n_exangle,
@@ -18,9 +19,12 @@ from exangulate.exangulated import (
     mapping_cone,
     realize,
 )
+from exangulate.linalg import Matrix
 from exangulate.quiver import (
     AlgebraPresentation,
     Arrow,
+    ModMorphism,
+    Module,
     Quiver,
     Relation,
     block_morphism,
@@ -28,8 +32,10 @@ from exangulate.quiver import (
     hom_basis,
     identity_morphism,
     interval_module,
+    is_isomorphic,
     pull_back,
     push_forward,
+    yoneda_class,
     zero_module,
     zero_morphism,
 )
@@ -420,3 +426,52 @@ def test_module_level_wrappers():
     assert callable(mapping_cone) and callable(mapping_cocone)
     assert callable(lift_morphism) and callable(check_core_axioms)
     assert results
+
+
+def test_resolvable_searches_once_per_isomorphism_class():
+    """An isomorphic but unequal copy of a module gets the same answer from
+    the cache entry of the first, without a search of its own."""
+    cat = ExCategory(ALG, 2, GENS, labels=LABELS, multiplicity_bound=2)
+    w = cat.materialize([LABELS.index("2/3/4"), LABELS.index("1/2/3")])
+    assert w.dims[1] == 2
+    # a change of basis at vertex 2 that is not an automorphism of w;
+    # over F_2 it is its own inverse
+    q = Matrix.from_rows(2, [[1, 1], [0, 1]])
+    moved = Module(ALG, w.dims, (q @ w.arrow_map("a"), w.arrow_map("b") @ q,
+                                 w.arrow_map("c")))
+    ModMorphism(w, moved, (Matrix.identity(2, 1), q, Matrix.identity(2, 2),
+                           Matrix.identity(2, 1)))  # validates the squares
+    assert moved != w and is_isomorphic(w, moved)
+    cache = cat._memo[ExCategory._resolvable_rep.__wrapped__]
+    for dual in (False, True):
+        first = cat._resolvable(w, 2, dual)
+        entries = len(cache)
+        assert cat._resolvable(moved, 2, dual) == first
+        assert len(cache) == entries
+        assert (cat, w, 2, dual) in cache
+        assert all(key[1] != moved for key in cache)
+
+
+@pytest.mark.parametrize("n, spans", [
+    (1, [(2, 2), (1, 2), (1, 1)]),                 # A2
+    (2, [(3, 3), (2, 3), (1, 2), (1, 1)]),         # A3 mod radical square
+])
+def test_cocone_realizes_the_signed_pull_back(n, spans):
+    """At p = 3, where the sign shows, cone(X, Y, f, 0) for a lift f of
+    (0, id_C) realizes cocone_sign(n) times the pull-back of X's class along
+    Y's last differential, which is nonzero there."""
+    quiver = Quiver(n + 1, tuple(Arrow(name, i, i + 1)
+                                 for i, name in enumerate("ab"[:n], start=1)))
+    rels = (Relation((1,), (("a", "b"),)),) if n == 2 else ()
+    alg = AlgebraPresentation(quiver, rels, p=3, path_length_bound=8)
+    cat = ExCategory(alg, n, [interval_module(alg, *s) for s in spans])
+    A, C = cat.generators[0], cat.generators[-1]
+    delta = cat.ext(C, A).basis()[0]
+    a, c = zero_morphism(A, A), identity_morphism(C)
+    X, Y = cat.realize(delta), cat.realize(push_forward(delta, a))
+    lift = next(cat.all_lifts(X, Y, a, c))
+    terms, diffs = cone(X, Y, [a] + lift + [c], 0)
+    pulled = pull_back(delta, Y.diffs[n])
+    assert pulled != -pulled
+    want = pulled if cocone_sign(n) > 0 else -pulled
+    assert yoneda_class(list(terms), list(diffs)) == want

@@ -2,11 +2,14 @@
 multiplicative-system checks, roofs, localized extension groups and the
 top-level verdicts."""
 
+import gc
 import random
+import weakref
 from functools import lru_cache
 
 import pytest
 
+import exangulate.localization as localization
 from exangulate.exangulated import ExCategory
 from exangulate.localization import (
     FractionHoms,
@@ -562,3 +565,24 @@ def test_report_bounds():
     assert rep.bounds == {"multiplicity": 2, "endpoint_summands": 2,
                           "path_length": 8}
     assert rep.mode == "iso"
+
+
+def test_caches_die_with_their_owners(monkeypatch):
+    """Every engine cache lives on the ExCategory or IdealQuotient that owns
+    it, so nothing keeps either alive after a run has dropped them."""
+    quotients = []
+
+    class Watched(IdealQuotient):
+        def __init__(self, base, nf_indices):
+            super().__init__(base, nf_indices)
+            quotients.append(weakref.ref(self))
+
+    monkeypatch.setattr(localization, "IdealQuotient", Watched)
+    cat = ExCategory(ALG, 2, GENS, labels=LABELS, multiplicity_bound=2)
+    assert localize(cat, ISO, [2]).verdict == "fails weak-kc"
+    assert len(quotients) == 1 and quotients[0]()._memo
+    cat_ref = weakref.ref(cat)
+    del cat
+    gc.collect()
+    assert quotients[0]() is None
+    assert cat_ref() is None
