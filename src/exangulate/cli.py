@@ -64,7 +64,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .exangulated import ExCategory, NExangle
+from .exangulated import ExCategory, NExangle, format_failure
 from .linalg import is_prime
 from .localization import LocalizationError, MorphismClassSpec, localize
 from .quiver import (
@@ -496,11 +496,8 @@ def probe_verdicts(cfg: SessionConfig, cat: ExCategory) -> dict[str, str]:
         nex = build_probe(cfg, cat, probe)
         verdict = cat.is_n_exangle(nex)
         if not verdict.ok:
-            fail = verdict.first_failure
-            out[probe.name] = (
-                f"not an exangle: {fail.side} sequence fails at position "
-                f"{fail.position} with test object {cat.labels[fail.tester]} "
-                f"({fail.reason})")
+            out[probe.name] = ("not an exangle: " + format_failure(
+                cat.labels, verdict.first_failure))
         elif cat.is_distinguished(nex):
             out[probe.name] = "distinguished"
         else:

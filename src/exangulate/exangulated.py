@@ -31,7 +31,7 @@ import functools
 import inspect
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .linalg import (Matrix, enumerate_vectors, from_columns, hstack,
@@ -98,6 +98,8 @@ class Subcategory:
 
     generators: tuple[Module, ...]
     multiplicity_bound: int = 2
+    _memo: defaultdict = field(default_factory=lambda: defaultdict(dict),
+                               compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.multiplicity_bound < 1:
@@ -114,8 +116,10 @@ class Subcategory:
                 return i
         return None
 
+    @memo
     def summand_multiset(self, m: Module) -> tuple[int, ...] | None:
-        """Sorted generator indices of m's summands, or None if m is outside."""
+        """Sorted generator indices of m's summands, or None if m is outside.
+        Cached per module value: the multiset is an isomorphism invariant."""
         if m.is_zero:
             return ()
         out = []
@@ -527,6 +531,9 @@ class ExCategory:
             return False
         return self._equivalent_realizations(ref, nex)
 
+    def is_split(self, nex: NExangle) -> bool:
+        return nex == self.split_realization(nex.delta)
+
     def _equivalent_realizations(self, a: NExangle, b: NExangle) -> bool:
         if a.terms[0] != b.terms[0] or a.terms[-1] != b.terms[-1]:
             return False
@@ -574,60 +581,23 @@ class ExCategory:
     def _hom_sequence(self, nex: NExangle, tester: Module, variance: str
                       ) -> tuple[list[int], list[Matrix]]:
         """Dimensions and maps of the induced Hom sequence ending in E."""
-        p = self.alg.p
-        if variance == "contravariant":
-            bases = [hom_basis(tester, t) for t in nex.terms]
-            maps = []
-            for i, d in enumerate(nex.diffs):
-                cols = [morphism_in_coords(d.compose(b), bases[i + 1]).entries
-                        for b in bases[i]]
-                maps.append(from_columns(p, len(bases[i + 1]), cols))
-            maps.append(self.delta_sharp(nex.delta, tester, "contravariant"))
-            dims = [len(b) for b in bases] + [maps[-1].rows]
-            return dims, maps
-        bases = [hom_basis(t, tester) for t in reversed(nex.terms)]
+        contra = variance == "contravariant"
+        terms = nex.terms if contra else nex.terms[::-1]
+        bases = [hom_basis(tester, t) if contra else hom_basis(t, tester)
+                 for t in terms]
         maps = []
-        rev_diffs = list(reversed(nex.diffs))
-        for i, d in enumerate(rev_diffs):
-            cols = [morphism_in_coords(b.compose(d), bases[i + 1]).entries
-                    for b in bases[i]]
-            maps.append(from_columns(p, len(bases[i + 1]), cols))
-        maps.append(self.delta_sharp(nex.delta, tester, "covariant"))
-        dims = [len(b) for b in bases] + [maps[-1].rows]
-        return dims, maps
+        for i, d in enumerate(nex.diffs if contra else nex.diffs[::-1]):
+            cols = [morphism_in_coords(d.compose(b) if contra else b.compose(d),
+                                       bases[i + 1]).entries for b in bases[i]]
+            maps.append(from_columns(self.alg.p, len(bases[i + 1]), cols))
+        maps.append(self.delta_sharp(nex.delta, tester, variance))
+        return [len(b) for b in bases] + [maps[-1].rows], maps
 
     def is_n_exangle(self, nex: NExangle) -> ExangleVerdict:
-        """Exactness of both induced Hom sequences at every inner position.
-
-        Test objects run over the generators (enough, since Hom out of or
-        into a direct sum splits).  The sequences end in the extension space,
-        so the boundary compatibilities (d_0)_* delta = 0 and
-        (d_n)^* delta = 0 are part of the complex condition checked here.
-        """
-        failures: list[ExangleFailure] = []
-        n = nex.n
-        cache: dict[tuple[str, int], tuple[list[int], list[Matrix]]] = {}
-        for variance in ("contravariant", "covariant"):
-            for position_slot in range(1, n + 2):
-                for tester_idx, tester in enumerate(self.generators):
-                    key = (variance, tester_idx)
-                    if key not in cache:
-                        cache[key] = self._hom_sequence(nex, tester, variance)
-                    dims, maps = cache[key]
-                    # term index reported: ascending for contravariant,
-                    # descending (X_n .. X_0) for covariant
-                    term_index = position_slot if variance == "contravariant" \
-                        else n + 1 - position_slot
-                    incoming = maps[position_slot - 1]
-                    outgoing = maps[position_slot]
-                    if not (outgoing @ incoming).is_zero:
-                        failures.append(ExangleFailure(
-                            variance, term_index, tester_idx, "not a complex"))
-                        continue
-                    if rank(incoming) != dims[position_slot] - rank(outgoing):
-                        failures.append(ExangleFailure(
-                            variance, term_index, tester_idx, "homology"))
-        return ExangleVerdict(not failures, tuple(failures))
+        """Exactness of both induced Hom sequences at every inner position,
+        with every failure (see `exangle_failures`)."""
+        failures = tuple(exangle_failures(self, nex))
+        return ExangleVerdict(not failures, failures)
 
     # -- lifts, cones, cocones ------------------------------------------------
 
@@ -661,6 +631,15 @@ class ExCategory:
     def all_lifts(self, src: NExangle, dst: NExangle, a: ModMorphism,
                   c: ModMorphism) -> Iterator[list[ModMorphism]]:
         return enumerate_lifts(src, dst, a, c, _hom_coordinates, hom_dim)
+
+    def arrows(self, src: Module, tgt: Module) -> list[ModMorphism]:
+        return enumerate_hom(src, tgt)
+
+    def push(self, delta: ExtElement, f: ModMorphism) -> ExtElement:
+        return push_forward(delta, f)
+
+    def pull(self, delta: ExtElement, f: ModMorphism) -> ExtElement:
+        return pull_back(delta, f)
 
     def mapping_cone(self, src: NExangle, dst: NExangle,
                      f: Sequence[ModMorphism], delta: ExtElement) -> NExangle:
@@ -764,110 +743,10 @@ class ExCategory:
             return space.all_elements()
         return [space.zero()] + space.basis()
 
-    def _format_failure(self, fail: ExangleFailure) -> str:
-        return (f"{fail.side} sequence fails at position {fail.position} "
-                f"with test object {self.labels[fail.tester]} ({fail.reason})")
-
     def _pair_tag(self, delta: ExtElement) -> str:
         return (f"E({self.format_object(delta.end_C)}, "
                 f"{self.format_object(delta.end_A)}) coords "
                 f"{delta.coords.col_list(0)}")
-
-    def _check_c1(self) -> CheckResult:
-        checked = 0
-        for C in self.generators:
-            for A in self.generators:
-                for delta in self.ext_elements(C, A):
-                    try:
-                        nex = self.realize(delta)
-                    except ValueError as exc:
-                        return CheckResult("C1", False,
-                                           f"{self._pair_tag(delta)}: {exc}", checked)
-                    checked += 1
-                    verdict = self.is_n_exangle(nex)
-                    if not verdict.ok:
-                        return CheckResult(
-                            "C1", False,
-                            f"realization of {self._pair_tag(delta)}: "
-                            f"{self._format_failure(verdict.first_failure)}",
-                            checked)
-        return CheckResult("C1", True, None, checked)
-
-    def _check_c2(self, dual: bool) -> CheckResult:
-        name = "C2'" if dual else "C2"
-        z = zero_module(self.alg)
-        checked = 0
-        for idx, A in enumerate(self.generators):
-            space = self.ext(A, z) if dual else self.ext(z, A)
-            delta = space.zero()
-            nex = self.realize(delta)
-            checked += 1
-            if nex != self.split_realization(delta):
-                return CheckResult(name, False,
-                                   f"zero class at {self.labels[idx]} does not "
-                                   "realize as the trivial complex", checked)
-            verdict = self.is_n_exangle(nex)
-            if not verdict.ok:
-                return CheckResult(name, False,
-                                   f"trivial complex at {self.labels[idx]}: "
-                                   f"{self._format_failure(verdict.first_failure)}",
-                                   checked)
-        return CheckResult(name, True, None, checked)
-
-    def _check_c3(self, dual: bool) -> CheckResult:
-        """Good lifts: every morphism of extensions extends to a morphism of
-        realizations whose cone (dual: cocone) is again distinguished."""
-        name = "C3'" if dual else "C3"
-        checked = 0
-        for C in self.generators:
-            for A in self.generators:
-                for delta in self.ext_elements(C, A):
-                    X = self.realize(delta)
-                    for other_idx, other in enumerate(self.generators):
-                        if dual:
-                            arrows = enumerate_hom(other, C)
-                        else:
-                            arrows = enumerate_hom(A, other)
-                        for arrow in arrows:
-                            checked += 1
-                            tag = (f"{self._pair_tag(delta)} along "
-                                   f"{'pullback' if dual else 'pushforward'} to "
-                                   f"{self.labels[other_idx]}")
-                            if dual:
-                                moved = pull_back(delta, arrow)
-                                Y = self.realize(moved)
-                                ends = (identity_morphism(A), arrow)
-                                src, dst = Y, X
-                            else:
-                                moved = push_forward(delta, arrow)
-                                Y = self.realize(moved)
-                                ends = (arrow, identity_morphism(C))
-                                src, dst = X, Y
-                            found_lift = False
-                            good = False
-                            for lift in self.all_lifts(src, dst, ends[0], ends[1]):
-                                found_lift = True
-                                f = [ends[0]] + lift + [ends[1]]
-                                if dual:
-                                    eps = push_forward(delta, src.diffs[0])
-                                    cand = self.mapping_cone(src, dst, f, eps)
-                                else:
-                                    eps = pull_back(delta, dst.diffs[self.n])
-                                    if cocone_sign(self.n) < 0:
-                                        eps = -eps
-                                    cand = self.mapping_cocone(src, dst, f, eps)
-                                if self.is_distinguished(cand):
-                                    good = True
-                                    break
-                            if not found_lift:
-                                return CheckResult(name, False,
-                                                   f"{tag}: no lift of the end "
-                                                   "morphisms exists", checked)
-                            if not good:
-                                return CheckResult(name, False,
-                                                   f"{tag}: no good lift (no cone is "
-                                                   "distinguished)", checked)
-        return CheckResult(name, True, None, checked)
 
     def _check_c4(self) -> CheckResult:
         """Compositions of inflations are inflations; dually for deflations.
@@ -957,14 +836,159 @@ class ExCategory:
     def check_core_axioms(self) -> dict[str, CheckResult]:
         """Run the full axiom suite over the bounded object universe."""
         out: dict[str, CheckResult] = {}
-        out["C1"] = self._check_c1()
-        out["C2"] = self._check_c2(dual=False)
-        out["C2'"] = self._check_c2(dual=True)
-        out["C3"] = self._check_c3(dual=False)
-        out["C3'"] = self._check_c3(dual=True)
+        out["C1"] = check_c1(self)
+        out["C2"] = check_c2(self, dual=False)
+        out["C2'"] = check_c2(self, dual=True)
+        out["C3"] = check_c3(self, dual=False)
+        out["C3'"] = check_c3(self, dual=True)
         out["C4"] = self._check_c4()
         out["WIC"] = self._check_wic()
         return out
+
+
+# -- C1-C3' and the exangle test, shared with the localized engine ------------
+#
+# These run on an engine: `ExCategory`, or `localization.LocalizedEngine`.
+# An engine has `n`, `generators` and `labels`, and these primitives:
+#
+#   ext_elements(C, A)   the classes of E(C, A) to check
+#   realize(cls)         the complex of cls, which carries cls; raises
+#                        ValueError when cls has no realization
+#   _pair_tag(cls)       cls in words, for witnesses
+#   _hom_sequence(cx, T, variance)   a Hom sequence (see `exangle_failures`)
+#   is_split(cx)         cx is the split complex of its zero class
+#   arrows(X, Y)         one morphism X -> Y per element of Hom(X, Y)
+#   push(cls, f), pull(cls, f), all_lifts(src, dst, a, c),
+#   mapping_cone(src, dst, f, cls), mapping_cocone(src, dst, f, cls),
+#   is_distinguished(cx)
+
+
+def exangle_failures(engine, cx) -> Iterator[ExangleFailure]:
+    """Where the Hom sequences induced by cx fail to be exact, in the order
+    variance, position, test object.
+
+    contravariant: C(T, X_0) -> ... -> C(T, X_{n+1}) -> E(T, X_0);
+    covariant:     C(X_{n+1}, T) -> ... -> C(X_0, T) -> E(X_{n+1}, T).
+    Test objects T run over the generators (enough, since Hom out of or into
+    a direct sum splits), and positions over the inner terms, X_1 .. X_{n+1}
+    (contravariant) or X_n .. X_0 (covariant).  Since the sequences end in E,
+    the boundary compatibilities (d_0)_* delta = 0 and (d_n)^* delta = 0 are
+    part of the complex condition.  Each sequence is built when first needed.
+    """
+    n = len(cx.terms) - 2
+    seqs: dict[tuple[str, int], tuple[list[int], list[Matrix]]] = {}
+    for variance in ("contravariant", "covariant"):
+        for slot in range(1, n + 2):
+            position = slot if variance == "contravariant" else n + 1 - slot
+            for ti, tester in enumerate(engine.generators):
+                if (variance, ti) not in seqs:
+                    seqs[variance, ti] = engine._hom_sequence(cx, tester, variance)
+                dims, maps = seqs[variance, ti]
+                incoming, outgoing = maps[slot - 1], maps[slot]
+                if not (outgoing @ incoming).is_zero:
+                    yield ExangleFailure(variance, position, ti, "not a complex")
+                elif rank(incoming) != dims[slot] - rank(outgoing):
+                    yield ExangleFailure(variance, position, ti, "homology")
+
+
+def format_failure(labels: Sequence[str], fail: ExangleFailure) -> str:
+    return (f"{fail.side} sequence fails at position {fail.position} "
+            f"with test object {labels[fail.tester]} ({fail.reason})")
+
+
+def _exangle_witness(engine, cx, cls) -> str | None:
+    fail = next(exangle_failures(engine, cx), None)
+    if fail is None:
+        return None
+    return (f"realization of {engine._pair_tag(cls)}: "
+            f"{format_failure(engine.labels, fail)}")
+
+
+def check_c1(engine) -> CheckResult:
+    """The realization of every class between generators is an exangle."""
+    checked = 0
+    for C in engine.generators:
+        for A in engine.generators:
+            for cls in engine.ext_elements(C, A):
+                try:
+                    cx = engine.realize(cls)
+                except ValueError as exc:
+                    return CheckResult("C1", False,
+                                       f"{engine._pair_tag(cls)}: {exc}", checked)
+                checked += 1
+                witness = _exangle_witness(engine, cx, cls)
+                if witness is not None:
+                    return CheckResult("C1", False, witness, checked)
+    return CheckResult("C1", True, None, checked)
+
+
+def check_c2(engine, dual: bool) -> CheckResult:
+    """The zero class of E(0, A) (dual: E(A, 0)) realizes as the split
+    complex, and that is an exangle."""
+    name = "C2'" if dual else "C2"
+    z = zero_module(engine.generators[0].alg)
+    checked = 0
+    for A in engine.generators:
+        [cls] = engine.ext_elements(A, z) if dual else engine.ext_elements(z, A)
+        cx = engine.realize(cls)
+        checked += 1
+        witness = _exangle_witness(engine, cx, cls)
+        if witness is None and not engine.is_split(cx):
+            witness = (f"{engine._pair_tag(cls)} does not realize as the "
+                       "split complex")
+        if witness is not None:
+            return CheckResult(name, False, witness, checked)
+    return CheckResult(name, True, None, checked)
+
+
+def check_c3(engine, dual: bool) -> CheckResult:
+    """Good lifts: every morphism of extensions (push-forward along A -> B;
+    dual: pull-back along B -> C) extends to a morphism of realizations
+    whose cocone (dual: cone) is again distinguished."""
+    name = "C3'" if dual else "C3"
+    n = engine.n
+    checked = 0
+    for C in engine.generators:
+        for A in engine.generators:
+            for cls in engine.ext_elements(C, A):
+                X = engine.realize(cls)
+                for bi, B in enumerate(engine.generators):
+                    for arrow in (engine.arrows(B, C) if dual
+                                  else engine.arrows(A, B)):
+                        checked += 1
+                        if dual:
+                            src, dst = engine.realize(engine.pull(cls, arrow)), X
+                            ends = (identity_morphism(A), arrow)
+                        else:
+                            src, dst = X, engine.realize(engine.push(cls, arrow))
+                            ends = (arrow, identity_morphism(C))
+                        found_lift = good = False
+                        for lift in engine.all_lifts(src, dst, *ends):
+                            found_lift = True
+                            f = [ends[0]] + lift + [ends[1]]
+                            if dual:
+                                eps = engine.push(cls, src.diffs[0])
+                                cand = engine.mapping_cone(src, dst, f, eps)
+                            else:
+                                # the cocone realizes cocone_sign(n) (d_n)^* cls,
+                                # and pulling back along -d_n negates a class
+                                d_n = dst.diffs[n]
+                                eps = engine.pull(cls, d_n if cocone_sign(n) > 0
+                                                  else -d_n)
+                                cand = engine.mapping_cocone(src, dst, f, eps)
+                            if engine.is_distinguished(cand):
+                                good = True
+                                break
+                        if not good:
+                            why = (f"no good lift (no {'cone' if dual else 'cocone'}"
+                                   " is distinguished)" if found_lift
+                                   else "no lift of the end morphisms exists")
+                            return CheckResult(
+                                name, False,
+                                f"{engine._pair_tag(cls)} along "
+                                f"{'pull-back' if dual else 'push-forward'} to "
+                                f"{engine.labels[bi]}: {why}", checked)
+    return CheckResult(name, True, None, checked)
 
 
 # -- complex operations shared with the localized engine ----------------------
@@ -1114,11 +1138,6 @@ def realize(cat: ExCategory, delta: ExtElement) -> NExangle:
 
 def is_n_exangle(cat: ExCategory, nex: NExangle) -> ExangleVerdict:
     return cat.is_n_exangle(nex)
-
-
-def delta_sharp(cat: ExCategory, delta: ExtElement, tester: Module,
-                variance: str) -> Matrix:
-    return cat.delta_sharp(delta, tester, variance)
 
 
 def mapping_cone(cat: ExCategory, src: NExangle, dst: NExangle,

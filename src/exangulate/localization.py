@@ -32,14 +32,14 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exangulated import (CheckResult, ExCategory, NExangle, cocone_sign, cone,
-                          enumerate_lifts, memo)
+from .exangulated import (CheckResult, ExCategory, NExangle, check_c1, check_c2,
+                          check_c3, cone, enumerate_lifts, memo)
 from .linalg import (Matrix, column_space_basis, enumerate_vectors,
                      from_columns, hstack, kernel_basis, quotient_with_section,
                      rank, rref_solve, vstack)
 from .quiver import (ExtElement, ModMorphism, Module, combine, direct_sum,
                      enumerate_hom, hom_basis, identity_morphism,
-                     morphism_in_coords, pull_back, push_forward, zero_module,
+                     morphism_in_coords, pull_back, push_forward,
                      zero_morphism)
 
 CLASS_ENUM_LIMIT = 4096      # largest quotient hom-set we will enumerate
@@ -893,10 +893,11 @@ def etilde_group(spec: MorphismClassSpec, q: IdealQuotient,
 class TableComplex:
     """A chain of composable morphisms read modulo the ideal: consecutive
     composites vanish in C-bar (for realization output they vanish on the
-    nose)."""
+    nose).  `roof` is the class the complex realizes, when it has one."""
 
     terms: tuple[Module, ...]
     diffs: tuple[ModMorphism, ...]
+    roof: Roof | None = None
 
     def __post_init__(self) -> None:
         if len(self.terms) < 3:
@@ -916,7 +917,7 @@ def s_tilde(cat: ExCategory, spec: MorphismClassSpec, q: IdealQuotient,
             roof: Roof) -> TableComplex:
     """Realize a roof class: realize a lift of its numerator in C and absorb
     both legs into the end differentials.  The consecutive composites of the
-    result vanish on the nose."""
+    result vanish on the nose; the result carries the roof."""
     eb = ebar_group(spec, q, roof.t.source, roof.s.target)
     delta = eb.lift(roof.delta_coords)
     nex = cat.realize(delta)
@@ -928,7 +929,7 @@ def s_tilde(cat: ExCategory, spec: MorphismClassSpec, q: IdealQuotient,
         if any(q.project(diffs[i + 1].compose(diffs[i]))):
             raise LocalizationError(
                 "realized roof has a nonzero consecutive composite")
-    return TableComplex(terms, diffs)
+    return TableComplex(terms, diffs, roof)
 
 
 # -- quotient hom matrices and the weak kernel-cokernel criterion ---------------
@@ -1171,166 +1172,80 @@ def _tilde_equivalent(spec: MorphismClassSpec, q: IdealQuotient,
     return False
 
 
-def _tilde_distinguished(cat: ExCategory, spec: MorphismClassSpec,
-                         q: IdealQuotient, cx: TableComplex,
-                         delta_coords: Sequence[int]) -> bool:
-    """Is cx equivalent to the chosen realization of its class?"""
-    ref = s_tilde(cat, spec, q, identity_roof(
-        spec, q, cx.terms[-1], cx.terms[0], delta_coords))
-    return _tilde_equivalent(spec, q, cx, ref)
+class LocalizedEngine:
+    """The localized category in iso mode, as an engine of the shared
+    C1-C3' drivers (`exangulated.check_c1` and on).  Its classes are the
+    identity roofs over E-bar(C, A), its complexes `TableComplex`es that
+    carry their roof, and a complex is distinguished when it is homotopy
+    equivalent in C-bar to the realization of its class."""
 
+    def __init__(self, cat: ExCategory, spec: MorphismClassSpec,
+                 q: IdealQuotient) -> None:
+        self.cat, self.spec, self.q = cat, spec, q
+        self.n, self.generators, self.labels = cat.n, cat.generators, cat.labels
 
-def _tilde_exangle_verdict(cat: ExCategory, spec: MorphismClassSpec,
-                           q: IdealQuotient, cx: TableComplex,
-                           delta_coords: Sequence[int]):
-    """None if cx with the given E-bar class satisfies the localized
-    exactness conditions at every position; else (side, pos, label,
-    reason)."""
-    n = cx.n
-    C_end, A_end = cx.terms[-1], cx.terms[0]
-    eb = ebar_group(spec, q, C_end, A_end)
-    delta = eb.lift(tuple(delta_coords))
-    for side in ("contravariant", "covariant"):
-        for ti, T in enumerate(cat.generators):
-            label = cat.labels[ti]
-            if side == "contravariant":
-                mats = [_post_matrix(q, T, d) for d in cx.diffs]
-                ebt = ebar_group(spec, q, T, A_end)
-                sharp = from_columns(q.p, ebt.dim, [
-                    ebt.project(_pull(q, delta, r))
-                    for r in q.basis_reps(T, C_end)])
-                seq = mats + [sharp]
-                dims = [q.qdim(T, cx.terms[i]) for i in range(1, n + 2)]
-            else:
-                mats = [_pre_matrix(q, cx.diffs[i], T)
-                        for i in range(n, -1, -1)]
-                ebt = ebar_group(spec, q, C_end, T)
-                sharp = from_columns(q.p, ebt.dim, [
-                    ebt.project(_push(q, delta, r))
-                    for r in q.basis_reps(A_end, T)])
-                seq = mats + [sharp]
-                dims = [q.qdim(cx.terms[i], T) for i in range(n, -1, -1)]
-            for k in range(len(seq) - 1):
-                m_in, m_out = seq[k], seq[k + 1]
-                pos = (k + 1) if side == "contravariant" else (n - k)
-                if not (m_out @ m_in).is_zero:
-                    return (side, pos, label, "not a complex")
-                if rank(m_in) != dims[k] - rank(m_out):
-                    return (side, pos, label, "homology")
-    return None
+    def _ebar(self, roof: Roof) -> EbarSpace:
+        return ebar_group(self.spec, self.q, roof.end_C, roof.end_A)
 
+    def ext_elements(self, C: Module, A: Module) -> list[Roof]:
+        return [identity_roof(self.spec, self.q, C, A, coords)
+                for coords in ebar_group(self.spec, self.q, C, A).classes()]
 
-def _tilde_c1(cat, spec, q) -> CheckResult:
-    checked = 0
-    for C in cat.generators:
-        for A in cat.generators:
-            eb = ebar_group(spec, q, C, A)
-            for coords in eb.classes():
-                checked += 1
-                cx = s_tilde(cat, spec, q,
-                             identity_roof(spec, q, C, A, coords))
-                bad = _tilde_exangle_verdict(cat, spec, q, cx, coords)
-                if bad is not None:
-                    side, pos, label, reason = bad
-                    return CheckResult(
-                        "C1", False,
-                        f"realization of the class {list(coords)} in "
-                        f"E-bar({q.fmt(C)}, {q.fmt(A)}): {side} sequence "
-                        f"fails at position {pos} with test object {label} "
-                        f"({reason})", checked)
-    return CheckResult("C1", True, None, checked)
+    def realize(self, roof: Roof) -> TableComplex:
+        return s_tilde(self.cat, self.spec, self.q, roof)
 
+    def _pair_tag(self, roof: Roof) -> str:
+        return (f"the class {list(roof.delta_coords)} in E-bar("
+                f"{self.q.fmt(roof.end_C)}, {self.q.fmt(roof.end_A)})")
 
-def _tilde_c2(cat, spec, q, dual: bool) -> CheckResult:
-    name = "C2'" if dual else "C2"
-    z = zero_module(cat.alg)
-    checked = 0
-    for A in cat.generators:
-        end_C, end_A = (A, z) if dual else (z, A)
-        eb = ebar_group(spec, q, end_C, end_A)
-        coords = eb.zero_class()
-        cx = s_tilde(cat, spec, q,
-                     identity_roof(spec, q, end_C, end_A, coords))
-        checked += 1
-        bad = _tilde_exangle_verdict(cat, spec, q, cx, coords)
-        if bad is not None:
-            side, pos, label, reason = bad
-            return CheckResult(
-                name, False,
-                f"trivial class at ({q.fmt(end_C)}, {q.fmt(end_A)}): {side} "
-                f"sequence fails at position {pos} with test object {label} "
-                f"({reason})", checked)
-        split = cat.split_realization(cat.ext(end_C, end_A).zero())
-        if not _tilde_equivalent(spec, q, cx,
-                                 TableComplex(split.terms, split.diffs)):
-            return CheckResult(
-                name, False,
-                f"trivial class at ({q.fmt(end_C)}, {q.fmt(end_A)}) does not "
-                "realize as the split complex", checked)
-    return CheckResult(name, True, None, checked)
+    def _hom_sequence(self, cx: TableComplex, T: Module, variance: str
+                      ) -> tuple[list[int], list[Matrix]]:
+        """Dimensions and maps of a Hom sequence of C-bar ending in E-bar."""
+        q, roof = self.q, cx.roof
+        delta = self._ebar(roof).lift(roof.delta_coords)
+        if variance == "contravariant":
+            maps = [_post_matrix(q, T, d) for d in cx.diffs]
+            dims = [q.qdim(T, t) for t in cx.terms]
+            eb = ebar_group(self.spec, q, T, roof.end_A)
+            moved = [_pull(q, delta, r) for r in q.basis_reps(T, roof.end_C)]
+        else:
+            maps = [_pre_matrix(q, d, T) for d in reversed(cx.diffs)]
+            dims = [q.qdim(t, T) for t in reversed(cx.terms)]
+            eb = ebar_group(self.spec, q, roof.end_C, T)
+            moved = [_push(q, delta, r) for r in q.basis_reps(roof.end_A, T)]
+        maps.append(from_columns(q.p, eb.dim, [eb.project(m) for m in moved]))
+        return dims + [eb.dim], maps
 
+    def is_split(self, cx: TableComplex) -> bool:
+        split = self.cat.split_realization(
+            self.cat.ext(cx.terms[-1], cx.terms[0]).zero())
+        return _tilde_equivalent(self.spec, self.q, cx,
+                                 TableComplex(split.terms, split.diffs))
 
-def _tilde_c3(cat, spec, q, dual: bool) -> CheckResult:
-    name = "C3'" if dual else "C3"
-    checked = 0
-    for C in cat.generators:
-        for A in cat.generators:
-            eb = ebar_group(spec, q, C, A)
-            for coords in eb.classes():
-                cx = s_tilde(cat, spec, q,
-                             identity_roof(spec, q, C, A, coords))
-                for bi, B in enumerate(cat.generators):
-                    arrow_classes = (q.classes(B, C) if dual
-                                     else q.classes(A, B))
-                    for mc in arrow_classes:
-                        checked += 1
-                        tag = (f"class {list(coords)} in E-bar({q.fmt(C)}, "
-                               f"{q.fmt(A)}) along "
-                               f"{'pull-back' if dual else 'push-forward'} "
-                               f"to {cat.labels[bi]}")
-                        if dual:
-                            arrow = q.rep(B, C, mc)
-                            moved = ebar_pull(spec, q, eb, coords, arrow)
-                            other = s_tilde(cat, spec, q, identity_roof(
-                                spec, q, B, A, moved))
-                            src, dst = other, cx
-                            ends = (identity_morphism(A), arrow)
-                        else:
-                            arrow = q.rep(A, B, mc)
-                            moved = ebar_push(spec, q, eb, coords, arrow)
-                            other = s_tilde(cat, spec, q, identity_roof(
-                                spec, q, C, B, moved))
-                            src, dst = cx, other
-                            ends = (arrow, identity_morphism(C))
-                        found_lift = False
-                        good = False
-                        for sol in q.lifts(src, dst, ends[0], ends[1]):
-                            found_lift = True
-                            f = [ends[0]] + sol + [ends[1]]
-                            if dual:
-                                eps = ebar_push(spec, q, eb, coords,
-                                                src.diffs[0])
-                            else:
-                                eps = tuple(cocone_sign(cat.n) * x % q.p
-                                            for x in ebar_pull(
-                                                spec, q, eb, coords,
-                                                dst.diffs[cat.n]))
-                            cand = TableComplex(*cone(src, dst, f, 1 if dual else 0))
-                            if _tilde_distinguished(cat, spec, q, cand, eps):
-                                good = True
-                                break
-                        if not found_lift:
-                            return CheckResult(
-                                name, False,
-                                f"{tag}: no lift of the end classes exists",
-                                checked)
-                        if not good:
-                            return CheckResult(
-                                name, False,
-                                f"{tag}: no good lift (no "
-                                f"{'cone' if dual else 'cocone'} is "
-                                "distinguished)", checked)
-    return CheckResult(name, True, None, checked)
+    def arrows(self, X: Module, Y: Module):
+        return (self.q.rep(X, Y, c) for c in self.q.classes(X, Y))
+
+    def push(self, roof: Roof, f: ModMorphism) -> Roof:
+        coords = ebar_push(self.spec, self.q, self._ebar(roof),
+                           roof.delta_coords, f)
+        return identity_roof(self.spec, self.q, roof.end_C, f.target, coords)
+
+    def pull(self, roof: Roof, f: ModMorphism) -> Roof:
+        coords = ebar_pull(self.spec, self.q, self._ebar(roof),
+                           roof.delta_coords, f)
+        return identity_roof(self.spec, self.q, f.source, roof.end_A, coords)
+
+    def all_lifts(self, src, dst, a: ModMorphism, c: ModMorphism):
+        return self.q.lifts(src, dst, a, c)
+
+    def mapping_cone(self, src, dst, f, roof: Roof) -> TableComplex:
+        return TableComplex(*cone(src, dst, f, 1), roof)
+
+    def mapping_cocone(self, src, dst, f, roof: Roof) -> TableComplex:
+        return TableComplex(*cone(src, dst, f, 0), roof)
+
+    def is_distinguished(self, cx: TableComplex) -> bool:
+        return _tilde_equivalent(self.spec, self.q, cx, self.realize(cx.roof))
 
 
 @memo
@@ -1555,9 +1470,10 @@ def _check_equivalence(cat, spec, q) -> CheckResult:
     return CheckResult("equivalence", True, None, checked)
 
 
-def _check_functor(cat, spec, q) -> CheckResult:
+def _check_functor(eng: LocalizedEngine) -> CheckResult:
     """The projection to the quotient with the comparison map preserves
     composition, identities, and distinguished realizations."""
+    cat, spec, q = eng.cat, eng.spec, eng.q
     checked = 0
     for X in q.universe[:8]:
         for Y in q.universe[:8]:
@@ -1578,9 +1494,9 @@ def _check_functor(cat, spec, q) -> CheckResult:
             for el in space.basis():
                 checked += 1
                 nex = cat.realize(el)
-                image = TableComplex(nex.terms, nex.diffs)
-                coords = eb.project(el)
-                if not _tilde_distinguished(cat, spec, q, image, coords):
+                image = TableComplex(nex.terms, nex.diffs, identity_roof(
+                    spec, q, C, A, eb.project(el)))
+                if not eng.is_distinguished(image):
                     return CheckResult(
                         "functor", False,
                         f"distinguished complex for {cat._pair_tag(el)} does "
@@ -1662,12 +1578,13 @@ def localize(cat: ExCategory, spec: MorphismClassSpec,
     checks["weak-kc"] = CheckResult("weak-kc", first_fail is None,
                                     first_fail, kc_checked)
 
+    eng = LocalizedEngine(cat, spec, q)
     if spec.mode == "iso":
-        checks["C1"] = _tilde_c1(cat, spec, q)
-        checks["C2"] = _tilde_c2(cat, spec, q, dual=False)
-        checks["C2'"] = _tilde_c2(cat, spec, q, dual=True)
-        checks["C3"] = _tilde_c3(cat, spec, q, dual=False)
-        checks["C3'"] = _tilde_c3(cat, spec, q, dual=True)
+        checks["C1"] = check_c1(eng)
+        checks["C2"] = check_c2(eng, dual=False)
+        checks["C2'"] = check_c2(eng, dual=True)
+        checks["C3"] = check_c3(eng, dual=False)
+        checks["C3'"] = check_c3(eng, dual=True)
         weak_names = ("C1", "C2", "C2'", "C3", "C3'")
         weak_pass = all(checks[nm].passed for nm in weak_names)
         if weak_pass != (first_fail is None):
@@ -1694,7 +1611,7 @@ def localize(cat: ExCategory, spec: MorphismClassSpec,
 
     if spec.mode == "iso" and first_fail is None:
         checks["equivalence"] = _check_equivalence(cat, spec, q)
-        checks["functor"] = _check_functor(cat, spec, q)
+        checks["functor"] = _check_functor(eng)
     elif spec.mode != "iso":
         skipped["equivalence"] = "not computed in saturate mode"
         skipped["functor"] = "not computed in saturate mode"

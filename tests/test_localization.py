@@ -9,12 +9,15 @@ from functools import lru_cache
 
 import pytest
 
+import exangulate.exangulated as exangulated
 import exangulate.localization as localization
-from exangulate.exangulated import ExCategory
+from exangulate.exangulated import (CheckResult, ExCategory, check_c1, check_c2,
+                                    check_c3)
 from exangulate.localization import (
     FractionHoms,
     IdealQuotient,
     LocalizationError,
+    LocalizedEngine,
     MorphismClassSpec,
     TableComplex,
     check_mr,
@@ -417,6 +420,45 @@ def test_table_complex_validation():
         TableComplex(nex.terms, nex.diffs[:-1])
     with pytest.raises(ValueError):
         TableComplex(nex.terms[:2], nex.diffs[:1])
+
+
+# -- the C1-C3' drivers on both engines ------------------------------------------
+
+
+def a2_at_p3():
+    """mod kA2 at p = 3 (n = 1), as C and as its localization at nf = ()."""
+    alg = AlgebraPresentation(Quiver(2, (Arrow("a", 1, 2),)), (), p=3,
+                              path_length_bound=8)
+    labels = ["2", "1/2", "1"]
+    spans = {"2": (2, 2), "1/2": (1, 2), "1": (1, 1)}
+    cat = ExCategory(alg, 1, [interval_module(alg, *spans[lab]) for lab in labels],
+                     labels=labels)
+    return cat, LocalizedEngine(cat, ISO, IdealQuotient(cat, []))
+
+
+def core_checks(engine):
+    return [check_c1(engine), check_c2(engine, False), check_c2(engine, True),
+            check_c3(engine, False), check_c3(engine, True)]
+
+
+def test_both_engines_run_the_same_checks_at_empty_nf():
+    cat, eng = a2_at_p3()
+    results = core_checks(cat)
+    assert results == core_checks(eng)
+    assert [r.checked for r in results] == [11, 3, 3, 71, 71]
+    assert all(r.passed for r in results)
+
+
+def test_c3_witness_names_the_cocone(monkeypatch):
+    """Without the cocone's sign C3 fails at p = 3, in both engines at the
+    same check, and the witness names the complex that was tested."""
+    monkeypatch.setattr(exangulated, "cocone_sign", lambda n: 1)
+    cat, eng = a2_at_p3()
+    why = "along push-forward to 2: no good lift (no cocone is distinguished)"
+    assert cat.check_core_axioms()["C3"] == CheckResult(
+        "C3", False, f"E(1, 2) coords [1] {why}", 46)
+    assert check_c3(eng, False) == CheckResult(
+        "C3", False, f"the class [1] in E-bar(1, 2) {why}", 46)
 
 
 # -- weak kernel-cokernel criterion ---------------------------------------------
