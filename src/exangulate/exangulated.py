@@ -15,6 +15,8 @@ Two backends provide the realization data:
   canonical split realizations of zero classes).  The table is taken at face
   value during construction and exposed to the axiom checks, so a defective
   table is reported as an axiom failure rather than a construction error.
+  A complex is distinguished when it is homotopy equivalent to the
+  realization of its class (`realizes`).
 
 `check_core_axioms` verifies, over a bounded object universe, the axioms a
 degree-n extension structure must satisfy: realizations are exangles (their
@@ -516,6 +518,9 @@ class ExCategory:
         if any(not self.objects.contains(t) for t in nex.terms):
             return False
         if self.backend == "cluster-tilting":
+            # here s(delta) is defined as the exact complexes with Yoneda
+            # class delta (Jasso, "n-abelian and n-exact categories"), so
+            # this test is the definition, not an instance of `realizes`
             if not _is_exact_sequence(list(nex.terms), list(nex.diffs)):
                 return False
             try:
@@ -523,40 +528,16 @@ class ExCategory:
             except ValueError:
                 return False
             return cls.coords == nex.delta.coords
-        # declared backend: the table entry (or canonical split), up to a
-        # degreewise isomorphism restricting to the identity on both ends
+        # declared backend: homotopy equivalent to the table entry (or the
+        # canonical split), with identity ends
         try:
-            ref = self.realize(nex.delta)
+            self.realize(nex.delta)
         except ValueError:
             return False
-        return self._equivalent_realizations(ref, nex)
+        return realizes(self, nex, nex.delta)
 
     def is_split(self, nex: NExangle) -> bool:
         return nex == self.split_realization(nex.delta)
-
-    def _equivalent_realizations(self, a: NExangle, b: NExangle) -> bool:
-        if a.terms[0] != b.terms[0] or a.terms[-1] != b.terms[-1]:
-            return False
-        if a == b:
-            return True
-        iso_choices: list[list[ModMorphism]] = []
-        for s, t in zip(a.terms[1:-1], b.terms[1:-1]):
-            isos = list(self._isos(s, t))
-            if not isos:
-                return False
-            iso_choices.append(isos)
-        total = 1
-        for ch in iso_choices:
-            total *= len(ch)
-            if total > HOM_ENUM_LIMIT:
-                raise RuntimeError("degreewise isomorphism search budget exceeded")
-        ends = [identity_morphism(a.terms[0])]
-        for combo in itertools.product(*iso_choices):
-            u = ends + list(combo) + [identity_morphism(a.terms[-1])]
-            if all(u[i + 1].compose(a.diffs[i]) == b.diffs[i].compose(u[i])
-                   for i in range(len(a.diffs))):
-                return True
-        return False
 
     # -- exangle criterion ---------------------------------------------------
 
@@ -609,7 +590,7 @@ class ExCategory:
         exists.  The full solution set is the particular family plus any
         combination of the kernel families.
         """
-        got = solve_lift(src, dst, a, c, _hom_coordinates, hom_dim)
+        got = solve_lift(src, dst, a, c, self.hom_coords, self.hom_width)
         if got is None:
             return None
         bases, particular, kernel = got
@@ -630,7 +611,13 @@ class ExCategory:
 
     def all_lifts(self, src: NExangle, dst: NExangle, a: ModMorphism,
                   c: ModMorphism) -> Iterator[list[ModMorphism]]:
-        return enumerate_lifts(src, dst, a, c, _hom_coordinates, hom_dim)
+        return enumerate_lifts(src, dst, a, c, self.hom_coords, self.hom_width)
+
+    @staticmethod
+    def hom_coords(f: ModMorphism) -> tuple[int, ...]:
+        return morphism_in_coords(f, hom_basis(f.source, f.target)).entries
+
+    hom_width = staticmethod(hom_dim)
 
     def arrows(self, src: Module, tgt: Module) -> list[ModMorphism]:
         return enumerate_hom(src, tgt)
@@ -856,11 +843,18 @@ class ExCategory:
 #                        ValueError when cls has no realization
 #   _pair_tag(cls)       cls in words, for witnesses
 #   _hom_sequence(cx, T, variance)   a Hom sequence (see `exangle_failures`)
-#   is_split(cx)         cx is the split complex of its zero class
+#   hom_coords(f), hom_width(X, Y)   coordinates of f in its hom space, and
+#                        the dimension of Hom(X, Y): the unknowns of a lift
+#                        system (see `solve_lift`)
+#   is_split(cx)         cx, a complex of a zero class, is the split complex
 #   arrows(X, Y)         one morphism X -> Y per element of Hom(X, Y)
 #   push(cls, f), pull(cls, f), all_lifts(src, dst, a, c),
 #   mapping_cone(src, dst, f, cls), mapping_cocone(src, dst, f, cls),
-#   is_distinguished(cx)
+#   is_distinguished(cx) cx is homotopy equivalent to the realization of its
+#                        class: `realizes`, except on the cluster-tilting
+#                        backend (see `ExCategory.is_distinguished`)
+#
+# Each engine carries `_memo = defaultdict(dict)` for `memo`.
 
 
 def exangle_failures(engine, cx) -> Iterator[ExangleFailure]:
@@ -902,6 +896,41 @@ def _exangle_witness(engine, cx, cls) -> str | None:
         return None
     return (f"realization of {engine._pair_tag(cls)}: "
             f"{format_failure(engine.labels, fail)}")
+
+
+def realizes(engine, cx, cls) -> bool:
+    """Is cx, a complex that carries the class cls, homotopy equivalent to
+    engine.realize(cls) by maps that are the identity on both ends?
+
+    Herschend-Liu-Nakaoka, "n-exangulated categories (I)", Prop. 2.21: a
+    morphism with identity ends between two n-exangles for the same class is
+    a homotopy equivalence.  So when s(cls) = engine.realize(cls) is an
+    n-exangle, cx is equivalent to it exactly when cx is an n-exangle too and
+    one lift cx -> s(cls) of the identity ends exists; both tests are linear
+    algebra.  Homotopy equivalent complexes are exact together, so when
+    s(cls) is not an n-exangle, cx must not be one either, and then the one
+    lift is necessary but not proven sufficient.  The localized engine
+    meets that case where weak-kc fails (as on the a4-projinj fixture), and
+    the tests check the rule there against a two-way homotopy search.
+    Whether s(cls) is an n-exangle is decided once per class.
+    """
+    ref = engine.realize(cls)
+    if (len(cx.terms), cx.terms[0], cx.terms[-1]) != (
+            len(ref.terms), ref.terms[0], ref.terms[-1]):
+        return False
+    ends = identity_morphism(ref.terms[0]), identity_morphism(ref.terms[-1])
+    if solve_lift(cx, ref, *ends, engine.hom_coords, engine.hom_width) is None:
+        return False
+    return _is_exangle(engine, cx) == _realization_is_exangle(engine, cls)
+
+
+def _is_exangle(engine, cx) -> bool:
+    return next(exangle_failures(engine, cx), None) is None
+
+
+@memo
+def _realization_is_exangle(engine, cls) -> bool:
+    return _is_exangle(engine, engine.realize(cls))
 
 
 def check_c1(engine) -> CheckResult:
@@ -1046,10 +1075,6 @@ def cocone_sign(n: int) -> int:
     sign.  At p = 2 the sign is invisible.
     """
     return -1 if n % 2 else 1
-
-
-def _hom_coordinates(f: ModMorphism) -> tuple[int, ...]:
-    return morphism_in_coords(f, hom_basis(f.source, f.target)).entries
 
 
 Coords = Callable[[ModMorphism], Sequence[int]]

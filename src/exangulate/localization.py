@@ -33,14 +33,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .exangulated import (CheckResult, ExCategory, NExangle, check_c1, check_c2,
-                          check_c3, cone, enumerate_lifts, memo)
+                          check_c3, cone, enumerate_lifts, memo, realizes)
 from .linalg import (Matrix, column_space_basis, enumerate_vectors,
                      from_columns, hstack, kernel_basis, quotient_with_section,
                      rank, rref_solve, vstack)
 from .quiver import (ExtElement, ModMorphism, Module, combine, direct_sum,
                      enumerate_hom, hom_basis, identity_morphism,
-                     morphism_in_coords, pull_back, push_forward,
-                     zero_morphism)
+                     morphism_in_coords, pull_back, push_forward)
 
 CLASS_ENUM_LIMIT = 4096      # largest quotient hom-set we will enumerate
 SOLUTION_ENUM_LIMIT = 4096   # largest affine solution family we will scan
@@ -1118,71 +1117,19 @@ def _kc_fractions(cat, spec, q, nex):
 # -- the axiom suite on the materialized quotient (iso mode) --------------------
 
 
-def _null_homotopic(q: IdealQuotient, cx: TableComplex,
-                    phi: Sequence[ModMorphism]) -> bool:
-    """Is the self chain map phi (zero end components) null-homotopic mod
-    the ideal?  Solves phi_j = d_{j-1} h_j + h_{j+1} d_j linearly."""
-    p = q.p
-    offsets = [0]
-    for t in cx.terms:
-        offsets.append(offsets[-1] + q.qdim(t, t))
-
-    def unknown_col(i: int, b: ModMorphism) -> list[int]:
-        vals = [0] * offsets[-1]
-        for k, v in enumerate(q.project(cx.diffs[i - 1].compose(b)), offsets[i]):
-            vals[k] = v
-        for k, v in enumerate(q.project(b.compose(cx.diffs[i - 1])),
-                              offsets[i - 1]):
-            vals[k] = (vals[k] + v) % p
-        return vals
-
-    cols = [unknown_col(i, b) for i in range(1, cx.n + 2)
-            for b in hom_basis(cx.terms[i], cx.terms[i - 1])]
-    rhs = Matrix.column(p, [x for g in phi for x in q.project(g)])
-    return rref_solve(from_columns(p, offsets[-1], cols), rhs) is not None
-
-
-def _tilde_equivalent(spec: MorphismClassSpec, q: IdealQuotient,
-                      cx1: TableComplex, cx2: TableComplex) -> bool:
-    """Homotopy equivalence in C-bar with identity end components: chain
-    maps both ways whose composites are null-homotopic mod the ideal."""
-    if cx1.n != cx2.n:
-        return False
-    if cx1.terms[0] != cx2.terms[0] or cx1.terms[-1] != cx2.terms[-1]:
-        return False
-    a = identity_morphism(cx1.terms[0])
-    c = identity_morphism(cx1.terms[-1])
-    zero_end = (zero_morphism(cx1.terms[0], cx1.terms[0]),)
-    zero_end2 = (zero_morphism(cx1.terms[-1], cx1.terms[-1]),)
-    bwd = None
-    for u in q.lifts(cx1, cx2, a, c):
-        if bwd is None:
-            bwd = list(q.lifts(cx2, cx1, a, c))
-        for v in bwd:
-            vu = zero_end + tuple(
-                vi.compose(ui) + (-identity_morphism(ui.source))
-                for vi, ui in zip(v, u)) + zero_end2
-            if not _null_homotopic(q, cx1, vu):
-                continue
-            uv = zero_end + tuple(
-                ui.compose(vi) + (-identity_morphism(vi.source))
-                for ui, vi in zip(u, v)) + zero_end2
-            if _null_homotopic(q, cx2, uv):
-                return True
-    return False
-
-
 class LocalizedEngine:
     """The localized category in iso mode, as an engine of the shared
     C1-C3' drivers (`exangulated.check_c1` and on).  Its classes are the
     identity roofs over E-bar(C, A), its complexes `TableComplex`es that
     carry their roof, and a complex is distinguished when it is homotopy
-    equivalent in C-bar to the realization of its class."""
+    equivalent in C-bar to the realization of its class (`realizes`)."""
 
     def __init__(self, cat: ExCategory, spec: MorphismClassSpec,
                  q: IdealQuotient) -> None:
         self.cat, self.spec, self.q = cat, spec, q
         self.n, self.generators, self.labels = cat.n, cat.generators, cat.labels
+        self.hom_coords, self.hom_width = q.project, q.qdim
+        self._memo: defaultdict = defaultdict(dict)
 
     def _ebar(self, roof: Roof) -> EbarSpace:
         return ebar_group(self.spec, self.q, roof.end_C, roof.end_A)
@@ -1191,6 +1138,7 @@ class LocalizedEngine:
         return [identity_roof(self.spec, self.q, C, A, coords)
                 for coords in ebar_group(self.spec, self.q, C, A).classes()]
 
+    @memo
     def realize(self, roof: Roof) -> TableComplex:
         return s_tilde(self.cat, self.spec, self.q, roof)
 
@@ -1217,10 +1165,9 @@ class LocalizedEngine:
         return dims + [eb.dim], maps
 
     def is_split(self, cx: TableComplex) -> bool:
-        split = self.cat.split_realization(
-            self.cat.ext(cx.terms[-1], cx.terms[0]).zero())
-        return _tilde_equivalent(self.spec, self.q, cx,
-                                 TableComplex(split.terms, split.diffs))
+        C, A = cx.terms[-1], cx.terms[0]
+        zero = ebar_group(self.spec, self.q, C, A).zero_class()
+        return realizes(self, cx, identity_roof(self.spec, self.q, C, A, zero))
 
     def arrows(self, X: Module, Y: Module):
         return (self.q.rep(X, Y, c) for c in self.q.classes(X, Y))
@@ -1245,7 +1192,7 @@ class LocalizedEngine:
         return TableComplex(*cone(src, dst, f, 0), roof)
 
     def is_distinguished(self, cx: TableComplex) -> bool:
-        return _tilde_equivalent(self.spec, self.q, cx, self.realize(cx.roof))
+        return realizes(self, cx, cx.roof)
 
 
 @memo

@@ -11,8 +11,10 @@ import pytest
 import exangulate.quiver as quiver
 from exangulate.cli import ParseError, main, parse_input
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+BENCH = ROOT / "bench"
 CLUSTER = str(FIXTURES / "a4-cluster.exg")
 PROJINJ = str(FIXTURES / "a4-projinj.exg")
 TRIVIAL = str(FIXTURES / "a4-trivial.exg")
@@ -267,6 +269,22 @@ def test_localize_projinj_also_fails_weak_kc(capsys, tmp_path):
     assert code == 20
     assert_golden("localize-a4-projinj", out, json_path)
     assert "verdict: fails weak-kc" in out
+
+
+@pytest.mark.parametrize("command, name", [
+    ("check", "check-a3"), ("localize", "localize-a3-trivial")])
+def test_benchmark_invocations_match_their_expected_output(
+        capsys, tmp_path, command, name):
+    """The benchmark compares each run's stdout and --json bytes with
+    bench/expected/; this compares the same two invocations here."""
+    json_path = tmp_path / "report.json"
+    code, out, _ = run([command, str(BENCH / "inputs" / "a3-rad2.exg"),
+                        "--json", str(json_path)], capsys)
+    assert code == 0
+    assert out == (BENCH / "expected" / f"{name}.stdout").read_text(
+        encoding="utf-8")
+    assert json_path.read_bytes() == (BENCH / "expected" / f"{name}.json"
+                                      ).read_bytes()
 
 
 def test_localize_mr_violation_exits_30(capsys, tmp_path):

@@ -403,6 +403,36 @@ def test_declared_backend_lookup():
         partial.realize(partial.ext(gen("1/2"), gen("4")).element([1]))
 
 
+@pytest.mark.parametrize("contractible", [True, False])
+def test_declared_backend_decides_up_to_homotopy(contractible):
+    """The declared realization 4 -> 2/3/4 -> 1/2/3 -> 1 of E(1, 4) with
+    3/4 -id-> 3/4 added in degrees 1-2 is homotopy equivalent to it, though
+    not degreewise isomorphic, so both backends call it distinguished.  With
+    3/4 added in degree 1 alone it still maps to the realization, but it is
+    not exact, so neither backend does."""
+    cat = ExCategory(ALG, 2, GENS, labels=LABELS, multiplicity_bound=2,
+                     backend="declared", realization_table=declared_table())
+    nex = cat.realize(cat.ext(gen("1"), gen("4")).element([1]))
+    x0, x1, x2, x3 = nex.terms
+    d0, d1, d2 = nex.diffs
+    p = gen("3/4")
+    if contractible:
+        x2p = direct_sum([x2, p])[0]
+        d1p = block_morphism([x1, p], [x2, p], [[d1, None],
+                                                [None, identity_morphism(p)]])
+        d2p = block_morphism([x2, p], [x3], [[d2, None]])
+    else:
+        x2p, d1p, d2p = x2, block_morphism([x1, p], [x2], [[d1, None]]), d2
+    padded = NExangle(
+        (x0, direct_sum([x1, p])[0], x2p, x3),
+        (block_morphism([x0], [x1, p], [[d0], [None]]), d1p, d2p), nex.delta)
+    assert not is_isomorphic(padded.terms[1], x1)
+    assert cat.lift_space(padded, nex, identity_morphism(x0),
+                          identity_morphism(x3)) is not None
+    assert cat.is_distinguished(padded) is contractible
+    assert CAT.is_distinguished(padded) is contractible
+
+
 def test_declared_backend_corrupted_table_fails_c1():
     bad = [printed_sequence()] + declared_table()[1:]
     cat = ExCategory(ALG, 2, GENS, labels=LABELS, multiplicity_bound=2,

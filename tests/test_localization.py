@@ -6,11 +6,13 @@ import gc
 import random
 import weakref
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
 import exangulate.exangulated as exangulated
 import exangulate.localization as localization
+from exangulate.cli import main
 from exangulate.exangulated import (CheckResult, ExCategory, check_c1, check_c2,
                                     check_c3)
 from exangulate.localization import (
@@ -56,6 +58,10 @@ from exangulate.quiver import (
     push_forward,
     zero_morphism,
 )
+
+from homotopy_reference import homotopy_equivalent
+
+ROOT = Path(__file__).resolve().parent.parent
 
 A4 = Quiver(4, (Arrow("a", 1, 2), Arrow("b", 2, 3), Arrow("c", 3, 4)))
 ALG = AlgebraPresentation(A4, (Relation((1,), (("a", "b", "c"),)),), p=2,
@@ -425,8 +431,11 @@ def test_table_complex_validation():
 # -- the C1-C3' drivers on both engines ------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def a2_at_p3():
-    """mod kA2 at p = 3 (n = 1), as C and as its localization at nf = ()."""
+    """mod kA2 at p = 3 (n = 1), as C and as its localization at nf = ().
+    Shared between tests: the engines' caches do not depend on anything a
+    test patches."""
     alg = AlgebraPresentation(Quiver(2, (Arrow("a", 1, 2),)), (), p=3,
                               path_length_bound=8)
     labels = ["2", "1/2", "1"]
@@ -459,6 +468,61 @@ def test_c3_witness_names_the_cocone(monkeypatch):
         "C3", False, f"E(1, 2) coords [1] {why}", 46)
     assert check_c3(eng, False) == CheckResult(
         "C3", False, f"the class [1] in E-bar(1, 2) {why}", 46)
+
+
+# -- the one-lift rule against the two-way homotopy search -----------------------
+
+
+def compare_with_reference(monkeypatch):
+    """Make the localized engine's `is_distinguished` and `is_split` also run
+    the two-way search of `homotopy_reference` on every call.  Returns the
+    list the calls append to: (primitive, rule's answer, reference's answer,
+    whether the reference complex is an n-exangle)."""
+    calls = []
+
+    def split_complex(eng, cx):
+        split = eng.cat.split_realization(
+            eng.cat.ext(cx.terms[-1], cx.terms[0]).zero())
+        return TableComplex(split.terms, split.diffs), True
+
+    def realization(eng, cx):
+        return (eng.realize(cx.roof),
+                exangulated._realization_is_exangle(eng, cx.roof))
+
+    for name, reference in (("is_split", split_complex),
+                            ("is_distinguished", realization)):
+        def both(eng, cx, rule=getattr(LocalizedEngine, name), name=name,
+                 reference=reference):
+            got = rule(eng, cx)
+            ref, exact = reference(eng, cx)
+            calls.append((name, got, homotopy_equivalent(eng.q, cx, ref), exact))
+            return got
+
+        monkeypatch.setattr(LocalizedEngine, name, both)
+    return calls
+
+
+@pytest.mark.parametrize("path, exact", [
+    ("bench/inputs/a3-rad2.exg", True),
+    # weak-kc fails here, and some realizations are not n-exangles
+    ("fixtures/a4-projinj.exg", False),
+])
+def test_one_lift_rule_agrees_with_the_two_way_search(monkeypatch, capsys,
+                                                      path, exact):
+    calls = compare_with_reference(monkeypatch)
+    main(["localize", str(ROOT / path)])
+    capsys.readouterr()
+    assert {name for name, *_ in calls} == {"is_split", "is_distinguished"}
+    assert [c for c in calls if c[1] != c[2]] == []
+    assert all(c[3] for c in calls) == exact
+
+
+def test_one_lift_rule_agrees_on_a2_at_p3(monkeypatch):
+    _, eng = a2_at_p3()
+    calls = compare_with_reference(monkeypatch)
+    assert check_c3(eng, False).passed and check_c3(eng, True).passed
+    assert len(calls) >= 142
+    assert [c for c in calls if c[1] != c[2]] == []
 
 
 # -- weak kernel-cokernel criterion ---------------------------------------------
@@ -610,21 +674,28 @@ def test_report_bounds():
 
 
 def test_caches_die_with_their_owners(monkeypatch):
-    """Every engine cache lives on the ExCategory or IdealQuotient that owns
-    it, so nothing keeps either alive after a run has dropped them."""
-    quotients = []
+    """Every engine cache lives on the ExCategory, IdealQuotient or
+    LocalizedEngine that owns it, so nothing keeps any of them alive after a
+    run has dropped them."""
+    owners = []
 
-    class Watched(IdealQuotient):
-        def __init__(self, base, nf_indices):
-            super().__init__(base, nf_indices)
-            quotients.append(weakref.ref(self))
+    def watched(cls):
+        class Watched(cls):
+            def __init__(self, *args):
+                super().__init__(*args)
+                owners.append(weakref.ref(self))
+        return Watched
 
-    monkeypatch.setattr(localization, "IdealQuotient", Watched)
+    for name in ("IdealQuotient", "LocalizedEngine"):
+        monkeypatch.setattr(localization, name,
+                            watched(getattr(localization, name)))
     cat = ExCategory(ALG, 2, GENS, labels=LABELS, multiplicity_bound=2)
     assert localize(cat, ISO, [2]).verdict == "fails weak-kc"
-    assert len(quotients) == 1 and quotients[0]()._memo
+    assert [type(o()).__mro__[1].__name__ for o in owners] == [
+        "IdealQuotient", "LocalizedEngine"]
+    assert all(o()._memo for o in owners)
     cat_ref = weakref.ref(cat)
     del cat
     gc.collect()
-    assert quotients[0]() is None
+    assert [o() for o in owners] == [None, None]
     assert cat_ref() is None
