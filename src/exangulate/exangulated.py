@@ -16,7 +16,7 @@ Two backends provide the realization data:
   value during construction and exposed to the axiom checks, so a defective
   table is reported as an axiom failure rather than a construction error.
   A complex is distinguished when it is homotopy equivalent to the
-  realization of its class (`realizes`).
+  realization of its class (`homotopy_equivalent`).
 
 `check_core_axioms` verifies, over a bounded object universe, the axioms a
 degree-n extension structure must satisfy: realizations are exangles (their
@@ -520,7 +520,7 @@ class ExCategory:
         if self.backend == "cluster-tilting":
             # here s(delta) is defined as the exact complexes with Yoneda
             # class delta (Jasso, "n-abelian and n-exact categories"), so
-            # this test is the definition, not an instance of `realizes`
+            # this test is the definition, not `homotopy_equivalent`
             if not _is_exact_sequence(list(nex.terms), list(nex.diffs)):
                 return False
             try:
@@ -529,12 +529,16 @@ class ExCategory:
                 return False
             return cls.coords == nex.delta.coords
         # declared backend: homotopy equivalent to the table entry (or the
-        # canonical split), with identity ends
+        # canonical split), with identity ends.  Prop. 2.21 needs the entry
+        # to be an n-exangle; a defective entry (C1 fails) matches only itself
         try:
-            self.realize(nex.delta)
+            ref = self.realize(nex.delta)
         except ValueError:
             return False
-        return realizes(self, nex, nex.delta)
+        if nex == ref:
+            return True
+        return (realization_is_exangle(self, nex.delta)
+                and homotopy_equivalent(self, nex, ref, True))
 
     def is_split(self, nex: NExangle) -> bool:
         return nex == self.split_realization(nex.delta)
@@ -846,13 +850,15 @@ class ExCategory:
 #   hom_coords(f), hom_width(X, Y)   coordinates of f in its hom space, and
 #                        the dimension of Hom(X, Y): the unknowns of a lift
 #                        system (see `solve_lift`)
-#   is_split(cx)         cx, a complex of a zero class, is the split complex
+#   is_split(cx)         cx, a complex of a zero class, is homotopy equivalent
+#                        to the split complex
 #   arrows(X, Y)         one morphism X -> Y per element of Hom(X, Y)
 #   push(cls, f), pull(cls, f), all_lifts(src, dst, a, c),
 #   mapping_cone(src, dst, f, cls), mapping_cocone(src, dst, f, cls),
 #   is_distinguished(cx) cx is homotopy equivalent to the realization of its
-#                        class: `realizes`, except on the cluster-tilting
-#                        backend (see `ExCategory.is_distinguished`)
+#                        class: `homotopy_equivalent`, except on the
+#                        cluster-tilting backend and for defective declared
+#                        entries (see `ExCategory.is_distinguished`)
 #
 # Each engine carries `_memo = defaultdict(dict)` for `memo`.
 
@@ -898,30 +904,30 @@ def _exangle_witness(engine, cx, cls) -> str | None:
             f"{format_failure(engine.labels, fail)}")
 
 
-def realizes(engine, cx, cls) -> bool:
-    """Is cx, a complex that carries the class cls, homotopy equivalent to
-    engine.realize(cls) by maps that are the identity on both ends?
+def homotopy_equivalent(engine, cx, ref, ref_is_exangle: bool) -> bool:
+    """Is cx homotopy equivalent to ref, a complex for the same class, by
+    maps that are the identity on both ends?  ref_is_exangle says whether
+    ref is an n-exangle (`realization_is_exangle` caches it per class).
 
     Herschend-Liu-Nakaoka, "n-exangulated categories (I)", Prop. 2.21: a
     morphism with identity ends between two n-exangles for the same class is
-    a homotopy equivalence.  So when s(cls) = engine.realize(cls) is an
-    n-exangle, cx is equivalent to it exactly when cx is an n-exangle too and
-    one lift cx -> s(cls) of the identity ends exists; both tests are linear
-    algebra.  Homotopy equivalent complexes are exact together, so when
-    s(cls) is not an n-exangle, cx must not be one either, and then the one
-    lift is necessary but not proven sufficient.  The localized engine
-    meets that case where weak-kc fails (as on the a4-projinj fixture), and
-    the tests check the rule there against a two-way homotopy search.
-    Whether s(cls) is an n-exangle is decided once per class.
+    a homotopy equivalence.  So when ref is an n-exangle, cx is equivalent
+    to it exactly when cx is an n-exangle too and one lift cx -> ref of the
+    identity ends exists; both tests are linear algebra.  Homotopy
+    equivalent complexes are exact together, so when ref is not an
+    n-exangle, cx must not be one either, and then the one lift is necessary
+    but not proven sufficient.  The localized engine meets that case where
+    weak-kc fails (as on the a4-projinj fixture), and the tests check the
+    rule there against a two-way homotopy search; the declared backend does
+    not use the rule there (see `ExCategory.is_distinguished`).
     """
-    ref = engine.realize(cls)
     if (len(cx.terms), cx.terms[0], cx.terms[-1]) != (
             len(ref.terms), ref.terms[0], ref.terms[-1]):
         return False
     ends = identity_morphism(ref.terms[0]), identity_morphism(ref.terms[-1])
     if solve_lift(cx, ref, *ends, engine.hom_coords, engine.hom_width) is None:
         return False
-    return _is_exangle(engine, cx) == _realization_is_exangle(engine, cls)
+    return _is_exangle(engine, cx) == ref_is_exangle
 
 
 def _is_exangle(engine, cx) -> bool:
@@ -929,7 +935,7 @@ def _is_exangle(engine, cx) -> bool:
 
 
 @memo
-def _realization_is_exangle(engine, cls) -> bool:
+def realization_is_exangle(engine, cls) -> bool:
     return _is_exangle(engine, engine.realize(cls))
 
 

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .exangulated import (CheckResult, ExCategory, NExangle, check_c1, check_c2,
-                          check_c3, cone, enumerate_lifts, memo, realizes)
+                          check_c3, cone, enumerate_lifts, homotopy_equivalent,
+                          memo, realization_is_exangle)
 from .linalg import (Matrix, column_space_basis, enumerate_vectors,
                      from_columns, hstack, kernel_basis, quotient_with_section,
                      rank, rref_solve, vstack)
@@ -1122,7 +1123,8 @@ class LocalizedEngine:
     C1-C3' drivers (`exangulated.check_c1` and on).  Its classes are the
     identity roofs over E-bar(C, A), its complexes `TableComplex`es that
     carry their roof, and a complex is distinguished when it is homotopy
-    equivalent in C-bar to the realization of its class (`realizes`)."""
+    equivalent in C-bar to the realization of its class
+    (`homotopy_equivalent`)."""
 
     def __init__(self, cat: ExCategory, spec: MorphismClassSpec,
                  q: IdealQuotient) -> None:
@@ -1165,9 +1167,11 @@ class LocalizedEngine:
         return dims + [eb.dim], maps
 
     def is_split(self, cx: TableComplex) -> bool:
-        C, A = cx.terms[-1], cx.terms[0]
-        zero = ebar_group(self.spec, self.q, C, A).zero_class()
-        return realizes(self, cx, identity_roof(self.spec, self.q, C, A, zero))
+        # the split complex is contractible, so an n-exangle in C-bar too
+        split = self.cat.split_realization(
+            self.cat.ext(cx.terms[-1], cx.terms[0]).zero())
+        return homotopy_equivalent(
+            self, cx, TableComplex(split.terms, split.diffs), True)
 
     def arrows(self, X: Module, Y: Module):
         return (self.q.rep(X, Y, c) for c in self.q.classes(X, Y))
@@ -1192,7 +1196,8 @@ class LocalizedEngine:
         return TableComplex(*cone(src, dst, f, 0), roof)
 
     def is_distinguished(self, cx: TableComplex) -> bool:
-        return realizes(self, cx, cx.roof)
+        return homotopy_equivalent(self, cx, self.realize(cx.roof),
+                                   realization_is_exangle(self, cx.roof))
 
 
 @memo

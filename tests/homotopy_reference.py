@@ -1,5 +1,6 @@
 """A two-way homotopy search over an ideal quotient, kept as the reference
-that `exangulated.realizes` (exact plus one lift) is tested against.
+that `exangulated.homotopy_equivalent` (exact plus one lift) is tested
+against.
 
 Two complexes with the same ends are homotopy equivalent in C-bar, with
 identity end components, when chain maps u: cx1 -> cx2 and v: cx2 -> cx1
@@ -36,7 +37,7 @@ def null_homotopic(q, cx, phi) -> bool:
     return rref_solve(from_columns(p, offsets[-1], cols), rhs) is not None
 
 
-def homotopy_equivalent(q, cx1, cx2) -> bool:
+def two_way_equivalent(q, cx1, cx2) -> bool:
     """Homotopy equivalence in C-bar with identity end components: chain
     maps both ways whose composites are null-homotopic mod the ideal."""
     if cx1.n != cx2.n:

@@ -12,6 +12,7 @@ from exangulate.exangulated import (
     NExangle,
     Subcategory,
     check_c1,
+    check_c3,
     check_core_axioms,
     cocone_sign,
     cone,
@@ -442,6 +443,42 @@ def test_declared_backend_corrupted_table_fails_c1():
     assert res.witness == ("realization of E(1, 4) coords [1]: contravariant "
                            "sequence fails at position 1 with test object 3/4 "
                            "(homology)")
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_declared_backend_passes_c3_as_the_cluster_backend_does(dual):
+    """With the cluster-tilting backend's realizations as its table, the
+    declared backend passes C3/C3' on the same 333 checks.  The first
+    check's cocone, of the zero class of E(4, 4), is homotopy equivalent to
+    the split complex but not degreewise isomorphic to it."""
+    cat = ExCategory(ALG, 2, GENS, labels=LABELS, multiplicity_bound=2,
+                     backend="declared", realization_table=declared_table())
+    res = check_c3(cat, dual)
+    assert (res.passed, res.witness, res.checked) == (True, None, 333)
+
+
+def test_declared_backend_defective_entry_matches_only_itself():
+    """Prop. 2.21 needs the table entry to be an n-exangle.  The defective
+    entry printed_sequence() with 3/4 added in degree 1 by zero maps still
+    maps to the entry with identity ends, and neither complex is exact, but
+    the two are not homotopy equivalent (3/4 is not contractible), so only
+    the entry itself is distinguished."""
+    bad = [printed_sequence()] + declared_table()[1:]
+    cat = ExCategory(ALG, 2, GENS, labels=LABELS, multiplicity_bound=2,
+                     backend="declared", realization_table=bad)
+    entry = cat.realize(printed_sequence().delta)
+    x0, x1, x2, x3 = entry.terms
+    d0, d1, d2 = entry.diffs
+    p = gen("3/4")
+    padded = NExangle(
+        (x0, direct_sum([x1, p])[0], x2, x3),
+        (block_morphism([x0], [x1, p], [[d0], [None]]),
+         block_morphism([x1, p], [x2], [[d1, None]]), d2), entry.delta)
+    assert cat.lift_space(padded, entry, identity_morphism(x0),
+                          identity_morphism(x3)) is not None
+    assert not cat.is_n_exangle(padded).ok and not cat.is_n_exangle(entry).ok
+    assert cat.is_distinguished(entry)
+    assert not cat.is_distinguished(padded)
 
 
 def test_backend_validation():

@@ -59,7 +59,7 @@ from exangulate.quiver import (
     zero_morphism,
 )
 
-from homotopy_reference import homotopy_equivalent
+from homotopy_reference import two_way_equivalent
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -487,7 +487,7 @@ def compare_with_reference(monkeypatch):
 
     def realization(eng, cx):
         return (eng.realize(cx.roof),
-                exangulated._realization_is_exangle(eng, cx.roof))
+                exangulated.realization_is_exangle(eng, cx.roof))
 
     for name, reference in (("is_split", split_complex),
                             ("is_distinguished", realization)):
@@ -495,7 +495,7 @@ def compare_with_reference(monkeypatch):
                  reference=reference):
             got = rule(eng, cx)
             ref, exact = reference(eng, cx)
-            calls.append((name, got, homotopy_equivalent(eng.q, cx, ref), exact))
+            calls.append((name, got, two_way_equivalent(eng.q, cx, ref), exact))
             return got
 
         monkeypatch.setattr(LocalizedEngine, name, both)
@@ -523,6 +523,26 @@ def test_one_lift_rule_agrees_on_a2_at_p3(monkeypatch):
     assert check_c3(eng, False).passed and check_c3(eng, True).passed
     assert len(calls) >= 142
     assert [c for c in calls if c[1] != c[2]] == []
+
+
+def test_c2_compares_with_the_split_complex(monkeypatch):
+    """C2 fails when the zero class of E-bar(0, A) realizes as A -> A+A -> 0,
+    which maps to the split complex A -> A -> 0 with identity ends but is
+    not homotopy equivalent to it.  The exactness test is bypassed, so that
+    C2 reaches the split test."""
+    cat, shared = a2_at_p3()
+    eng = LocalizedEngine(cat, ISO, shared.q)
+    A = cat.generators[0]
+    mid, incls, _ = direct_sum([A, A])
+    monkeypatch.setattr(exangulated, "_exangle_witness", lambda *args: None)
+    monkeypatch.setattr(
+        LocalizedEngine, "realize",
+        lambda self, roof: TableComplex(
+            (A, mid, roof.end_C), (incls[0], zero_morphism(mid, roof.end_C)),
+            roof))
+    res = check_c2(eng, False)
+    assert (res.passed, res.checked) == (False, 1)
+    assert res.witness.endswith("does not realize as the split complex")
 
 
 # -- weak kernel-cokernel criterion ---------------------------------------------
