@@ -13,7 +13,8 @@ F-bar, and the search bounds.  Four commands consume it:
 `check` exits 0 when every axiom passes and 20 otherwise; `localize` exits
 with the report's code (0 = n-exangulated, 10 = weakly n-exangulated,
 20 = fails weak-kc, 30 = MR precondition failed); inspection commands exit 0.
-Internal errors exit 1; unreadable or ill-formed input exits 2.  `--json
+Internal errors exit 1; unreadable or ill-formed input exits 2; a run that
+would pass one of the enumeration bounds stops undecided and exits 3.  `--json
 PATH` additionally writes a machine-readable report (schema 1) whose bytes
 are identical across runs for identical inputs.  The environment variable
 EXANGULATE_SEED (0 when unset) fixes the seed used by the randomized
@@ -64,7 +65,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .exangulated import ExCategory, NExangle, format_failure
+from .exangulated import BoundExceeded, ExCategory, NExangle, format_failure
 from .linalg import is_prime
 from .localization import LocalizationError, MorphismClassSpec, localize
 from .quiver import (
@@ -736,6 +737,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 2
+    except BoundExceeded as exc:
+        print(f"bound exceeded: {exc}", file=sys.stderr)
+        return 3
     except (LocalizationError, RuntimeError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -70,6 +70,11 @@ HOM_ENUM_LIMIT = 4096   # largest hom space enumerated element by element
 LIFT_ENUM_LIMIT = 4096  # largest affine space of lifts searched for a good lift
 
 
+class BoundExceeded(RuntimeError):
+    """An enumeration would pass one of the `*_ENUM_LIMIT` bounds, so the
+    question is left undecided within bounds."""
+
+
 def memo(fn: Callable) -> Callable:
     """Cache fn's results on the object that owns them.
 
@@ -445,7 +450,7 @@ class ExCategory:
 
     def _bounded_homs(self, src: Module, tgt: Module) -> list[ModMorphism]:
         if self.alg.p ** len(hom_basis(src, tgt)) > HOM_ENUM_LIMIT:
-            raise RuntimeError("hom space too large to enumerate")
+            raise BoundExceeded("hom space too large to enumerate")
         return enumerate_hom(src, tgt)
 
     def _monos(self, src: Module, tgt: Module) -> Iterator[ModMorphism]:
@@ -1154,7 +1159,7 @@ def enumerate_lifts(src, dst, a: ModMorphism, c: ModMorphism, coords: Coords,
     bases, particular, kernel = got
     p = a.source.alg.p
     if p ** len(kernel) > LIFT_ENUM_LIMIT:
-        raise RuntimeError("lift space too large to enumerate")
+        raise BoundExceeded("lift space too large to enumerate")
     kmat = hstack(kernel) if kernel else Matrix.zeros(p, particular.rows, 0)
     for combo in enumerate_vectors(p, len(kernel)):
         yield _unpack_lift(src, dst, bases, particular + kmat @ combo)

@@ -22,8 +22,10 @@ specification of the morphism class F to invert, the pipeline
      "weakly n-exangulated", "fails weak-kc", or "MR precondition failed".
 
 All searches (Ore completions, fillers, lifts, roof pools) run over the
-bounded object universe of the ExCategory and raise LocalizationError with
-an explicit message when a bound is exhausted, rather than guessing.
+bounded object universe of the ExCategory.  An enumeration that would pass
+one of the `*_ENUM_LIMIT` bounds raises BoundExceeded, and a search that
+finds nothing within the universe raises LocalizationError, each with an
+explicit message, rather than guessing.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exangulated import (CheckResult, ExCategory, NExangle, check_c1, check_c2,
-                          check_c3, cone, enumerate_lifts, homotopy_equivalent,
-                          memo, realization_is_exangle)
+from .exangulated import (BoundExceeded, CheckResult, ExCategory, NExangle,
+                          check_c1, check_c2, check_c3, cone, enumerate_lifts,
+                          homotopy_equivalent, memo, realization_is_exangle)
 from .linalg import (Matrix, column_space_basis, enumerate_vectors,
                      from_columns, hstack, kernel_basis, quotient_with_section,
                      rank, rref_solve, vstack)
@@ -48,7 +50,8 @@ ROOF_ENUM_LIMIT = 20000      # largest roof pool per localized Ext group
 
 
 class LocalizationError(RuntimeError):
-    """A bounded search was exhausted or the data is inconsistent."""
+    """A search found nothing within the universe, or the data is
+    inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,7 @@ class IdealQuotient:
         """Every class of C-bar(X, Y), the zero class first."""
         d = self.qdim(X, Y)
         if self.p ** d > CLASS_ENUM_LIMIT:
-            raise LocalizationError("quotient hom space too large to enumerate")
+            raise BoundExceeded("quotient hom space too large to enumerate")
         return [tuple(v.col_list(0)) for v in enumerate_vectors(self.p, d)]
 
     @memo
@@ -183,6 +186,10 @@ def _class_invertible(q: IdealQuotient, X: Module, Y: Module,
 
 @memo
 def _invertible_classes(q: IdealQuotient, X: Module, Y: Module) -> frozenset:
+    # composing with an isomorphism X -> Y or its inverse maps C-bar(X, X),
+    # C-bar(X, Y), C-bar(Y, X) and C-bar(Y, Y) isomorphically onto each other
+    if len({q.qdim(X, X), q.qdim(X, Y), q.qdim(Y, X), q.qdim(Y, Y)}) > 1:
+        return frozenset()
     return frozenset(c for c in q.classes(X, Y)
                      if _class_invertible(q, X, Y, c))
 
@@ -339,6 +346,18 @@ def check_mr(spec: MorphismClassSpec, q: IdealQuotient) -> dict[str, CheckResult
     """M0 (isomorphisms, composition, generator-supported direct sums),
     MR1 (both cancellation directions of two-out-of-three), MR2 (both Ore
     completions), MR3 (F-bar fillers between distinguished realizations)."""
+    mem, keys = member_table(spec, q)
+    out: dict[str, CheckResult] = {}
+    out["M0"] = _check_m0(spec, q, mem, keys)
+    out["MR1"] = _check_mr1(spec, q, mem, keys)
+    out["MR2"] = _check_mr2(spec, q, mem, keys)
+    out["MR3"] = _check_mr3(spec, q, mem)
+    return out
+
+
+def member_table(spec: MorphismClassSpec, q: IdealQuotient):
+    """The nonempty member sets of F-bar by (source, target), and their keys
+    in universe order."""
     mem: dict[tuple[Module, Module], frozenset] = {}
     for X in q.universe:
         for Y in q.universe:
@@ -347,12 +366,18 @@ def check_mr(spec: MorphismClassSpec, q: IdealQuotient) -> dict[str, CheckResult
                 mem[(X, Y)] = mc
     uidx = {o: i for i, o in enumerate(q.universe)}
     keys = sorted(mem.keys(), key=lambda k: (uidx[k[0]], uidx[k[1]]))
-    out: dict[str, CheckResult] = {}
-    out["M0"] = _check_m0(spec, q, mem, keys)
-    out["MR1"] = _check_mr1(spec, q, mem, keys)
-    out["MR2"] = _check_mr2(spec, q, mem, keys)
-    out["MR3"] = _check_mr3(spec, q, mem)
-    return out
+    return mem, keys
+
+
+def _images(m: Matrix, vectors: Sequence[tuple[int, ...]]
+            ) -> list[tuple[int, ...]]:
+    """m applied to each of the vectors, by one product."""
+    if not m.rows:
+        return [()] * len(vectors)
+    prod = m @ from_columns(m.p, m.cols, vectors)
+    w = prod.cols
+    return list(zip(*(prod.entries[i * w:(i + 1) * w]
+                      for i in range(prod.rows))))
 
 
 def _check_m0(spec, q, mem, keys) -> CheckResult:
@@ -401,16 +426,23 @@ def _check_m0(spec, q, mem, keys) -> CheckResult:
 
 
 def _check_mr1(spec, q, mem, keys) -> CheckResult:
+    """Composing with a fixed member is linear, so one product with its
+    `_pre`/`_post` matrix gives the composites with every class at once; a
+    pair can only fail when the composite's hom-set has members."""
     checked = 0
     for X, Y in keys:
         for fc in sorted(mem[(X, Y)]):
+            f = q.rep(X, Y, fc)
             for Z in q.universe:
                 mem_xz = mem.get((X, Z), frozenset())
                 mem_yz = mem.get((Y, Z), frozenset())
-                for gc in q.classes(Y, Z):
+                gcs = q.classes(Y, Z)
+                if not mem_xz:
+                    checked += len(gcs)
+                    continue
+                for gc, comp in zip(gcs, _images(_pre(q, f, Z), gcs)):
                     checked += 1
-                    if (q.compose_classes(X, Y, Z, fc, gc) in mem_xz
-                            and gc not in mem_yz):
+                    if comp in mem_xz and gc not in mem_yz:
                         return CheckResult(
                             "MR1", False,
                             f"{q.fmt(X)} -> {q.fmt(Y)} -> {q.fmt(Z)}: the first "
@@ -418,13 +450,17 @@ def _check_mr1(spec, q, mem, keys) -> CheckResult:
                             "second factor is not", checked)
     for Y, Z in keys:
         for gc in sorted(mem[(Y, Z)]):
+            g = q.rep(Y, Z, gc)
             for X in q.universe:
                 mem_xz = mem.get((X, Z), frozenset())
                 mem_xy = mem.get((X, Y), frozenset())
-                for fc in q.classes(X, Y):
+                fcs = q.classes(X, Y)
+                if not mem_xz:
+                    checked += len(fcs)
+                    continue
+                for fc, comp in zip(fcs, _images(_post(q, X, g), fcs)):
                     checked += 1
-                    if (q.compose_classes(X, Y, Z, fc, gc) in mem_xz
-                            and fc not in mem_xy):
+                    if comp in mem_xz and fc not in mem_xy:
                         return CheckResult(
                             "MR1", False,
                             f"{q.fmt(X)} -> {q.fmt(Y)} -> {q.fmt(Z)}: the second "
@@ -434,14 +470,20 @@ def _check_mr1(spec, q, mem, keys) -> CheckResult:
 
 
 def _check_mr2(spec, q, mem, keys) -> CheckResult:
+    """Where composing with the member s is onto, W = Z and s2 = 1 complete
+    every span (dually cospan) at once; elsewhere each class is solved for,
+    and searched for an Ore completion when that fails."""
     checked = 0
     for X, Y in keys:
         for sc in sorted(mem[(X, Y)]):
             s = q.rep(X, Y, sc)
             for Z in q.universe:
-                # fast path: W = Z, s2 = identity
                 lhs = _pre(q, s, Z)
-                for fc in q.classes(X, Z):
+                fcs = q.classes(X, Z)
+                if rank(lhs) == lhs.rows:
+                    checked += len(fcs)
+                    continue
+                for fc in fcs:
                     checked += 1
                     rhs = Matrix.column(q.p, list(fc))
                     if rref_solve(lhs, rhs) is not None:
@@ -458,7 +500,11 @@ def _check_mr2(spec, q, mem, keys) -> CheckResult:
             s = q.rep(Y, X, sc)
             for Z in q.universe:
                 lhs = _post(q, Z, s)
-                for fc in q.classes(Z, X):
+                fcs = q.classes(Z, X)
+                if rank(lhs) == lhs.rows:
+                    checked += len(fcs)
+                    continue
+                for fc in fcs:
                     checked += 1
                     rhs = Matrix.column(q.p, list(fc))
                     if rref_solve(lhs, rhs) is not None:
@@ -552,7 +598,7 @@ def k_subgroup(spec: MorphismClassSpec, q: IdealQuotient,
     cat = q.base
     space = cat.ext(end_C, end_A)
     if q.p ** space.dim > CLASS_ENUM_LIMIT:
-        raise LocalizationError("extension group too large to enumerate")
+        raise BoundExceeded("extension group too large to enumerate")
     elements = space.all_elements()
     killed_push: set = set()
     for B in q.universe:
@@ -853,7 +899,7 @@ def etilde_group(spec: MorphismClassSpec, q: IdealQuotient,
                     for coords in eb.classes():
                         pool.append(Roof(t, coords, s))
                         if len(pool) > ROOF_ENUM_LIMIT:
-                            raise LocalizationError(
+                            raise BoundExceeded(
                                 "roof enumeration exceeded bound")
     reps: list[Roof] = []
 
@@ -1060,7 +1106,7 @@ class FractionHoms:
             if not kb:
                 continue
             if p ** len(kb) > SOLUTION_ENUM_LIMIT:
-                raise LocalizationError(
+                raise BoundExceeded(
                     "fraction comparison family too large")
             kmat = hstack(kb)
             for combo in enumerate_vectors(p, len(kb)):
@@ -1493,8 +1539,8 @@ def localize(cat: ExCategory, spec: MorphismClassSpec,
              nf_indices: Sequence[int]) -> LocalizationReport:
     """Run the whole localization pipeline and classify the result.
 
-    Axiom failures land in the report with witnesses; LocalizationError is
-    raised only for exhausted bounds or internal inconsistencies.
+    Axiom failures land in the report with witnesses; BoundExceeded is raised
+    for exhausted bounds, LocalizationError for internal inconsistencies.
     """
     if cat.n < 1:
         raise ValueError("the extension degree must be at least 1")

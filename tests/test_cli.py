@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import exangulate.localization as localization
 import exangulate.quiver as quiver
 from exangulate.cli import ParseError, main, parse_input
 
@@ -297,6 +298,17 @@ def test_localize_mr_violation_exits_30(capsys, tmp_path):
     assert code == 30
     assert "verdict: MR precondition failed" in out
     assert "MR1: FAIL" in out
+
+
+def test_exhausted_bound_exits_3(capsys, monkeypatch):
+    """Running out of an enumeration bound is its own outcome, not an
+    internal error."""
+    monkeypatch.setattr(localization, "CLASS_ENUM_LIMIT", 1)
+    code, out, err = run(["localize", str(BENCH / "inputs" / "a3-rad2.exg")],
+                         capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "bound exceeded: quotient hom space too large to enumerate\n"
 
 
 def test_localize_saturate_without_seeds_is_weakly_exangulated(capsys, tmp_path):

@@ -12,9 +12,10 @@ import pytest
 
 import exangulate.exangulated as exangulated
 import exangulate.localization as localization
-from exangulate.cli import main
-from exangulate.exangulated import (CheckResult, ExCategory, check_c1, check_c2,
-                                    check_c3)
+import mr_reference
+from exangulate.cli import build_category, main, parse_input
+from exangulate.exangulated import (BoundExceeded, CheckResult, ExCategory,
+                                    check_c1, check_c2, check_c3)
 from exangulate.localization import (
     FractionHoms,
     IdealQuotient,
@@ -34,6 +35,7 @@ from exangulate.localization import (
     localize,
     make_roof,
     member_classes,
+    member_table,
     ore_left,
     ore_right,
     roof_add,
@@ -274,6 +276,88 @@ def test_mr1_catches_missing_cancellation():
     assert res["MR1"].witness == (
         "4 -> 3/4 -> 2/3/4: the first factor and the composite are in F-bar "
         "but the second factor is not")
+
+
+def a3_rad2_quotient():
+    """The benchmark's input, A3 mod radical square at n = 2, with its
+    empty null system."""
+    cfg = parse_input((ROOT / "bench/inputs/a3-rad2.exg").read_text())
+    return IdealQuotient(build_category(cfg), [])
+
+
+MR_CASES = {
+    "cluster-iso": lambda: (ISO, cluster_quotient()),
+    # the specs of test_mr1_catches_missing_cancellation and
+    # test_localize_saturate_single_seed_fails_mr3
+    "mr1-fails": lambda: (MorphismClassSpec("saturate", (
+        the_map("4", "3/4"),
+        the_map("3/4", "2/3/4").compose(the_map("4", "3/4")))),
+        trivial_quotient()),
+    "mr3-fails": lambda: (MorphismClassSpec(
+        "saturate", (the_map("3/4", "2/3/4"),)), trivial_quotient()),
+    # inverts g: 3/4 -> 2/3/4 and g.f: 4 -> 2/3/4 but not f, so MR1 fails
+    # in its second half; MR2 fails in its second half too, at a cospan
+    "second-halves-fail": lambda: (MorphismClassSpec(
+        "saturate", (the_map("4", "2/3/4"), the_map("3/4", "2/3/4"))),
+        trivial_quotient()),
+    "projinj-iso": lambda: (ISO, IdealQuotient(CAT, [2, 3])),
+    "a2-at-p3": lambda: (ISO, a2_at_p3()[1].q),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MR_CASES))
+def test_mr1_mr2_agree_with_the_per_pair_reference(case):
+    """The linear-map checks return the same verdicts, witnesses and check
+    counts as the per-pair loops of `mr_reference`."""
+    spec, q = MR_CASES[case]()
+    mem, keys = member_table(spec, q)
+    for check, reference in ((localization._check_mr1, mr_reference.check_mr1),
+                             (localization._check_mr2, mr_reference.check_mr2)):
+        assert check(spec, q, mem, keys) == reference(spec, q, mem, keys)
+
+
+def test_mr2_lets_an_exhausted_bound_through(monkeypatch):
+    """An exhausted bound inside an Ore search is not a missing completion,
+    so MR2 does not report it as an MR2 failure."""
+    spec, q = MR_CASES["mr3-fails"]()
+    mem, keys = member_table(spec, q)
+
+    def exhausted(*args):
+        raise BoundExceeded("quotient hom space too large to enumerate")
+
+    monkeypatch.setattr(localization, "ore_right", exhausted)
+    with pytest.raises(BoundExceeded):
+        localization._check_mr2(spec, q, mem, keys)
+
+
+@pytest.mark.parametrize("make", [
+    a3_rad2_quotient,
+    lambda: IdealQuotient(CAT, [2, 3]),
+    lambda: IdealQuotient(a2_at_p3()[0], []),
+], ids=["a3-rad2", "a4-projinj", "a2-at-p3"])
+def test_invertible_classes_filter_on_dimensions(monkeypatch, make):
+    """`_invertible_classes` returns, for every ordered pair of the universe,
+    the classes that pass `_class_invertible`, and skips enumerating the
+    classes of at least one pair whose quotient dimensions differ."""
+    q = make()                   # a fresh quotient: nothing cached yet
+    classes = IdealQuotient.classes
+    enumerated = []
+
+    def watched(self, X, Y):
+        enumerated.append((X, Y))
+        return classes(self, X, Y)
+
+    monkeypatch.setattr(IdealQuotient, "classes", watched)
+    skipped = 0
+    for X in q.universe:
+        for Y in q.universe:
+            enumerated.clear()
+            got = localization._invertible_classes(q, X, Y)
+            skipped += not enumerated
+            assert got == frozenset(
+                c for c in classes(q, X, Y)
+                if localization._class_invertible(q, X, Y, c))
+    assert skipped
 
 
 # -- K and E-bar ---------------------------------------------------------------
