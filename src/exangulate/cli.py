@@ -14,7 +14,8 @@ F-bar, and the search bounds.  Four commands consume it:
 with the report's code (0 = n-exangulated, 10 = weakly n-exangulated,
 20 = fails weak-kc, 30 = MR precondition failed); inspection commands exit 0.
 Internal errors exit 1; unreadable or ill-formed input exits 2; a run that
-would pass one of the enumeration bounds stops undecided and exits 3.  `--json
+would pass one of the enumeration bounds or search budgets stops undecided
+and exits 3.  `--json
 PATH` additionally writes a machine-readable report (schema 1) whose bytes
 are identical across runs for identical inputs.  The environment variable
 EXANGULATE_SEED (0 when unset) fixes the seed used by the randomized

@@ -40,6 +40,7 @@ from .linalg import (Matrix, enumerate_vectors, from_columns, hstack,
                      kernel_basis, rank, rref_solve)
 from .quiver import (
     AlgebraPresentation,
+    BoundExceeded,
     ExtElement,
     ExtSpace,
     ModMorphism,
@@ -68,11 +69,6 @@ from .quiver import (
 
 HOM_ENUM_LIMIT = 4096   # largest hom space enumerated element by element
 LIFT_ENUM_LIMIT = 4096  # largest affine space of lifts searched for a good lift
-
-
-class BoundExceeded(RuntimeError):
-    """An enumeration would pass one of the `*_ENUM_LIMIT` bounds, so the
-    question is left undecided within bounds."""
 
 
 def memo(fn: Callable) -> Callable:

@@ -226,6 +226,14 @@ def _saturate_extra(spec: MorphismClassSpec, q: IdealQuotient) -> dict:
     """Fixpoint of the seeded closure, minus the classes that are already
     invertible (those are members for free)."""
     extra: dict[tuple[Module, Module], set] = {}
+    position = {m: k for k, m in enumerate(q.universe)}
+
+    def order(m: Module) -> tuple:
+        # a key of module values only, so the work list has one order in
+        # every run, whatever objects the modules are
+        if m in position:
+            return (0, position[m])
+        return (1, m.dims, tuple(a.entries for a in m.arrow_maps))
 
     def add(X: Module, Y: Module, cls: tuple[int, ...]) -> bool:
         if cls in _invertible_classes(q, X, Y):
@@ -242,7 +250,7 @@ def _saturate_extra(spec: MorphismClassSpec, q: IdealQuotient) -> dict:
     while changed:
         changed = False
         items = [(X, Y, c) for (X, Y), cs in sorted(
-            extra.items(), key=lambda kv: (id(kv[0][0]), id(kv[0][1])))
+            extra.items(), key=lambda kv: (order(kv[0][0]), order(kv[0][1])))
             for c in sorted(cs)]
         for X, Y, c in items:
             for Z in q.universe:
@@ -1197,20 +1205,32 @@ class LocalizedEngine:
     def _hom_sequence(self, cx: TableComplex, T: Module, variance: str
                       ) -> tuple[list[int], list[Matrix]]:
         """Dimensions and maps of a Hom sequence of C-bar ending in E-bar."""
-        q, roof = self.q, cx.roof
-        delta = self._ebar(roof).lift(roof.delta_coords)
+        q = self.q
         if variance == "contravariant":
             maps = [_post_matrix(q, T, d) for d in cx.diffs]
             dims = [q.qdim(T, t) for t in cx.terms]
-            eb = ebar_group(self.spec, q, T, roof.end_A)
-            moved = [_pull(q, delta, r) for r in q.basis_reps(T, roof.end_C)]
         else:
             maps = [_pre_matrix(q, d, T) for d in reversed(cx.diffs)]
             dims = [q.qdim(t, T) for t in reversed(cx.terms)]
+        column = self._ebar_column(cx.roof, T, variance)
+        maps.append(column)
+        return dims + [column.rows], maps
+
+    @memo
+    def _ebar_column(self, roof: Roof, T: Module, variance: str) -> Matrix:
+        """The last map of a Hom sequence: the roof's class pulled back along
+        each basis class of C-bar(T, C), or pushed forward along each of
+        C-bar(A, T), in E-bar coordinates.  Every complex of the roof's class
+        shares it, so it is cached per (roof, T, variance)."""
+        q = self.q
+        delta = self._ebar(roof).lift(roof.delta_coords)
+        if variance == "contravariant":
+            eb = ebar_group(self.spec, q, T, roof.end_A)
+            moved = [_pull(q, delta, r) for r in q.basis_reps(T, roof.end_C)]
+        else:
             eb = ebar_group(self.spec, q, roof.end_C, T)
             moved = [_push(q, delta, r) for r in q.basis_reps(roof.end_A, T)]
-        maps.append(from_columns(q.p, eb.dim, [eb.project(m) for m in moved]))
-        return dims + [eb.dim], maps
+        return from_columns(q.p, eb.dim, [eb.project(m) for m in moved])
 
     def is_split(self, cx: TableComplex) -> bool:
         # the split complex is contractible, so an n-exangle in C-bar too

@@ -18,6 +18,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
@@ -46,6 +47,12 @@ from .linalg import (
 DECOMPOSE_END_ENUM_LIMIT = 6  # End(M) dimension up to which idempotents are enumerated
 DECOMPOSE_FITTING_TRIES = 24
 DECOMPOSE_FALLBACK_ENUM = 4096
+
+
+class BoundExceeded(RuntimeError):
+    """An enumeration or search would pass one of its bounds (a
+    `*_ENUM_LIMIT` or a `DECOMPOSE_*` budget), so the question is left
+    undecided within bounds."""
 
 
 @dataclass(frozen=True)
@@ -138,6 +145,24 @@ class AlgebraPresentation:
                     raise ValueError(f"relation paths are not parallel: {rel.paths}")
                 if not (0 <= c < self.p):
                     raise ValueError("relation coefficients must be reduced mod p")
+
+    def _modules(self) -> weakref.WeakValueDictionary:
+        """This algebra's intern table of modules, keyed by (dims, arrow_maps).
+
+        It lives in the instance dict, outside the dataclass fields, so it
+        takes no part in eq, hash or repr; it holds its modules weakly.
+        """
+        d = self.__dict__
+        table = d.get("_module_table")
+        if table is None:
+            table = d["_module_table"] = weakref.WeakValueDictionary()
+        return table
+
+    def __getstate__(self) -> dict:
+        # the intern table belongs to this process and is not picklable
+        state = dict(self.__dict__)
+        state.pop("_module_table", None)
+        return state
 
 
 # -- path bases -------------------------------------------------------------
@@ -276,6 +301,13 @@ class Module:
     The public constructor validates shapes and relations; `Module._trusted`
     skips that for modules that are valid by construction (sums, kernels,
     images, cokernels, radicals), and `validate` re-runs the full check.
+
+    Modules are interned in their algebra's table (`_modules`):
+    `_trusted` returns the module already there for the same dims and arrow
+    maps, and the public constructor registers itself unless an equal module
+    came first.  Engine caches keyed by modules therefore hit by identity.
+    `__eq__` still compares values, since a module built by the public
+    constructor after an equal one, or unpickled, is not the canonical one.
     """
 
     alg: AlgebraPresentation
@@ -284,16 +316,23 @@ class Module:
 
     def __post_init__(self) -> None:
         self.validate()
+        self.alg._modules().setdefault((self.dims, self.arrow_maps), self)
 
     @classmethod
     def _trusted(cls, alg: AlgebraPresentation, dims: tuple[int, ...],
                  arrow_maps: tuple[Matrix, ...]) -> "Module":
-        """Unchecked constructor; the caller guarantees a valid module."""
-        m = _new(cls)
-        d = m.__dict__
-        d["alg"] = alg
-        d["dims"] = dims
-        d["arrow_maps"] = arrow_maps
+        """Unchecked constructor; the caller guarantees a valid module.
+        Returns the interned module with these dims and maps if there is one."""
+        table = alg._modules()
+        key = (dims, arrow_maps)
+        m = table.get(key)
+        if m is None:
+            m = _new(cls)
+            d = m.__dict__
+            d["alg"] = alg
+            d["dims"] = dims
+            d["arrow_maps"] = arrow_maps
+            table[key] = m
         return m
 
     def __eq__(self, other: object) -> bool:
@@ -381,8 +420,8 @@ class Module:
 
 def zero_module(alg: AlgebraPresentation) -> Module:
     n = alg.quiver.vertex_count
-    return Module(alg, (0,) * n,
-                  tuple(Matrix.zeros(alg.p, 0, 0) for _ in alg.quiver.arrows))
+    return Module._trusted(alg, (0,) * n,
+                           tuple(Matrix.zeros(alg.p, 0, 0) for _ in alg.quiver.arrows))
 
 
 def simple_module(alg: AlgebraPresentation, v: int) -> Module:
@@ -990,7 +1029,7 @@ def decompose(m: Module, seed: int | None = None) -> list[tuple[Module, ModMorph
             if e is None and m.alg.p ** d <= DECOMPOSE_FALLBACK_ENUM:
                 e = _find_idempotent(cur, basis)
             elif e is None:
-                raise RuntimeError("decomposition failed within search budget")
+                raise BoundExceeded("decomposition failed within search budget")
         if e is None:
             result.append((cur, incl, proj))
             continue
@@ -1029,7 +1068,7 @@ def isomorphism_between(a: Module, b: Module, seed: int | None = None) -> ModMor
             if phi.is_iso:
                 return phi
         return None
-    raise RuntimeError("isomorphism search budget exceeded")
+    raise BoundExceeded("isomorphism search budget exceeded")
 
 
 def is_isomorphic(a: Module, b: Module, seed: int | None = None) -> bool:

@@ -311,6 +311,20 @@ def test_exhausted_bound_exits_3(capsys, monkeypatch):
     assert err == "bound exceeded: quotient hom space too large to enumerate\n"
 
 
+@pytest.mark.parametrize("command", ["check", "localize"])
+def test_exhausted_search_budget_exits_3(capsys, monkeypatch, command):
+    """The decomposition's search budget is a bound like the enumeration
+    limits: running out of it exits 3."""
+    monkeypatch.setattr(quiver, "_fitting_split", lambda *args: None)
+    monkeypatch.setattr(quiver, "DECOMPOSE_END_ENUM_LIMIT", 0)
+    monkeypatch.setattr(quiver, "DECOMPOSE_FALLBACK_ENUM", 0)
+    code, out, err = run([command, str(BENCH / "inputs" / "a3-rad2.exg")],
+                         capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "bound exceeded: decomposition failed within search budget\n"
+
+
 def test_localize_saturate_without_seeds_is_weakly_exangulated(capsys, tmp_path):
     f = tmp_path / "weak.exg"
     f.write_text(MINIMAL + "\n[fbar]\nmode = saturate\n\n"
@@ -357,6 +371,22 @@ def test_json_bytes_identical_across_hash_seeds(tmp_path):
              "--json", str(target)],
             capture_output=True, env=env, cwd=str(FIXTURES.parent))
         assert proc.returncode == 20
+        blobs.append(target.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+def test_localize_json_bytes_identical_across_hash_seeds(tmp_path):
+    """The bench input under `localize`: the same report bytes whatever the
+    string-hash seed, so whatever the order in which objects were made."""
+    blobs = []
+    for hash_seed in ("0", "1"):
+        target = tmp_path / f"run{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "exangulate.cli", "localize",
+             str(BENCH / "inputs" / "a3-rad2.exg"), "--json", str(target)],
+            capture_output=True, env=env, cwd=str(ROOT))
+        assert proc.returncode == 0
         blobs.append(target.read_bytes())
     assert blobs[0] == blobs[1]
 

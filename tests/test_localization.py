@@ -609,6 +609,31 @@ def test_one_lift_rule_agrees_on_a2_at_p3(monkeypatch):
     assert [c for c in calls if c[1] != c[2]] == []
 
 
+def test_ebar_column_is_built_once_per_roof_and_tester(monkeypatch, capsys):
+    """The E-bar column of a localized Hom sequence depends only on the
+    roof, the test object and the variance, so `localize` builds it once
+    for each such triple, however many complexes share it."""
+    sequences, columns = [], []
+    hom_sequence = LocalizedEngine._hom_sequence
+    ebar_column = LocalizedEngine._ebar_column.__wrapped__
+
+    def counted_sequence(self, cx, T, variance):
+        sequences.append((cx.roof, T, variance))
+        return hom_sequence(self, cx, T, variance)
+
+    def counted_column(self, roof, T, variance):
+        columns.append((roof, T, variance))
+        return ebar_column(self, roof, T, variance)
+
+    monkeypatch.setattr(LocalizedEngine, "_hom_sequence", counted_sequence)
+    monkeypatch.setattr(LocalizedEngine, "_ebar_column",
+                        exangulated.memo(counted_column))
+    assert main(["localize", str(ROOT / "bench/inputs/a3-rad2.exg")]) == 0
+    capsys.readouterr()
+    assert len(sequences) == 1976
+    assert len(columns) == len(set(columns)) == len(set(sequences)) == 200
+
+
 def test_c2_compares_with_the_split_complex(monkeypatch):
     """C2 fails when the zero class of E-bar(0, A) realizes as A -> A+A -> 0,
     which maps to the split complex A -> A -> 0 with identity ends but is

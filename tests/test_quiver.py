@@ -2,10 +2,14 @@ import random
 
 import pytest
 
+import exangulate
+import exangulate.exangulated as exangulated
+import exangulate.quiver as quiver
 from exangulate.linalg import Matrix
 from exangulate.quiver import (
     AlgebraPresentation,
     Arrow,
+    BoundExceeded,
     ModMorphism,
     Module,
     Quiver,
@@ -23,6 +27,7 @@ from exangulate.quiver import (
     image_module,
     interval_module,
     is_isomorphic,
+    isomorphism_between,
     kernel_module,
     path_basis,
     projective_cover,
@@ -278,6 +283,24 @@ def test_decompose_randomized_multiset_roundtrip():
         parts = decompose(s)
         got = sorted(pt[0].dims for pt in parts)
         assert got == sorted(m.dims for m in picks)
+
+
+def test_search_budgets_raise_bound_exceeded(monkeypatch):
+    assert exangulated.BoundExceeded is exangulate.BoundExceeded is BoundExceeded
+    # no Fitting split is found and no enumeration is allowed
+    monkeypatch.setattr(quiver, "_fitting_split", lambda *args: None)
+    monkeypatch.setattr(quiver, "DECOMPOSE_END_ENUM_LIMIT", 0)
+    monkeypatch.setattr(quiver, "DECOMPOSE_FALLBACK_ENUM", 0)
+    with pytest.raises(BoundExceeded,
+                       match="^decomposition failed within search budget$"):
+        decompose(GENS["2/3/4"])
+    # same dimensions, not isomorphic, Hom(3/4, 1/2/3) is nonzero: every
+    # random try fails and the exhaustive search is over budget
+    a = direct_sum([GENS["1/2"], GENS["3/4"]])[0]
+    b = direct_sum([GENS["1/2/3"], GENS["4"]])[0]
+    with pytest.raises(BoundExceeded,
+                       match="^isomorphism search budget exceeded$"):
+        isomorphism_between(a, b)
 
 
 # -- resolutions and Ext ---------------------------------------------------------

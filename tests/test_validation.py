@@ -8,8 +8,10 @@ full `validate()`.  The second half pins the hom-coordinate read-off of
 `morphism_in_coords` against the linear solve it replaces.
 """
 
+import gc
 import itertools
 import pickle
+import weakref
 from pathlib import Path
 
 import pytest
@@ -223,3 +225,41 @@ def test_module_hash_is_cached_but_not_pickled():
     copy = pickle.loads(pickle.dumps(X))
     assert "_hash" not in copy.__dict__
     assert copy == X and hash(copy) == hash(X)
+
+
+# -- interned modules ------------------------------------------------------------
+
+
+def test_engine_built_modules_are_interned():
+    """Equal modules that the engine builds are one object, and a parsed
+    generator is the canonical module of its value."""
+    assert direct_sum([GENS[0], GENS[1]])[0] is direct_sum([GENS[0], GENS[1]])[0]
+    for g in GENS:
+        assert direct_sum([g])[0] is g
+    # the public constructor after an equal module gives an equal module that
+    # is not the canonical one; the engine still returns the canonical one
+    late = Module(GENS[0].alg, GENS[0].dims, GENS[0].arrow_maps)
+    assert late == GENS[0] and late is not GENS[0]
+    assert direct_sum([late])[0] is GENS[0]
+
+
+def test_intern_table_holds_modules_weakly():
+    # a new algebra object, so a table that no other test has filled
+    alg = AlgebraPresentation(A3, (Relation((1,), (("a", "b"),)),), p=3)
+    parts = [interval_module(alg, 1, 2), interval_module(alg, 3, 3)]
+    m = direct_sum(parts)[0]
+    assert alg._modules()[m.dims, m.arrow_maps] is m
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None
+    assert list(alg._modules().values()) == parts
+
+
+def test_pickled_algebra_carries_no_intern_table():
+    alg = GENS[0].alg
+    assert alg._modules()
+    copy = pickle.loads(pickle.dumps(alg))
+    assert "_module_table" not in copy.__dict__
+    assert copy == alg and hash(copy) == hash(alg)
+    assert "_module_table" not in repr(alg)
