@@ -1267,14 +1267,6 @@ class LocalizedEngine:
 
 
 @memo
-def _inflation_edges(cat: ExCategory, q: IdealQuotient, src: Module,
-                     tgt: Module, dual: bool) -> tuple[ModMorphism, ...]:
-    """The deflations (dual) or inflations src -> tgt of C."""
-    edge = cat.is_deflation if dual else cat.is_inflation
-    return tuple(f for f in enumerate_hom(src, tgt) if edge(f))
-
-
-@memo
 def _tilde_edge_classes(cat: ExCategory, spec: MorphismClassSpec,
                         q: IdealQuotient, X: Module, Y: Module,
                         dual: bool) -> frozenset:
@@ -1291,7 +1283,7 @@ def _tilde_edge_classes(cat: ExCategory, spec: MorphismClassSpec,
             post = member_classes(spec, q, mid_tgt, Y)
             if not post:
                 continue
-            for g in _inflation_edges(cat, q, mid_src, mid_tgt, dual):
+            for g in cat.edges(mid_src, mid_tgt, dual):
                 for sc in sorted(pre):
                     left = q.project(g.compose(q.rep(X, mid_src, sc)))
                     for hc in sorted(post):
@@ -1323,7 +1315,7 @@ def _tilde_c4(cat, spec, q) -> CheckResult:
                 if not adj:
                     continue
                 for far in q.universe:
-                    edges = _inflation_edges(cat, q, mid2, far, False)
+                    edges = cat.edges(mid2, far, False)
                     if not edges:
                         continue
                     target = _tilde_edge_classes(cat, spec, q, g, far, False)
@@ -1350,7 +1342,7 @@ def _tilde_c4(cat, spec, q) -> CheckResult:
                 if not adj:
                     continue
                 for far in q.universe:
-                    edges = _inflation_edges(cat, q, far, mid2, True)
+                    edges = cat.edges(far, mid2, True)
                     if not edges:
                         continue
                     target = _tilde_edge_classes(cat, spec, q, far, g, True)

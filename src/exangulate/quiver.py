@@ -21,12 +21,11 @@ import random
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 from .linalg import (
     Matrix,
-    block_diag,
     column_space_basis,
     enumerate_vectors,
     from_columns,
@@ -39,9 +38,7 @@ from .linalg import (
     rank,
     rref,
     rref_solve,
-    same_column_space,
     solve_unique,
-    vstack,
 )
 
 DECOMPOSE_END_ENUM_LIMIT = 6  # End(M) dimension up to which idempotents are enumerated
@@ -294,6 +291,14 @@ def algebra_dimension(alg: AlgebraPresentation) -> int:
 _new = object.__new__
 
 
+def _unhashed_state(obj) -> dict:
+    """Pickle state without the cached hash: a module's hash covers
+    arrow-name strings, whose hashes differ between interpreter runs."""
+    state = dict(obj.__dict__)
+    state.pop("_hash", None)
+    return state
+
+
 @dataclass(frozen=True, eq=False)
 class Module:
     """Representation of the bound quiver: F_p space at each vertex, matrix per arrow.
@@ -351,11 +356,7 @@ class Module:
         return h
 
     def __getstate__(self) -> dict:
-        # the hash covers arrow-name strings, whose hashes differ between
-        # interpreter runs, so a pickle must not carry it
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+        return _unhashed_state(self)
 
     def validate(self) -> None:
         quiver = self.alg.quiver
@@ -522,7 +523,8 @@ class ModMorphism:
     The public constructor checks ends, shapes and squares;
     `ModMorphism._trusted` skips that for morphisms that are valid by
     construction (composites, sums, multiples, inclusions, projections), and
-    `validate` re-runs the full check.
+    `validate` re-runs the full check.  The hash is kept once computed, as
+    for `Module`.
     """
 
     source: Module
@@ -542,6 +544,16 @@ class ModMorphism:
         d["target"] = target
         d["maps"] = maps
         return f
+
+    def __hash__(self) -> int:
+        d = self.__dict__
+        h = d.get("_hash")
+        if h is None:
+            h = d["_hash"] = hash((self.source, self.target, self.maps))
+        return h
+
+    def __getstate__(self) -> dict:
+        return _unhashed_state(self)
 
     def validate(self) -> None:
         if self.source.alg != self.target.alg:
@@ -769,31 +781,47 @@ def morphism_in_coords(phi: ModMorphism, basis: Sequence[ModMorphism]) -> Matrix
 
 
 def direct_sum(parts: Sequence[Module]) -> tuple[Module, list[ModMorphism], list[ModMorphism]]:
-    """Direct sum with its inclusions and projections."""
+    """Direct sum with its inclusions and projections.
+
+    Every matrix is written entry by entry: an arrow map is the block
+    diagonal of the parts' maps, and the inclusion of a part at a vertex is
+    an identity block between zero rows (its projection, the transpose).
+    """
     if not parts:
         raise ValueError("direct sum of nothing; use zero_module")
     alg = parts[0].alg
     p = alg.p
-    nv = alg.quiver.vertex_count
-    dims = tuple(sum(m.vertex_dim(v) for m in parts) for v in range(1, nv + 1))
+    arrows = alg.quiver.arrows
+    dims = tuple(map(sum, zip(*(m.dims for m in parts))))
     maps = []
-    for k, a in enumerate(alg.quiver.arrows):
-        maps.append(block_diag(p, [m.arrow_maps[k] for m in parts]))
+    for k, a in enumerate(arrows):
+        rows, cols = dims[a.target - 1], dims[a.source - 1]
+        entries = [0] * (rows * cols)
+        r0 = c0 = 0
+        for m in parts:
+            blk = m.arrow_maps[k]
+            br, bc = blk.rows, blk.cols
+            for i in range(br):
+                at = (r0 + i) * cols + c0
+                entries[at:at + bc] = blk.entries[i * bc:(i + 1) * bc]
+            r0 += br
+            c0 += bc
+        maps.append(Matrix._trusted(p, rows, cols, tuple(entries)))
     total = Module._trusted(alg, dims, tuple(maps))
     incls, projs = [], []
-    for idx, m in enumerate(parts):
+    offsets = [0] * len(dims)
+    for m in parts:
         inc_maps, prj_maps = [], []
-        for v in range(1, nv + 1):
-            before = sum(q.vertex_dim(v) for q in parts[:idx])
-            after = sum(q.vertex_dim(v) for q in parts[idx + 1 :])
-            d = m.vertex_dim(v)
-            inc = vstack([
-                Matrix.zeros(p, before, d),
-                Matrix.identity(p, d),
-                Matrix.zeros(p, after, d),
-            ])
-            inc_maps.append(inc)
-            prj_maps.append(inc.transpose())
+        for v, (d, big) in enumerate(zip(m.dims, dims)):
+            off = offsets[v]
+            inc = [0] * (big * d)
+            prj = [0] * (d * big)
+            for i in range(d):
+                inc[(off + i) * d + i] = 1
+                prj[i * big + off + i] = 1
+            inc_maps.append(Matrix._trusted(p, big, d, tuple(inc)))
+            prj_maps.append(Matrix._trusted(p, d, big, tuple(prj)))
+            offsets[v] = off + d
         incls.append(ModMorphism._trusted(m, total, tuple(inc_maps)))
         projs.append(ModMorphism._trusted(total, m, tuple(prj_maps)))
     return total, incls, projs
@@ -1192,6 +1220,17 @@ class ExtElement:
     coords: Matrix
     cocycle: ModMorphism
 
+    def __hash__(self) -> int:
+        d = self.__dict__
+        h = d.get("_hash")
+        if h is None:
+            h = d["_hash"] = hash((self.n, self.end_C, self.end_A,
+                                   self.coords, self.cocycle))
+        return h
+
+    def __getstate__(self) -> dict:
+        return _unhashed_state(self)
+
     @property
     def is_zero(self) -> bool:
         return self.coords.is_zero
@@ -1273,22 +1312,25 @@ def pull_back(delta: ExtElement, c: ModMorphism) -> ExtElement:
 
 
 def _is_exact_sequence(mods: Sequence[Module], maps: Sequence[ModMorphism]) -> bool:
-    """Exactness of 0 -> mods[0] -> ... -> mods[-1] -> 0 via the given maps."""
+    """Exactness of 0 -> mods[0] -> ... -> mods[-1] -> 0 via the given maps.
+
+    Once consecutive composites vanish, the image of each map lies in the
+    kernel of the next, so the sequence is exact at a vertex v of X_k
+    exactly when rank(d_{k-1})_v + rank(d_k)_v = dim(X_k)_v, with zero maps
+    before X_0 and after the last term (this also says the first map is
+    mono and the last one epi).  Each vertex map is ranked once.
+    """
     if len(maps) != len(mods) - 1:
         raise ValueError("need one map per consecutive pair")
     for f, g in zip(maps, maps[1:]):
         if not g.compose(f).is_zero:
             return False
-    if not maps[0].is_mono or not maps[-1].is_epi:
-        return False
-    nv = len(mods[0].dims)
-    for k in range(1, len(mods) - 1):
-        for v in range(1, nv + 1):
-            img = maps[k - 1].map_at(v)
-            ker = kernel_basis(maps[k].map_at(v))
-            kmat = hstack(ker) if ker else Matrix.zeros(img.p, img.rows, 0)
-            if not same_column_space(img, kmat):
-                return False
+    before = (0,) * len(mods[0].dims)
+    for k, m in enumerate(mods):
+        after = tuple(map(rank, maps[k].maps)) if k < len(maps) else (0,) * len(m.dims)
+        if tuple(map(add, before, after)) != m.dims:
+            return False
+        before = after
     return True
 
 

@@ -1,14 +1,19 @@
 """Tests for the extension-structure layer: realizations, exangle checks,
 cones, lifts, inflations and the axiom suite."""
 
+import dataclasses
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
+import exact_reference
 import exangulate.exangulated as exangulated
+from exangulate.cli import build_category, parse_input
 from exangulate.exangulated import (
     CheckResult,
+    ExangleFailure,
     ExCategory,
     NExangle,
     Subcategory,
@@ -23,7 +28,7 @@ from exangulate.exangulated import (
     mapping_cone,
     realize,
 )
-from exangulate.linalg import Matrix
+from exangulate.linalg import Matrix, rank
 from exangulate.quiver import (
     AlgebraPresentation,
     Arrow,
@@ -43,6 +48,7 @@ from exangulate.quiver import (
     yoneda_class,
     zero_module,
     zero_morphism,
+    _is_exact_sequence,
 )
 
 A4 = Quiver(4, (Arrow("a", 1, 2), Arrow("b", 2, 3), Arrow("c", 3, 4)))
@@ -54,6 +60,8 @@ SPANS = {"4": (4, 4), "3/4": (3, 4), "2/3/4": (2, 4), "1/2/3": (1, 3),
 GENS = [interval_module(ALG, *SPANS[lab]) for lab in LABELS]
 
 CAT = ExCategory(ALG, 2, GENS, labels=LABELS, multiplicity_bound=2)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def gen(label):
@@ -177,6 +185,47 @@ def test_printed_sequence_is_not_an_exangle():
     assert LABELS[first.tester] == "3/4"
     assert first.reason == "homology"
     assert len(verdict.failures) == 3
+
+
+def failures_ranking_per_slot(engine, cx):
+    """The per-slot form of `exangle_failures`: the same loops and order,
+    with two ranks per slot."""
+    n = len(cx.terms) - 2
+    out = []
+    for variance in ("contravariant", "covariant"):
+        for slot in range(1, n + 2):
+            position = slot if variance == "contravariant" else n + 1 - slot
+            for ti, tester in enumerate(engine.generators):
+                dims, maps = engine._hom_sequence(cx, tester, variance)
+                incoming, outgoing = maps[slot - 1], maps[slot]
+                if not (outgoing @ incoming).is_zero:
+                    out.append(ExangleFailure(variance, position, ti, "not a complex"))
+                elif rank(incoming) != dims[slot] - rank(outgoing):
+                    out.append(ExangleFailure(variance, position, ti, "homology"))
+    return out
+
+
+def test_exangle_failures_rank_each_map_once(monkeypatch):
+    """Realizations relabelled with every class of the same ends fail in
+    both ways; the failures and their order are those of the per-slot
+    ranking, and each Hom sequence of n + 2 maps costs n + 2 ranks."""
+    reasons = set()
+    for C in GENS:
+        for A in GENS:
+            classes = CAT.ext_elements(C, A)
+            for delta in classes:
+                X = CAT.realize(delta)
+                for other in classes:
+                    cx = NExangle(X.terms, X.diffs, other)
+                    got = list(exangulated.exangle_failures(CAT, cx))
+                    assert got == failures_ranking_per_slot(CAT, cx)
+                    reasons.update(f.reason for f in got)
+    assert reasons == {"not a complex", "homology"}
+    ranked = []
+    monkeypatch.setattr(exangulated, "rank",
+                        lambda m: ranked.append(m) or rank(m))
+    assert list(exangulated.exangle_failures(CAT, printed_sequence()))
+    assert len(ranked) == 2 * len(GENS) * (CAT.n + 2)
 
 
 def test_corrected_sequence_is_an_exangle():
@@ -563,3 +612,83 @@ def test_cocone_realizes_the_signed_pull_back(n, spans):
     assert pulled != -pulled
     want = pulled if cocone_sign(n) > 0 else -pulled
     assert yoneda_class(list(terms), list(diffs)) == want
+
+
+# -- exactness by rank count ------------------------------------------------------
+
+
+def fresh_category(path, prime):
+    """A new category from an input file, so no engine cache is warm."""
+    cfg = parse_input((ROOT / path).read_text(encoding="utf-8"))
+    return build_category(dataclasses.replace(cfg, prime=prime))
+
+
+def perturbations(mods, maps):
+    """Copies of an exact sequence that break it in one way each, plus every
+    other complex through the same terms that changes one middle map."""
+    last = len(maps) - 1
+    if not mods[0].is_zero:
+        yield "first not mono", [zero_morphism(mods[0], mods[1])] + maps[1:]
+    if not mods[-1].is_zero:
+        yield "last not epi", maps[:-1] + [zero_morphism(mods[-2], mods[-1])]
+    for k in range(last):
+        for h in hom_basis(mods[k + 1], mods[k + 2]):
+            if not h.compose(maps[k]).is_zero:
+                yield "not a complex", maps[:k + 1] + [maps[k + 1] + h] + maps[k + 2:]
+                break
+    for k in range(1, last):
+        for g in enumerate_hom(mods[k], mods[k + 1])[:16]:
+            if (g.compose(maps[k - 1]).is_zero
+                    and maps[k + 1].compose(g).is_zero):
+                yield "middle map", maps[:k] + [g] + maps[k + 1:]
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+@pytest.mark.parametrize("path", ["bench/inputs/a3-rad2.exg",
+                                  "fixtures/a4-cluster.exg"])
+def test_rank_count_exactness_agrees_with_the_kernel_reference(
+        monkeypatch, path, prime):
+    """Every sequence that the realization search and the C3/C3' cone and
+    cocone tests ask about, and broken copies of the realizations, are exact
+    by rank count exactly when the image of each map is the kernel of the
+    next."""
+    seen = {}
+    exact = _is_exact_sequence
+
+    def recorded(mods, maps):
+        got = exact(mods, maps)
+        seen.setdefault((tuple(mods), tuple(maps)), got)
+        return got
+
+    monkeypatch.setattr("exangulate.quiver._is_exact_sequence", recorded)
+    cat = fresh_category(path, prime)
+    assert check_c1(cat).passed
+    assert check_c3(cat, False).passed and check_c3(cat, True).passed
+    assert len(seen) > 100
+    for (mods, maps), got in seen.items():
+        assert exact_reference.is_exact_sequence(mods, maps) == got
+    broken = {}
+    for (mods, maps), got in list(seen.items()):
+        if not got:
+            continue
+        for kind, changed in perturbations(list(mods), list(maps)):
+            got = exact(list(mods), changed)
+            assert exact_reference.is_exact_sequence(list(mods), changed) == got
+            broken.setdefault(kind, set()).add(got)
+    assert broken == {"first not mono": {False}, "last not epi": {False},
+                      "not a complex": {False}, "middle map": {True, False}}
+
+
+# -- the edge table --------------------------------------------------------------
+
+
+def test_edge_table_is_the_filtered_hom_enumeration():
+    cat = fresh_category("bench/inputs/a3-rad2.exg", 2)
+    universe = [cat.materialize(ms) for ms in cat.endpoint_multisets()]
+    for X in universe:
+        for Y in universe:
+            homs = enumerate_hom(X, Y)
+            assert list(cat.edges(X, Y, False)) == [f for f in homs if cat.is_inflation(f)]
+            assert list(cat.edges(X, Y, True)) == [f for f in homs if cat.is_deflation(f)]
+    # the C4 count of the bench input's golden output
+    assert cat._check_c4() == CheckResult("C4", True, None, 458)

@@ -759,6 +759,16 @@ def test_localize_trivial_is_exangulated():
     assert rep.checks["C3'"].checked == 333
 
 
+def test_localized_c4_reads_the_edge_table():
+    """Localized C4 reads its realized edges from `ExCategory.edges`, the
+    table that C4 of the category itself fills; the counts are the bench
+    input's golden ones."""
+    cat = a3_rad2_quotient().base
+    assert cat._check_c4().checked == 458
+    rep = localize(cat, ISO, [])
+    assert rep.checks["C4"] == CheckResult("C4", True, None, 1810)
+
+
 def test_localize_projinj_fails_weak_kc():
     rep = localize(CAT, ISO, [2, 3])
     assert rep.verdict == "fails weak-kc"

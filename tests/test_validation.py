@@ -18,7 +18,7 @@ import pytest
 
 import exangulate.quiver as quiver
 from exangulate.cli import build_category, parse_input
-from exangulate.linalg import Matrix, hstack, solve_unique
+from exangulate.linalg import Matrix, block_diag, hstack, solve_unique
 from exangulate.quiver import (
     AlgebraPresentation,
     Arrow,
@@ -32,6 +32,7 @@ from exangulate.quiver import (
     decompose,
     direct_sum,
     enumerate_hom,
+    ext_group,
     hom_basis,
     hom_coords,
     identity_morphism,
@@ -39,6 +40,7 @@ from exangulate.quiver import (
     interval_module,
     kernel_module,
     morphism_in_coords,
+    zero_module,
     zero_morphism,
 )
 
@@ -123,6 +125,30 @@ def test_direct_sums_and_block_morphisms_validate():
         for f in hom_basis(X, Y):
             blocks[1][0] = f
         full_check(block_morphism([X, Y], [X, Y], blocks))
+
+
+@pytest.mark.parametrize("gens", [GENS, GENS3], ids=["a4-p2", "a3-p3"])
+def test_direct_sum_matrices_are_the_block_matrices(gens):
+    """The entry-by-entry sum against block matrices, on parts with
+    zero-dimensional vertices (every interval module but one, and the zero
+    module), including a repeated part."""
+    zero = zero_module(gens[0].alg)
+    part_lists = [[X, Y] for X, Y in pairs(gens)]
+    part_lists += [[gens[0], zero, gens[-1], gens[0]], [zero], [zero, gens[1]]]
+    for parts in part_lists:
+        total, incls, projs = direct_sum(parts)
+        full_check(total, incls, projs)
+        p = total.alg.p
+        for k, a in enumerate(total.arrow_maps):
+            assert a == block_diag(p, [m.arrow_maps[k] for m in parts])
+        for i, prj in enumerate(projs):
+            for j, inc in enumerate(incls):
+                want = (identity_morphism(parts[i]) if i == j
+                        else zero_morphism(parts[j], parts[i]))
+                assert prj.compose(inc) == want
+        assert combine(total, total, [inc.compose(prj) for inc, prj
+                                      in zip(incls, projs)],
+                       [1] * len(parts)) == identity_morphism(total)
 
 
 def test_kernels_images_cokernels_validate():
@@ -225,6 +251,23 @@ def test_module_hash_is_cached_but_not_pickled():
     copy = pickle.loads(pickle.dumps(X))
     assert "_hash" not in copy.__dict__
     assert copy == X and hash(copy) == hash(X)
+
+
+def test_morphism_and_class_hashes_are_cached_but_not_pickled():
+    """As for modules: a morphism's and an extension class's hash covers
+    the arrow names of their modules, so it is kept but not pickled."""
+    f = next(f for X, Y in pairs(GENS) for f in hom_basis(X, Y))
+    C, A = next((C, A) for C, A in pairs(GENS)
+                if ext_group(GENS[0].alg, 2, C, A).dim)
+    delta = ext_group(GENS[0].alg, 2, C, A).basis()[0]
+    for x in (f, delta):
+        assert hash(x) == hash(x)
+        assert "_hash" in x.__dict__
+        copy = pickle.loads(pickle.dumps(x))
+        assert "_hash" not in copy.__dict__
+        assert copy == x and hash(copy) == hash(x)
+    copy = pickle.loads(pickle.dumps(delta))
+    assert "_hash" not in copy.cocycle.__dict__
 
 
 # -- interned modules ------------------------------------------------------------
