@@ -68,6 +68,7 @@ from .quiver import (
 
 HOM_ENUM_LIMIT = 4096   # largest hom space enumerated element by element
 LIFT_ENUM_LIMIT = 4096  # largest affine space of lifts searched for a good lift
+ENDPOINT_SUMMANDS = 2   # most generator summands of an object of the universe
 
 
 def memo(fn: Callable) -> Callable:
@@ -267,13 +268,24 @@ class ExCategory:
             return zero_module(self.alg)
         return direct_sum([self.generators[i] for i in key])[0]
 
-    def endpoint_multisets(self, max_summands: int = 2) -> list[tuple[int, ...]]:
-        """Zero, generators, and sums of up to max_summands generators."""
+    def endpoint_multisets(self) -> list[tuple[int, ...]]:
+        """Zero, generators, and sums of up to ENDPOINT_SUMMANDS generators."""
         out: list[tuple[int, ...]] = [()]
         k = len(self.generators)
-        for size in range(1, max_summands + 1):
+        for size in range(1, ENDPOINT_SUMMANDS + 1):
             out.extend(itertools.combinations_with_replacement(range(k), size))
         return out
+
+    @functools.cached_property
+    def universe(self) -> tuple[Module, ...]:
+        """The bounded object universe of C4, WIC and the localization: the
+        modules of `endpoint_multisets`, in that order."""
+        return tuple(self.materialize(ms) for ms in self.endpoint_multisets())
+
+    def outer_ends(self) -> list[tuple[int, Module]]:
+        """The objects C4 starts (dually ends) at, with their generator
+        indices: every generator."""
+        return list(enumerate(self.generators))
 
     def completion_multisets(self) -> list[tuple[int, ...]]:
         """All generator multisets within the multiplicity bound, by total dim."""
@@ -691,6 +703,16 @@ class ExCategory:
         edge = self.is_deflation if dual else self.is_inflation
         return tuple(f for f in enumerate_hom(src, tgt) if edge(f))
 
+    # C4's far factors are the edges themselves; its witnesses say "inflations"
+    far_factors = edges
+    edge_qualifier = ""
+
+    @memo
+    def edge_classes(self, src: Module, tgt: Module, dual: bool) -> frozenset:
+        """The `hom_coords` of `edges`: whether a map src -> tgt is an
+        inflation (dual: a deflation) is membership here."""
+        return frozenset(self.hom_coords(f) for f in self.edges(src, tgt, dual))
+
     def _resolvable(self, w: Module, steps: int, dual: bool) -> bool:
         """0 -> w -> Z_1 -> ... -> Z_steps -> 0 exact with Z_i in the
         subcategory (dual: 0 -> Z_steps -> ... -> Z_1 -> w -> 0).  Decided
@@ -720,13 +742,10 @@ class ExCategory:
         for nex in self._table.values():
             if nex.diffs[position] == f:
                 return True
-        # canonical splits over the endpoint universe
-        for ms_a in self.endpoint_multisets():
-            for ms_c in self.endpoint_multisets():
-                A = self.materialize(ms_a)
-                C = self.materialize(ms_c)
-                space = self.ext(C, A)
-                split = self.split_realization(space.zero())
+        # canonical splits over the universe
+        for A in self.universe:
+            for C in self.universe:
+                split = self.split_realization(self.ext(C, A).zero())
                 if split.diffs[position] == f:
                     return True
         return False
@@ -745,71 +764,26 @@ class ExCategory:
                 f"{self.format_object(delta.end_A)}) coords "
                 f"{delta.coords.col_list(0)}")
 
-    def _check_c4(self) -> CheckResult:
-        """Compositions of inflations are inflations; dually for deflations.
-
-        Bounded enumeration: one outer end runs over the generators (the source
-        for inflations, the target for deflations), every other object over
-        sums of at most two generators.
-        """
-        mids = [self.materialize(ms) for ms in self.endpoint_multisets()]
-        checked = 0
-        for gi, g in enumerate(self.generators):
-            for mid in mids:
-                first = self.edges(g, mid, False)
-                if not first:
-                    continue
-                for far in mids:
-                    second = self.edges(mid, far, False)
-                    for f in first:
-                        for t in second:
-                            checked += 1
-                            if not self.is_inflation(t.compose(f)):
-                                return CheckResult(
-                                    "C4", False,
-                                    "inflations "
-                                    f"{self.labels[gi]} -> {self.format_object(mid)} -> "
-                                    f"{self.format_object(far)} compose to a "
-                                    "non-inflation",
-                                    checked)
-        for gi, g in enumerate(self.generators):
-            for mid in mids:
-                second = self.edges(mid, g, True)
-                if not second:
-                    continue
-                for far in mids:
-                    first = self.edges(far, mid, True)
-                    for f in first:
-                        for t in second:
-                            checked += 1
-                            if not self.is_deflation(t.compose(f)):
-                                return CheckResult(
-                                    "C4", False,
-                                    "deflations "
-                                    f"{self.format_object(far)} -> "
-                                    f"{self.format_object(mid)} -> {self.labels[gi]} "
-                                    "compose to a non-deflation",
-                                    checked)
-        return CheckResult("C4", True, None, checked)
-
     def _check_wic(self) -> CheckResult:
         """Weak cancellation: a composite deflation forces its second factor to
-        be a deflation, a composite inflation its first factor an inflation."""
-        mids = [self.materialize(ms) for ms in self.endpoint_multisets()]
+        be a deflation, a composite inflation its first factor an inflation.
+        Membership in `edge_classes` decides both, as in C4."""
         checked = 0
         for gi, g in enumerate(self.generators):
-            homs_from_g = [enumerate_hom(g, mid) for mid in mids]
+            homs_from_g = [enumerate_hom(g, mid) for mid in self.universe]
             for hj, h in enumerate(self.generators):
-                for mid, all_first in zip(mids, homs_from_g):
+                infl, defl = (self.edge_classes(g, h, dual)
+                              for dual in (False, True))
+                for mid, all_first in zip(self.universe, homs_from_g):
                     all_second = enumerate_hom(mid, h)
                     monos = [f for f in all_first if f.is_mono]
                     epis = [t for t in all_second if t.is_epi]
                     for f in monos:
                         for t in all_second:
-                            comp = t.compose(f)
-                            if self.is_inflation(comp):
+                            if self.hom_coords(t.compose(f)) in infl:
                                 checked += 1
-                                if not self.is_inflation(f):
+                                if (self.hom_coords(f)
+                                        not in self.edge_classes(g, mid, False)):
                                     return CheckResult(
                                         "WIC", False,
                                         f"composite {self.labels[gi]} -> "
@@ -818,10 +792,10 @@ class ExCategory:
                                         checked)
                     for t in epis:
                         for f in all_first:
-                            comp = t.compose(f)
-                            if self.is_deflation(comp):
+                            if self.hom_coords(t.compose(f)) in defl:
                                 checked += 1
-                                if not self.is_deflation(t):
+                                if (self.hom_coords(t)
+                                        not in self.edge_classes(mid, h, True)):
                                     return CheckResult(
                                         "WIC", False,
                                         f"composite {self.labels[gi]} -> "
@@ -838,12 +812,12 @@ class ExCategory:
         out["C2'"] = check_c2(self, dual=True)
         out["C3"] = check_c3(self, dual=False)
         out["C3'"] = check_c3(self, dual=True)
-        out["C4"] = self._check_c4()
+        out["C4"] = check_c4(self)
         out["WIC"] = self._check_wic()
         return out
 
 
-# -- C1-C3' and the exangle test, shared with the localized engine ------------
+# -- C1-C4 and the exangle test, shared with the localized engine -------------
 #
 # These run on an engine: `ExCategory`, or `localization.LocalizedEngine`.
 # An engine has `n`, `generators` and `labels`, and these primitives:
@@ -865,6 +839,15 @@ class ExCategory:
 #                        class: `homotopy_equivalent`, except on the
 #                        cluster-tilting backend and for defective declared
 #                        entries (see `ExCategory.is_distinguished`)
+#
+# and, for C4 (see `check_c4`):
+#
+#   universe             the bounded objects, `ExCategory.universe`
+#   outer_ends()         (index, generator) pairs C4 starts (dually ends) at
+#   edges(X, Y, dual)    the inflations X -> Y (dual: deflations), as maps
+#   far_factors(X, Y, dual)  the second (dual: first) factors of a composite
+#   edge_classes(X, Y, dual) the hom_coords of every inflation (deflation)
+#   format_object(X), edge_qualifier   X and the edges in words
 #
 # Each engine carries `_memo = defaultdict(dict)` for `memo`.
 
@@ -1031,6 +1014,49 @@ def check_c3(engine, dual: bool) -> CheckResult:
                                 f"{'pull-back' if dual else 'push-forward'} to "
                                 f"{engine.labels[bi]}: {why}", checked)
     return CheckResult(name, True, None, checked)
+
+
+def check_c4(engine) -> CheckResult:
+    """Composites of inflations are inflations; dually for deflations
+    ((EA1) of Herschend-Liu-Nakaoka, "n-exangulated categories (I)").
+
+    Bounded enumeration: one outer end runs over `outer_ends` (the source
+    for inflations, the target for deflations), the middle and far objects
+    over the universe.  The factor at the outer end is an edge, the other a
+    far factor, and the composite passes when its coordinates are an edge
+    class.  The inflation half runs first.
+    """
+    checked = 0
+    for dual in (False, True):
+        kind = "deflation" if dual else "inflation"
+
+        def way(a, b):
+            """The ends of a map from a towards b: reversed when dual."""
+            return (b, a) if dual else (a, b)
+
+        for gi, g in engine.outer_ends():
+            for mid in engine.universe:
+                near = engine.edges(*way(g, mid), dual)
+                if not near:
+                    continue
+                for far in engine.universe:
+                    fars = engine.far_factors(*way(mid, far), dual)
+                    if not fars:
+                        continue
+                    target = engine.edge_classes(*way(g, far), dual)
+                    for f in near:
+                        for t in fars:
+                            checked += 1
+                            comp = f.compose(t) if dual else t.compose(f)
+                            if engine.hom_coords(comp) not in target:
+                                path = (engine.labels[gi], engine.format_object(mid),
+                                        engine.format_object(far))[::-1 if dual else 1]
+                                return CheckResult(
+                                    "C4", False,
+                                    f"{engine.edge_qualifier}{kind}s "
+                                    f"{' -> '.join(path)} compose to a non-{kind}",
+                                    checked)
+    return CheckResult("C4", True, None, checked)
 
 
 # -- complex operations shared with the localized engine ----------------------

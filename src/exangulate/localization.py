@@ -34,9 +34,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exangulated import (BoundExceeded, CheckResult, ExCategory, NExangle,
-                          check_c1, check_c2, check_c3, cone, enumerate_lifts,
-                          homotopy_equivalent, memo, realization_is_exangle)
+from .exangulated import (ENDPOINT_SUMMANDS, BoundExceeded, CheckResult,
+                          ExCategory, NExangle, check_c1, check_c2, check_c3,
+                          check_c4, cone, enumerate_lifts, homotopy_equivalent,
+                          memo, realization_is_exangle)
 from .linalg import (Matrix, column_space_basis, enumerate_vectors,
                      from_columns, hstack, kernel_basis, quotient_with_section,
                      rank, rref_solve, vstack)
@@ -96,8 +97,7 @@ class IdealQuotient:
         self.p = base.alg.p
         self.nf_indices = idx
         self.nf_gens = tuple(base.generators[i] for i in idx)
-        self.universe = tuple(base.materialize(ms)
-                              for ms in base.endpoint_multisets())
+        self.universe = base.universe
         self._memo: defaultdict = defaultdict(dict)
 
     @property
@@ -1174,7 +1174,7 @@ def _kc_fractions(cat, spec, q, nex):
 
 class LocalizedEngine:
     """The localized category in iso mode, as an engine of the shared
-    C1-C3' drivers (`exangulated.check_c1` and on).  Its classes are the
+    C1-C4 drivers (`exangulated.check_c1` and on).  Its classes are the
     identity roofs over E-bar(C, A), its complexes `TableComplex`es that
     carry their roof, and a complex is distinguished when it is homotopy
     equivalent in C-bar to the realization of its class
@@ -1185,6 +1185,7 @@ class LocalizedEngine:
         self.cat, self.spec, self.q = cat, spec, q
         self.n, self.generators, self.labels = cat.n, cat.generators, cat.labels
         self.hom_coords, self.hom_width = q.project, q.qdim
+        self.universe, self.format_object = q.universe, cat.format_object
         self._memo: defaultdict = defaultdict(dict)
 
     def _ebar(self, roof: Roof) -> EbarSpace:
@@ -1265,119 +1266,74 @@ class LocalizedEngine:
         return homotopy_equivalent(self, cx, self.realize(cx.roof),
                                    realization_is_exangle(self, cx.roof))
 
+    # -- C4: localized inflations are F-member conjugates of realized edges
 
-@memo
-def _tilde_edge_classes(cat: ExCategory, spec: MorphismClassSpec,
-                        q: IdealQuotient, X: Module, Y: Module,
-                        dual: bool) -> frozenset:
-    """Classes X -> Y that are inflations (dual: deflations) of the localized
-    structure: F-member conjugates of realized edges.  Post-isomorphism
-    orbits are materialized, so membership tests against these sets may drop
-    any leading isomorphism factor."""
-    out = set()
-    for mid_src in q.universe:
-        pre = member_classes(spec, q, X, mid_src)
-        if not pre:
-            continue
-        for mid_tgt in q.universe:
-            post = member_classes(spec, q, mid_tgt, Y)
-            if not post:
-                continue
-            for g in cat.edges(mid_src, mid_tgt, dual):
-                for sc in sorted(pre):
-                    left = q.project(g.compose(q.rep(X, mid_src, sc)))
-                    for hc in sorted(post):
-                        out.add(q.compose_classes(X, mid_tgt, Y, left, hc))
-    return frozenset(out)
+    edge_qualifier = "localized "
 
+    def outer_ends(self) -> list[tuple[int, Module]]:
+        """The generators that stay nonzero in the quotient."""
+        return [(i, g) for i, g in enumerate(self.generators)
+                if any(self.q.identity_class(g))]
 
-def _survivors(q: IdealQuotient) -> list[tuple[int, Module]]:
-    """Generators that stay nonzero in the quotient."""
-    return [(i, g) for i, g in enumerate(q.base.generators)
-            if any(q.identity_class(g))]
+    def edges(self, X: Module, Y: Module, dual: bool) -> list[ModMorphism]:
+        return [self.q.rep(X, Y, c) for c in sorted(self.edge_classes(X, Y, dual))]
 
+    def far_factors(self, X: Module, Y: Module, dual: bool) -> list[ModMorphism]:
+        """Realized edges with an F-member factor at the end they share with
+        the near factor: e . m over m: X -> Z (dual: m . e over m: Z -> Y).
+        Built afresh for each use, not kept."""
+        out = []
+        for Z, members in self._members_at(Y if dual else X, dual):
+            edges = self.cat.edges(*((X, Z) if dual else (Z, Y)), dual)
+            for m in members:
+                out.extend(m.compose(e) if dual else e.compose(m) for e in edges)
+        return out
 
-def _tilde_c4(cat, spec, q) -> CheckResult:
-    """Composites of localized inflations are localized inflations, dually
-    for deflations.  Outer ends run over surviving generators, the middle
-    over the universe; second factors are enumerated as realized edges with
-    an F-member adjustment (post-isomorphism factors drop out of the
-    membership test)."""
-    checked = 0
-    survivors = _survivors(q)
-    for gi, g in survivors:
-        for mid in q.universe:
-            first = _tilde_edge_classes(cat, spec, q, g, mid, False)
-            if not first:
-                continue
-            for mid2 in q.universe:
-                adj = member_classes(spec, q, mid, mid2)
-                if not adj:
-                    continue
-                for far in q.universe:
-                    edges = cat.edges(mid2, far, False)
-                    if not edges:
-                        continue
-                    target = _tilde_edge_classes(cat, spec, q, g, far, False)
-                    for fc in sorted(first):
-                        for sc in sorted(adj):
-                            left = q.compose_classes(g, mid, mid2, fc, sc)
-                            for edge in edges:
-                                checked += 1
-                                comp = q.project(
-                                    edge.compose(q.rep(g, mid2, left)))
-                                if comp not in target:
-                                    return CheckResult(
-                                        "C4", False,
-                                        f"localized inflations {cat.labels[gi]} "
-                                        f"-> {q.fmt(mid)} -> {q.fmt(far)} "
-                                        "compose to a non-inflation", checked)
-    for gi, g in survivors:
-        for mid in q.universe:
-            second = _tilde_edge_classes(cat, spec, q, mid, g, True)
-            if not second:
-                continue
-            for mid2 in q.universe:
-                adj = member_classes(spec, q, mid2, mid)
-                if not adj:
-                    continue
-                for far in q.universe:
-                    edges = cat.edges(far, mid2, True)
-                    if not edges:
-                        continue
-                    target = _tilde_edge_classes(cat, spec, q, far, g, True)
-                    for sc in sorted(second):
-                        for ac in sorted(adj):
-                            right = q.compose_classes(mid2, mid, g, ac, sc)
-                            for edge in edges:
-                                checked += 1
-                                comp = q.project(
-                                    q.rep(mid2, g, right).compose(edge))
-                                if comp not in target:
-                                    return CheckResult(
-                                        "C4", False,
-                                        f"localized deflations {q.fmt(far)} "
-                                        f"-> {q.fmt(mid)} -> {cat.labels[gi]} "
-                                        "compose to a non-deflation", checked)
-    return CheckResult("C4", True, None, checked)
+    @memo
+    def _members_at(self, X: Module, dual: bool) -> list:
+        """(Z, F-member representatives X -> Z; dual: Z -> X) for every Z of
+        the universe that has one."""
+        out = []
+        for Z in self.universe:
+            ends = (Z, X) if dual else (X, Z)
+            members = member_classes(self.spec, self.q, *ends)
+            if members:
+                out.append((Z, [self.q.rep(*ends, c) for c in sorted(members)]))
+        return out
+
+    @memo
+    def edge_classes(self, X: Module, Y: Module, dual: bool) -> frozenset:
+        """Classes X -> Y that are inflations (dual: deflations) of the
+        localized structure: F-member conjugates h . e . s of realized edges
+        e.  Post-isomorphism orbits are materialized, so membership tests
+        against these sets may drop any leading isomorphism factor."""
+        out = set()
+        for Z, pre in self._members_at(X, False):
+            for W, post in self._members_at(Y, True):
+                for e in self.cat.edges(Z, W, dual):
+                    for s in pre:
+                        es = e.compose(s)
+                        out.update(self.q.project(h.compose(es)) for h in post)
+        return frozenset(out)
 
 
-def _tilde_wic(cat, spec, q) -> CheckResult:
+def _tilde_wic(eng: LocalizedEngine) -> CheckResult:
     """Weak cancellation in the localized structure: if some composite
     through a factor class is a localized inflation, the first factor must
     be one (dually for deflations and second factors)."""
+    q, labels = eng.q, eng.labels
     checked = 0
-    survivors = _survivors(q)
+    survivors = eng.outer_ends()
     for gi, g in survivors:
         for hj, h in survivors:
-            infl_tot = _tilde_edge_classes(cat, spec, q, g, h, False)
-            defl_tot = _tilde_edge_classes(cat, spec, q, g, h, True)
+            infl_tot = eng.edge_classes(g, h, False)
+            defl_tot = eng.edge_classes(g, h, True)
             if not infl_tot and not defl_tot:
                 continue
             for mid in q.universe:
-                infl_first = (_tilde_edge_classes(cat, spec, q, g, mid, False)
+                infl_first = (eng.edge_classes(g, mid, False)
                               if infl_tot else frozenset())
-                defl_second = (_tilde_edge_classes(cat, spec, q, mid, h, True)
+                defl_second = (eng.edge_classes(mid, h, True)
                                if defl_tot else frozenset())
                 for sc in q.classes(mid, h):
                     lhs = _post(q, g, q.rep(mid, h, sc))
@@ -1392,8 +1348,8 @@ def _tilde_wic(cat, spec, q) -> CheckResult:
                             if fc not in infl_first:
                                 return CheckResult(
                                     "WIC", False,
-                                    f"composite {cat.labels[gi]} -> "
-                                    f"{q.fmt(mid)} -> {cat.labels[hj]} is a "
+                                    f"composite {labels[gi]} -> "
+                                    f"{q.fmt(mid)} -> {labels[hj]} is a "
                                     "localized inflation but its first "
                                     "factor is not", checked)
                     if defl_tot and sc not in defl_second:
@@ -1403,8 +1359,8 @@ def _tilde_wic(cat, spec, q) -> CheckResult:
                                 checked += 1
                                 return CheckResult(
                                     "WIC", False,
-                                    f"composite {cat.labels[gi]} -> "
-                                    f"{q.fmt(mid)} -> {cat.labels[hj]} is a "
+                                    f"composite {labels[gi]} -> "
+                                    f"{q.fmt(mid)} -> {labels[hj]} is a "
                                     "localized deflation but its second "
                                     "factor is not", checked)
                     elif defl_tot:
@@ -1559,7 +1515,7 @@ def localize(cat: ExCategory, spec: MorphismClassSpec,
     q = IdealQuotient(cat, nf_indices)
     bounds = {
         "multiplicity": cat.objects.multiplicity_bound,
-        "endpoint_summands": 2,
+        "endpoint_summands": ENDPOINT_SUMMANDS,
         "path_length": cat.alg.path_length_bound,
     }
     checks: dict[str, CheckResult] = {}
@@ -1602,8 +1558,8 @@ def localize(cat: ExCategory, spec: MorphismClassSpec,
                 "internal inconsistency: the weak kernel-cokernel criterion "
                 "and the localized axiom checks disagree")
         if first_fail is None:
-            checks["C4"] = _tilde_c4(cat, spec, q)
-            checks["WIC"] = _tilde_wic(cat, spec, q)
+            checks["C4"] = check_c4(eng)
+            checks["WIC"] = _tilde_wic(eng)
         else:
             skipped["C4"] = "not checked (weak-kc already failed)"
             skipped["WIC"] = "not checked (weak-kc already failed)"

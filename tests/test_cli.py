@@ -348,6 +348,50 @@ def test_a2_at_p3_is_1_exangulated(capsys, tmp_path, command, verdict):
     assert f"verdict: {verdict}" in out
 
 
+A3_MB1_CHECK = """\
+C1: pass (17 checks)
+C2: pass (4 checks)
+C2': pass (4 checks)
+C3: pass (98 checks)
+C3': pass (98 checks)
+C4: FAIL — inflations 3 -> 2/3 -> 2/3 + 1/2 compose to a non-inflation (20 checks)
+WIC: FAIL — composite 3 -> 2/3 + 1/2 -> 2/3 is an inflation but its first factor is not (45 checks)
+verdict: core axiom C4 fails
+"""
+
+A3_MB1_LOCALIZE = """\
+nf: (empty)
+mode: iso
+M0: pass (218 checks)
+MR1: pass (4532 checks)
+MR2: pass (4532 checks)
+MR3: pass (17 checks)
+weak-kc: pass (272 checks)
+C1: pass (17 checks)
+C2: pass (4 checks)
+C2': pass (4 checks)
+C3: pass (98 checks)
+C3': pass (98 checks)
+C4: FAIL — localized inflations 3 -> 2/3 -> 2/3 + 1/2 compose to a non-inflation (20 checks)
+WIC: FAIL — composite 3 -> 2/3 + 1/2 -> 2/3 is a localized inflation but its first factor is not (28 checks)
+equivalence: pass (95 checks)
+functor: pass (441 checks)
+verdict: weakly 2-exangulated
+"""
+
+
+@pytest.mark.parametrize("command, code, expected", [
+    ("check", 20, A3_MB1_CHECK), ("localize", 10, A3_MB1_LOCALIZE)])
+def test_c4_and_wic_witnesses_at_multiplicity_one(capsys, command, code,
+                                                  expected):
+    """At multiplicity bound one the bench input's 2/3 + 1/2 has no
+    completion, so C4 and WIC fail on both engines; the witnesses and
+    their check counts are pinned."""
+    got = run([command, str(BENCH / "inputs" / "a3-rad2.exg"),
+               "--multiplicity-bound", "1"], capsys)
+    assert got[:2] == (code, expected)
+
+
 def test_verbose_lists_every_kc_class(capsys):
     code, out, _ = run(["localize", CLUSTER, "--verbose"], capsys)
     assert code == 20

@@ -19,6 +19,7 @@ from exangulate.exangulated import (
     Subcategory,
     check_c1,
     check_c3,
+    check_c4,
     check_core_axioms,
     cocone_sign,
     cone,
@@ -410,7 +411,7 @@ def test_inflations_and_deflations():
 def test_every_mono_in_universe_is_an_inflation():
     """At multiplicity bound two the subcategory is closed enough that every
     injective map is an inflation and every surjective map a deflation."""
-    mids = [CAT.materialize(ms) for ms in CAT.endpoint_multisets()]
+    mids = CAT.universe
     rng = random.Random(91)
     picks = [(rng.randrange(len(mids)), rng.randrange(len(mids)))
              for _ in range(40)]
@@ -684,11 +685,22 @@ def test_rank_count_exactness_agrees_with_the_kernel_reference(
 
 def test_edge_table_is_the_filtered_hom_enumeration():
     cat = fresh_category("bench/inputs/a3-rad2.exg", 2)
-    universe = [cat.materialize(ms) for ms in cat.endpoint_multisets()]
-    for X in universe:
-        for Y in universe:
+    for X in cat.universe:
+        for Y in cat.universe:
             homs = enumerate_hom(X, Y)
             assert list(cat.edges(X, Y, False)) == [f for f in homs if cat.is_inflation(f)]
             assert list(cat.edges(X, Y, True)) == [f for f in homs if cat.is_deflation(f)]
     # the C4 count of the bench input's golden output
-    assert cat._check_c4() == CheckResult("C4", True, None, 458)
+    assert check_c4(cat) == CheckResult("C4", True, None, 458)
+
+
+def test_c4_deflation_witness_at_multiplicity_one():
+    """With no inflations at all, C4 reaches its deflation half, which fails
+    at multiplicity bound one on the bench input."""
+    cfg = parse_input((ROOT / "bench/inputs/a3-rad2.exg").read_text())
+    cat = build_category(dataclasses.replace(cfg, multiplicity=1))
+    edges = cat.edges
+    cat.edges = lambda X, Y, dual: edges(X, Y, dual) if dual else ()
+    assert check_core_axioms(cat)["C4"] == CheckResult(
+        "C4", False,
+        "deflations 2/3 + 1/2 -> 1/2 -> 1 compose to a non-deflation", 106)

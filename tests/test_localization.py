@@ -15,7 +15,7 @@ import exangulate.localization as localization
 import mr_reference
 from exangulate.cli import build_category, main, parse_input
 from exangulate.exangulated import (BoundExceeded, CheckResult, ExCategory,
-                                    check_c1, check_c2, check_c3)
+                                    check_c1, check_c2, check_c3, check_c4)
 from exangulate.localization import (
     FractionHoms,
     IdealQuotient,
@@ -763,8 +763,10 @@ def test_localized_c4_reads_the_edge_table():
     """Localized C4 reads its realized edges from `ExCategory.edges`, the
     table that C4 of the category itself fills; the counts are the bench
     input's golden ones."""
-    cat = a3_rad2_quotient().base
-    assert cat._check_c4().checked == 458
+    q = a3_rad2_quotient()
+    cat = q.base
+    assert q.universe is cat.universe
+    assert check_c4(cat).checked == 458
     rep = localize(cat, ISO, [])
     assert rep.checks["C4"] == CheckResult("C4", True, None, 1810)
 
