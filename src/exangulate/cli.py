@@ -33,7 +33,7 @@ Grammar (lines; `#` starts a comment; keys are `name = value`)::
     [category]
     n = 2
     generators = 4, 3/4, 2/3/4, 1/2/3, 1/2, 1
-    backend = cluster-tilting    # optional; the only file-supported backend
+    backend = cluster-tilting    # optional; the only accepted value
 
     [nf]
     generators = 2/3/4           # optional; omit for the empty null system
@@ -122,7 +122,6 @@ class SessionConfig:
     quiver: Quiver
     relations: tuple[RelationSpec, ...]
     n: int
-    backend: str
     generators: tuple[str, ...]
     nf: tuple[str, ...]
     fbar_mode: str
@@ -323,7 +322,7 @@ def _check_interval(label: str, vertex_count: int, line: int, col: int) -> None:
 
 
 def _parse_category(stanza: _Stanza, vertex_count: int
-                    ) -> tuple[int, tuple[str, ...], str]:
+                    ) -> tuple[int, tuple[str, ...]]:
     ntext, nline, ncol = _require(stanza, "n")
     n = _int_value(ntext, nline, ncol, "n", 1)
     gtext, gline, gcol = _require(stanza, "generators")
@@ -336,15 +335,13 @@ def _parse_category(stanza: _Stanza, vertex_count: int
             raise ParseError(f"duplicate generator {label!r}", gline, gcol)
         seen.add(label)
         _check_interval(label, vertex_count, gline, gcol)
-    backend = "cluster-tilting"
     if "backend" in stanza.scalars:
         btext, bline, bcol = stanza.scalars["backend"]
         if btext != "cluster-tilting":
             raise ParseError(
                 f"backend {btext!r} is not available in session files",
                 bline, bcol)
-        backend = btext
-    return n, tuple(labels), backend
+    return n, tuple(labels)
 
 
 def _parse_labels(stanza: _Stanza, key: str, generators: tuple[str, ...]
@@ -369,7 +366,7 @@ def parse_input(text: str) -> SessionConfig:
     if "category" not in by_kind:
         raise ParseError("missing [category] stanza", 1, 1)
     quiver, relations, prime = _parse_quiver(by_kind["quiver"])
-    n, generators, backend = _parse_category(
+    n, generators = _parse_category(
         by_kind["category"], quiver.vertex_count)
 
     nf: tuple[str, ...] = ()
@@ -434,7 +431,7 @@ def parse_input(text: str) -> SessionConfig:
 
     return SessionConfig(
         prime=prime, quiver=quiver, relations=relations, n=n,
-        backend=backend, generators=generators, nf=nf, fbar_mode=fbar_mode,
+        generators=generators, nf=nf, fbar_mode=fbar_mode,
         seeds=tuple(seeds), multiplicity=multiplicity,
         path_length=path_length, probes=tuple(probes))
 

@@ -5,18 +5,12 @@ over a quiver algebra (given by a finite list of generators), equipped with
 degree-n extension spaces E(C, A) = Ext^n(C, A) and a realization map sending
 each extension class to an (n+2)-term complex with terms in the subcategory.
 
-Two backends provide the realization data:
-
-* ``cluster-tilting``: realizations are found by bounded search among
-  module-exact complexes with terms in the subcategory; a complex is
-  *distinguished* when it is module-exact, its terms lie in the subcategory
-  and its Yoneda class is the prescribed extension.
-* ``declared``: realizations are looked up in a user-supplied table (plus the
-  canonical split realizations of zero classes).  The table is taken at face
-  value during construction and exposed to the axiom checks, so a defective
-  table is reported as an axiom failure rather than a construction error.
-  A complex is distinguished when it is homotopy equivalent to the
-  realization of its class (`homotopy_equivalent`).
+One realization rule serves every category: as for the n-exact structure of
+a cluster-tilting subcategory (Jasso, "n-abelian and n-exact categories"), a
+complex is *distinguished* when it is module-exact, its terms lie in the
+subcategory and its Yoneda class is the prescribed extension.  `realize`
+finds such a complex by bounded search (the canonical split one for a zero
+class).
 
 `check_core_axioms` verifies, over a bounded object universe, the axioms a
 degree-n extension structure must satisfy: realizations are exangles (their
@@ -45,7 +39,6 @@ from .quiver import (
     ExtSpace,
     ModMorphism,
     Module,
-    block_morphism,
     cokernel_module,
     combine,
     decompose,
@@ -56,7 +49,6 @@ from .quiver import (
     hom_dim,
     identity_morphism,
     is_isomorphic,
-    isomorphism_between,
     kernel_module,
     morphism_in_coords,
     pull_back,
@@ -220,17 +212,9 @@ class ExCategory:
     def __init__(self, alg: AlgebraPresentation, n: int,
                  generators: Sequence[Module],
                  labels: Sequence[str] | None = None,
-                 multiplicity_bound: int = 2,
-                 backend: str = "cluster-tilting",
-                 realization_table: Sequence[NExangle] | None = None):
+                 multiplicity_bound: int = 2):
         if n < 1:
             raise ValueError("extension degree must be positive")
-        if backend not in ("cluster-tilting", "declared"):
-            raise ValueError(f"unknown backend {backend!r}")
-        if backend == "declared" and realization_table is None:
-            raise ValueError("declared backend needs a realization table")
-        if backend == "cluster-tilting" and realization_table is not None:
-            raise ValueError("realization tables are only for the declared backend")
         self.alg = alg
         self.n = n
         self.objects = Subcategory(tuple(generators), multiplicity_bound)
@@ -238,14 +222,6 @@ class ExCategory:
             f"G{i}" for i in range(len(generators)))
         if len(self.labels) != len(self.objects.generators):
             raise ValueError("one label per generator required")
-        self.backend = backend
-        self._table: dict[tuple[Module, Module, tuple[int, ...]], NExangle] = {}
-        if realization_table is not None:
-            for nex in realization_table:
-                if nex.n != n:
-                    raise ValueError("table entry has wrong degree")
-                key = (nex.delta.end_C, nex.delta.end_A, nex.delta.coords.entries)
-                self._table[key] = nex
         self._iso_class_reps: dict = {}
         self._memo: defaultdict = defaultdict(dict)
 
@@ -287,7 +263,8 @@ class ExCategory:
         indices: every generator."""
         return list(enumerate(self.generators))
 
-    def completion_multisets(self) -> list[tuple[int, ...]]:
+    @memo
+    def completion_multisets(self) -> tuple[tuple[int, ...], ...]:
         """All generator multisets within the multiplicity bound, by total dim."""
         k = len(self.generators)
         bound = self.objects.multiplicity_bound
@@ -296,7 +273,7 @@ class ExCategory:
             ms = tuple(i for i, c in enumerate(counts) for _ in range(c))
             out.append(ms)
         out.sort(key=lambda ms: (sum(self.generators[i].total_dim for i in ms), ms))
-        return out
+        return tuple(out)
 
     def format_object(self, m: Module) -> str:
         ms = self.objects.summand_multiset(m)
@@ -344,116 +321,12 @@ class ExCategory:
         """Distinguished realization of an extension class.
 
         Deterministic: zero classes get the canonical split; otherwise the
-        cluster-tilting backend searches module-exact complexes with terms in
-        the subcategory ordered by total dimension, and the declared backend
-        looks the class up in its table.
+        first module-exact complex with terms in the subcategory and Yoneda
+        class delta, searching middle terms by total dimension.
         """
         if delta.is_zero:
             return self.split_realization(delta)
-        if self.backend == "declared":
-            return self._declared_realize(delta)
         return self._search_realization(delta)
-
-    def _declared_realize(self, delta: ExtElement) -> NExangle:
-        """Table lookup, closed under direct sums and isomorphism.
-
-        A class over direct-sum ends is split into blocks along the generator
-        summands; each block must either vanish or be a table key, and the
-        per-block realizations are reassembled degreewise.  Classes that do
-        not decompose this way have no declared realization.
-        """
-        key = (delta.end_C, delta.end_A, delta.coords.entries)
-        if key in self._table:
-            return self._table[key]
-        no_entry = ValueError("declared realization table has no entry for this class")
-        ms_c = self.objects.summand_multiset(delta.end_C)
-        ms_a = self.objects.summand_multiset(delta.end_A)
-        if not ms_c or not ms_a:
-            raise no_entry
-        CC = self.materialize(ms_c)
-        AA = self.materialize(ms_a)
-        iso_c = isomorphism_between(delta.end_C, CC)
-        iso_a = isomorphism_between(delta.end_A, AA)
-        moved = pull_back(push_forward(delta, iso_a), iso_c.inverse())
-        c_parts = [self.generators[i] for i in ms_c]
-        a_parts = [self.generators[j] for j in ms_a]
-        _, c_incls, _ = direct_sum(c_parts)
-        _, _, a_projs = direct_sum(a_parts)
-        blocks = {}
-        for i in range(len(c_parts)):
-            pulled = pull_back(moved, c_incls[i])
-            for j in range(len(a_parts)):
-                blocks[(i, j)] = push_forward(pulled, a_projs[j])
-
-        parent = {("c", i): ("c", i) for i in range(len(c_parts))}
-        parent.update({("a", j): ("a", j) for j in range(len(a_parts))})
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (i, j), val in blocks.items():
-            if not val.is_zero:
-                parent[find(("c", i))] = find(("a", j))
-        grouped: dict[tuple, list[tuple]] = {}
-        for node in list(parent):
-            grouped.setdefault(find(node), []).append(node)
-        comps = sorted(grouped.values(), key=min)
-
-        reals: list[tuple[NExangle, int | None, int | None]] = []
-        for nodes in comps:
-            cs = sorted(i for (kind, i) in nodes if kind == "c")
-            as_ = sorted(j for (kind, j) in nodes if kind == "a")
-            if len(cs) > 1 or len(as_) > 1:
-                raise no_entry
-            if cs and as_:
-                block = blocks[(cs[0], as_[0])]
-                bkey = (block.end_C, block.end_A, block.coords.entries)
-                if bkey not in self._table:
-                    raise no_entry
-                reals.append((self._table[bkey], cs[0], as_[0]))
-            elif cs:
-                zero = ext_group(self.alg, self.n, c_parts[cs[0]],
-                                 zero_module(self.alg)).zero()
-                reals.append((self.split_realization(zero), cs[0], None))
-            else:
-                zero = ext_group(self.alg, self.n, zero_module(self.alg),
-                                 a_parts[as_[0]]).zero()
-                reals.append((self.split_realization(zero), None, as_[0]))
-
-        sum_terms: list[Module] = []
-        for deg in range(self.n + 2):
-            total, _, _ = direct_sum([r.terms[deg] for r, _, _ in reals])
-            sum_terms.append(total)
-        sum_diffs: list[ModMorphism] = []
-        for deg in range(self.n + 1):
-            src_parts = [r.terms[deg] for r, _, _ in reals]
-            tgt_parts = [r.terms[deg + 1] for r, _, _ in reals]
-            body = [[r.diffs[deg] if ri == ci
-                     else zero_morphism(src_parts[ci], tgt_parts[ri])
-                     for ci in range(len(reals))]
-                    for ri, (r, _, _) in enumerate(reals)]
-            sum_diffs.append(block_morphism(src_parts, tgt_parts, body))
-        # permutations matching the component order to the canonical sums
-        tau_a = block_morphism(
-            a_parts, [r.terms[0] for r, _, _ in reals],
-            [[identity_morphism(a_parts[aj]) if aj == j
-              else zero_morphism(a_parts[j], reals[k][0].terms[0])
-              for j in range(len(a_parts))]
-             for k, (_, _, aj) in enumerate(reals)])
-        sigma_c = block_morphism(
-            [r.terms[-1] for r, _, _ in reals], c_parts,
-            [[identity_morphism(c_parts[ci]) if ci == i and reals[k][1] == i
-              else zero_morphism(reals[k][0].terms[-1], c_parts[i])
-              for k, (_, ci, _) in enumerate(reals)]
-             for i in range(len(c_parts))])
-        diffs = list(sum_diffs)
-        diffs[0] = diffs[0].compose(tau_a).compose(iso_a)
-        diffs[self.n] = iso_c.inverse().compose(sigma_c).compose(diffs[self.n])
-        terms = [delta.end_A] + sum_terms[1:-1] + [delta.end_C]
-        return NExangle(tuple(terms), tuple(diffs), delta)
 
     def _bounded_homs(self, src: Module, tgt: Module) -> list[ModMorphism]:
         if self.alg.p ** len(hom_basis(src, tgt)) > HOM_ENUM_LIMIT:
@@ -529,27 +402,15 @@ class ExCategory:
             return False
         if any(not self.objects.contains(t) for t in nex.terms):
             return False
-        if self.backend == "cluster-tilting":
-            # here s(delta) is defined as the exact complexes with Yoneda
-            # class delta (Jasso, "n-abelian and n-exact categories"), so
-            # this test is the definition, not `homotopy_equivalent`;
-            # `yoneda_class` raises ValueError on a sequence that is not exact
-            try:
-                cls = yoneda_class(list(nex.terms), list(nex.diffs))
-            except ValueError:
-                return False
-            return cls.coords == nex.delta.coords
-        # declared backend: homotopy equivalent to the table entry (or the
-        # canonical split), with identity ends.  Prop. 2.21 needs the entry
-        # to be an n-exangle; a defective entry (C1 fails) matches only itself
+        # s(delta) is defined as the exact complexes with Yoneda class delta
+        # (Jasso, "n-abelian and n-exact categories"), so this test is the
+        # definition, not `homotopy_equivalent`; `yoneda_class` raises
+        # ValueError on a sequence that is not exact
         try:
-            ref = self.realize(nex.delta)
+            cls = yoneda_class(list(nex.terms), list(nex.diffs))
         except ValueError:
             return False
-        if nex == ref:
-            return True
-        return (realization_is_exangle(self, nex.delta)
-                and homotopy_equivalent(self, nex, ref, True))
+        return cls.coords == nex.delta.coords
 
     def is_split(self, nex: NExangle) -> bool:
         return nex == self.split_realization(nex.delta)
@@ -684,16 +545,12 @@ class ExCategory:
         """f occurs as d_0 of some distinguished exangle (bounded search)."""
         if not f.is_mono:
             return False
-        if self.backend == "declared":
-            return self._declared_edge_search(f, 0)
         return self._resolvable(cokernel_module(f)[0], self.n, False)
 
     def is_deflation(self, f: ModMorphism) -> bool:
         """f occurs as d_n of some distinguished exangle (bounded search)."""
         if not f.is_epi:
             return False
-        if self.backend == "declared":
-            return self._declared_edge_search(f, self.n)
         return self._resolvable(kernel_module(f)[0], self.n, True)
 
     @memo
@@ -736,18 +593,6 @@ class ExCategory:
                 rests = (cokernel_module(j)[0] for j in self._monos(w, z))
             if any(self._resolvable(r, steps - 1, dual) for r in rests):
                 return True
-        return False
-
-    def _declared_edge_search(self, f: ModMorphism, position: int) -> bool:
-        for nex in self._table.values():
-            if nex.diffs[position] == f:
-                return True
-        # canonical splits over the universe
-        for A in self.universe:
-            for C in self.universe:
-                split = self.split_realization(self.ext(C, A).zero())
-                if split.diffs[position] == f:
-                    return True
         return False
 
     # -- axiom suite --------------------------------------------------------
@@ -836,9 +681,9 @@ class ExCategory:
 #   push(cls, f), pull(cls, f), all_lifts(src, dst, a, c),
 #   mapping_cone(src, dst, f, cls), mapping_cocone(src, dst, f, cls),
 #   is_distinguished(cx) cx is homotopy equivalent to the realization of its
-#                        class: `homotopy_equivalent`, except on the
-#                        cluster-tilting backend and for defective declared
-#                        entries (see `ExCategory.is_distinguished`)
+#                        class: `homotopy_equivalent`, except on `ExCategory`,
+#                        whose test is the definition of its realizations
+#                        (see `ExCategory.is_distinguished`)
 #
 # and, for C4 (see `check_c4`):
 #
@@ -906,10 +751,13 @@ def homotopy_equivalent(engine, cx, ref, ref_is_exangle: bool) -> bool:
     identity ends exists; both tests are linear algebra.  Homotopy
     equivalent complexes are exact together, so when ref is not an
     n-exangle, cx must not be one either, and then the one lift is necessary
-    but not proven sufficient.  The localized engine meets that case where
-    weak-kc fails (as on the a4-projinj fixture), and the tests check the
-    rule there against a two-way homotopy search; the declared backend does
-    not use the rule there (see `ExCategory.is_distinguished`).
+    but not sufficient: the defective sequence 4 -> 2/3/4 -> 1/2/3 -> 1 of
+    E(1, 4) over A4 mod rad^3 (n = 2), with 3/4 added in degree 1 by zero
+    maps, lifts to it with identity ends and neither is exact, yet the
+    padding adds Hom homology, so they are not homotopy equivalent and this
+    rule still says they are.  The localized engine meets that case only
+    where weak-kc fails (as on the a4-projinj fixture), and the tests check
+    the rule there against a two-way homotopy search.
     """
     if (len(cx.terms), cx.terms[0], cx.terms[-1]) != (
             len(ref.terms), ref.terms[0], ref.terms[-1]):

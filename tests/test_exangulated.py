@@ -23,10 +23,12 @@ from exangulate.exangulated import (
     check_core_axioms,
     cocone_sign,
     cone,
+    homotopy_equivalent,
     is_n_exangle,
     lift_morphism,
     mapping_cocone,
     mapping_cone,
+    realization_is_exangle,
     realize,
 )
 from exangulate.linalg import Matrix, rank
@@ -87,6 +89,7 @@ def test_object_universes():
     assert endpoint[0] == ()
     completion = list(CAT.completion_multisets())
     assert len(completion) == 729
+    assert CAT.completion_multisets() is CAT.completion_multisets()
     # ordered by total dimension, then lexicographically by index multiset
     assert completion[0] == ()
     assert completion[1] == (0,)
@@ -241,8 +244,8 @@ def test_corrected_sequence_is_an_exangle():
 
 
 def test_summand_multiset_decomposes_each_module_once(monkeypatch):
-    """Membership, labels and declared lookups all ask for the summands of
-    the same few modules; each module value is decomposed once."""
+    """Membership tests and labels all ask for the summands of the same few
+    modules; each module value is decomposed once."""
     calls = []
     real = exangulated.decompose
     monkeypatch.setattr(exangulated, "decompose",
@@ -438,35 +441,14 @@ def test_axiom_suite_passes():
     assert results["WIC"].checked == 400
 
 
-def declared_table():
-    return [CAT.realize(nonzero_class(c, a)) for (c, a) in REALIZATION_TERMS]
-
-
-def test_declared_backend_lookup():
-    cat = ExCategory(ALG, 2, GENS, labels=LABELS, multiplicity_bound=2,
-                     backend="declared", realization_table=declared_table())
-    delta = cat.ext(gen("1"), gen("4")).element([1])
-    nex = cat.realize(delta)
-    assert [cat.format_object(t) for t in nex.terms] == ["4", "2/3/4", "1/2/3", "1"]
-    assert cat.is_distinguished(nex)
-    assert check_c1(cat).passed is True
-    # a class with no table entry is an error, not a search
-    partial = ExCategory(ALG, 2, GENS, labels=LABELS, multiplicity_bound=2,
-                         backend="declared", realization_table=declared_table()[:2])
-    with pytest.raises(ValueError, match="no entry"):
-        partial.realize(partial.ext(gen("1/2"), gen("4")).element([1]))
-
-
 @pytest.mark.parametrize("contractible", [True, False])
 def test_declared_backend_decides_up_to_homotopy(contractible):
-    """The declared realization 4 -> 2/3/4 -> 1/2/3 -> 1 of E(1, 4) with
-    3/4 -id-> 3/4 added in degrees 1-2 is homotopy equivalent to it, though
-    not degreewise isomorphic, so both backends call it distinguished.  With
-    3/4 added in degree 1 alone it still maps to the realization, but it is
-    not exact, so neither backend does."""
-    cat = ExCategory(ALG, 2, GENS, labels=LABELS, multiplicity_bound=2,
-                     backend="declared", realization_table=declared_table())
-    nex = cat.realize(cat.ext(gen("1"), gen("4")).element([1]))
+    """The realization 4 -> 2/3/4 -> 1/2/3 -> 1 of E(1, 4) with 3/4 -id->
+    3/4 added in degrees 1-2 is homotopy equivalent to it, though not
+    degreewise isomorphic, so `homotopy_equivalent` and `is_distinguished`
+    accept it.  With 3/4 added in degree 1 alone it still maps to the
+    realization, but it is not exact, so neither does."""
+    nex = CAT.realize(CAT.ext(gen("1"), gen("4")).element([1]))
     x0, x1, x2, x3 = nex.terms
     d0, d1, d2 = nex.diffs
     p = gen("3/4")
@@ -481,64 +463,21 @@ def test_declared_backend_decides_up_to_homotopy(contractible):
         (x0, direct_sum([x1, p])[0], x2p, x3),
         (block_morphism([x0], [x1, p], [[d0], [None]]), d1p, d2p), nex.delta)
     assert not is_isomorphic(padded.terms[1], x1)
-    assert cat.lift_space(padded, nex, identity_morphism(x0),
+    assert CAT.lift_space(padded, nex, identity_morphism(x0),
                           identity_morphism(x3)) is not None
-    assert cat.is_distinguished(padded) is contractible
+    assert homotopy_equivalent(
+        CAT, padded, nex,
+        realization_is_exangle(CAT, nex.delta)) is contractible
     assert CAT.is_distinguished(padded) is contractible
 
 
 def test_declared_backend_corrupted_table_fails_c1():
-    bad = [printed_sequence()] + declared_table()[1:]
-    cat = ExCategory(ALG, 2, GENS, labels=LABELS, multiplicity_bound=2,
-                     backend="declared", realization_table=bad)
-    res = check_c1(cat)
-    assert res.passed is False
-    assert res.witness == ("realization of E(1, 4) coords [1]: contravariant "
-                           "sequence fails at position 1 with test object 3/4 "
-                           "(homology)")
-
-
-@pytest.mark.parametrize("dual", [False, True])
-def test_declared_backend_passes_c3_as_the_cluster_backend_does(dual):
-    """With the cluster-tilting backend's realizations as its table, the
-    declared backend passes C3/C3' on the same 333 checks.  The first
-    check's cocone, of the zero class of E(4, 4), is homotopy equivalent to
-    the split complex but not degreewise isomorphic to it."""
-    cat = ExCategory(ALG, 2, GENS, labels=LABELS, multiplicity_bound=2,
-                     backend="declared", realization_table=declared_table())
-    res = check_c3(cat, dual)
-    assert (res.passed, res.witness, res.checked) == (True, None, 333)
-
-
-def test_declared_backend_defective_entry_matches_only_itself():
-    """Prop. 2.21 needs the table entry to be an n-exangle.  The defective
-    entry printed_sequence() with 3/4 added in degree 1 by zero maps still
-    maps to the entry with identity ends, and neither complex is exact, but
-    the two are not homotopy equivalent (3/4 is not contractible), so only
-    the entry itself is distinguished."""
-    bad = [printed_sequence()] + declared_table()[1:]
-    cat = ExCategory(ALG, 2, GENS, labels=LABELS, multiplicity_bound=2,
-                     backend="declared", realization_table=bad)
-    entry = cat.realize(printed_sequence().delta)
-    x0, x1, x2, x3 = entry.terms
-    d0, d1, d2 = entry.diffs
-    p = gen("3/4")
-    padded = NExangle(
-        (x0, direct_sum([x1, p])[0], x2, x3),
-        (block_morphism([x0], [x1, p], [[d0], [None]]),
-         block_morphism([x1, p], [x2], [[d1, None]]), d2), entry.delta)
-    assert cat.lift_space(padded, entry, identity_morphism(x0),
-                          identity_morphism(x3)) is not None
-    assert not cat.is_n_exangle(padded).ok and not cat.is_n_exangle(entry).ok
-    assert cat.is_distinguished(entry)
-    assert not cat.is_distinguished(padded)
-
-
-def test_backend_validation():
-    with pytest.raises(ValueError, match="backend"):
-        ExCategory(ALG, 2, GENS, backend="mystery")
-    with pytest.raises(ValueError):
-        ExCategory(ALG, 2, GENS, backend="declared")
+    """The C1 witness names the class, the side, the position and the test
+    object of the first Hom sequence that fails."""
+    bad = printed_sequence()
+    assert exangulated._exangle_witness(CAT, bad, bad.delta) == (
+        "realization of E(1, 4) coords [1]: contravariant sequence fails at "
+        "position 1 with test object 3/4 (homology)")
 
 
 def test_realize_random_pushes_stay_distinguished():
