@@ -560,8 +560,15 @@ class ExCategory:
         edge = self.is_deflation if dual else self.is_inflation
         return tuple(f for f in enumerate_hom(src, tgt) if edge(f))
 
-    # C4's far factors are the edges themselves; its witnesses say "inflations"
-    far_factors = edges
+    def composites(self, near: Sequence[ModMorphism], mid: Module, far: Module,
+                   dual: bool) -> list[tuple[int, ...]]:
+        """C4's far factors are the edges mid -> far themselves (dual: far ->
+        mid): the `hom_coords` of each t . f (dual: f . t), f-major."""
+        fars = self.edges(*((far, mid) if dual else (mid, far)), dual)
+        return [self.hom_coords(f.compose(t) if dual else t.compose(f))
+                for f in near for t in fars]
+
+    # C4's witnesses say "inflations"
     edge_qualifier = ""
 
     @memo
@@ -690,7 +697,10 @@ class ExCategory:
 #   universe             the bounded objects, `ExCategory.universe`
 #   outer_ends()         (index, generator) pairs C4 starts (dually ends) at
 #   edges(X, Y, dual)    the inflations X -> Y (dual: deflations), as maps
-#   far_factors(X, Y, dual)  the second (dual: first) factors of a composite
+#   composites(near, mid, far, dual)  the hom_coords of f then t (dual: t
+#                        then f) for every near edge f between the outer end
+#                        and mid and every far factor t between mid and far,
+#                        f-major, t-minor
 #   edge_classes(X, Y, dual) the hom_coords of every inflation (deflation)
 #   format_object(X), edge_qualifier   X and the edges in words
 #
@@ -748,16 +758,19 @@ def homotopy_equivalent(engine, cx, ref, ref_is_exangle: bool) -> bool:
     morphism with identity ends between two n-exangles for the same class is
     a homotopy equivalence.  So when ref is an n-exangle, cx is equivalent
     to it exactly when cx is an n-exangle too and one lift cx -> ref of the
-    identity ends exists; both tests are linear algebra.  Homotopy
-    equivalent complexes are exact together, so when ref is not an
-    n-exangle, cx must not be one either, and then the one lift is necessary
-    but not sufficient: the defective sequence 4 -> 2/3/4 -> 1/2/3 -> 1 of
-    E(1, 4) over A4 mod rad^3 (n = 2), with 3/4 added in degree 1 by zero
-    maps, lifts to it with identity ends and neither is exact, yet the
-    padding adds Hom homology, so they are not homotopy equivalent and this
-    rule still says they are.  The localized engine meets that case only
-    where weak-kc fails (as on the a4-projinj fixture), and the tests check
-    the rule there against a two-way homotopy search.
+    identity ends exists; both tests are linear algebra.  When ref is not an
+    n-exangle, the one lift is necessary but not sufficient, so the rule
+    also asks for the Hom homology of cx to have the same dimension as that
+    of ref at every variance, position and test object (`_hom_homology`;
+    equal everywhere implies that neither is exact), which a homotopy
+    equivalence keeps.  Without it the defective sequence
+    4 -> 2/3/4 -> 1/2 -> 1 of E(1, 4) over A4 mod rad^3 (n = 2), and the same
+    sequence with 3/4 added in degree 1 by zero maps, would pass: the second
+    lifts to the first with identity ends and neither is exact, but the
+    padding adds Hom homology.  Even so this is a necessary test only; the
+    localized engine meets it only where weak-kc fails (as on the
+    a4-projinj fixture), and the tests check the rule there against a
+    two-way homotopy search.
     """
     if (len(cx.terms), cx.terms[0], cx.terms[-1]) != (
             len(ref.terms), ref.terms[0], ref.terms[-1]):
@@ -765,7 +778,29 @@ def homotopy_equivalent(engine, cx, ref, ref_is_exangle: bool) -> bool:
     ends = identity_morphism(ref.terms[0]), identity_morphism(ref.terms[-1])
     if solve_lift(cx, ref, *ends, engine.hom_coords, engine.hom_width) is None:
         return False
-    return _is_exangle(engine, cx) == ref_is_exangle
+    if ref_is_exangle:
+        return _is_exangle(engine, cx)
+    return _hom_homology(engine, cx) == _reference_homology(engine, ref)
+
+
+def _hom_homology(engine, cx) -> tuple[int | None, ...]:
+    """The homology dimension of every Hom sequence of cx at every inner
+    position (see `exangle_failures`), None where it is not a complex there;
+    all zero exactly when cx is an n-exangle."""
+    n = len(cx.terms) - 2
+    out: list[int | None] = []
+    for variance in ("contravariant", "covariant"):
+        for tester in engine.generators:
+            dims, maps = engine._hom_sequence(cx, tester, variance)
+            ranks = [rank(m) for m in maps]
+            out.extend(dims[slot] - ranks[slot] - ranks[slot - 1]
+                       if (maps[slot] @ maps[slot - 1]).is_zero else None
+                       for slot in range(1, n + 2))
+    return tuple(out)
+
+
+# a reference complex is the realization of its class, built once per class
+_reference_homology = memo(_hom_homology)
 
 
 def _is_exangle(engine, cx) -> bool:
@@ -870,9 +905,10 @@ def check_c4(engine) -> CheckResult:
 
     Bounded enumeration: one outer end runs over `outer_ends` (the source
     for inflations, the target for deflations), the middle and far objects
-    over the universe.  The factor at the outer end is an edge, the other a
-    far factor, and the composite passes when its coordinates are an edge
-    class.  The inflation half runs first.
+    over the universe.  The factor at the outer end is a near edge, and
+    `composites` gives the classes of its composites with every far factor;
+    a composite passes when its class is an edge class.  The inflation half
+    runs first.
     """
     checked = 0
     for dual in (False, True):
@@ -888,22 +924,20 @@ def check_c4(engine) -> CheckResult:
                 if not near:
                     continue
                 for far in engine.universe:
-                    fars = engine.far_factors(*way(mid, far), dual)
-                    if not fars:
+                    comps = engine.composites(near, mid, far, dual)
+                    if not comps:
                         continue
                     target = engine.edge_classes(*way(g, far), dual)
-                    for f in near:
-                        for t in fars:
-                            checked += 1
-                            comp = f.compose(t) if dual else t.compose(f)
-                            if engine.hom_coords(comp) not in target:
-                                path = (engine.labels[gi], engine.format_object(mid),
-                                        engine.format_object(far))[::-1 if dual else 1]
-                                return CheckResult(
-                                    "C4", False,
-                                    f"{engine.edge_qualifier}{kind}s "
-                                    f"{' -> '.join(path)} compose to a non-{kind}",
-                                    checked)
+                    for comp in comps:
+                        checked += 1
+                        if comp not in target:
+                            path = (engine.labels[gi], engine.format_object(mid),
+                                    engine.format_object(far))[::-1 if dual else 1]
+                            return CheckResult(
+                                "C4", False,
+                                f"{engine.edge_qualifier}{kind}s "
+                                f"{' -> '.join(path)} compose to a non-{kind}",
+                                checked)
     return CheckResult("C4", True, None, checked)
 
 
@@ -921,32 +955,41 @@ def cone(src, dst, f: Sequence[ModMorphism], shift: int
     src_s -> src_{1+s} + dst_s -> ... -> src_{n+s} + dst_{n-1+s} -> dst_{n+s},
 
     with differential (x, y) -> (-d x, f x + d' y).  Each middle sum is built
-    once; the differentials go through its inclusions and projections.
+    once, and each differential is written at every vertex as the block
+    matrix [[-d, 0], [f, d']] over the summands of its ends (the first column
+    or the second row dropped at an end term).
     """
     n = len(src.terms) - 2
     s = shift
-    mids = [direct_sum([src.terms[i + s], dst.terms[i - 1 + s]])
-            for i in range(1, n + 1)]
-    terms = (src.terms[s],) + tuple(m[0] for m in mids) + (dst.terms[n + s],)
-
-    def piece(i: int, k_in: int, k_out: int, g: ModMorphism) -> ModMorphism:
-        """g from summand k_in of terms[i] to summand k_out of terms[i+1]."""
-        if i > 0:
-            g = g.compose(mids[i - 1][2][k_in])
-        if i < n:
-            g = mids[i][1][k_out].compose(g)
-        return g
-
+    p = src.terms[0].alg.p
+    terms = (src.terms[s],) + tuple(
+        direct_sum([src.terms[i + s], dst.terms[i - 1 + s]])[0]
+        for i in range(1, n + 1)) + (dst.terms[n + s],)
     diffs = []
     for i in range(n + 1):
-        pieces, coeffs = [piece(i, 0, 1, f[i + s])], [1]
+        low = 1 if i < n else 0      # the dst summand's place in terms[i+1]
+        # (row summand, column summand, component, sign)
+        blocks = [(low, 0, f[i + s], 1)]
         if i < n:
-            pieces.append(piece(i, 0, 0, src.diffs[i + s]))
-            coeffs.append(-1)
+            blocks.append((0, 0, src.diffs[i + s], -1))
         if i > 0:
-            pieces.append(piece(i, 1, 1, dst.diffs[i - 1 + s]))
-            coeffs.append(1)
-        diffs.append(combine(terms[i], terms[i + 1], pieces, coeffs))
+            blocks.append((low, 1, dst.diffs[i - 1 + s], 1))
+        maps = []
+        for v, (rows, cols) in enumerate(zip(terms[i + 1].dims, terms[i].dims)):
+            # the src summand comes first in each middle sum
+            skip = (src.terms[i + 1 + s].dims[v] if i < n else 0,
+                    src.terms[i + s].dims[v])
+            entries = [0] * (rows * cols)
+            for r, c, g, sign in blocks:
+                m = g.maps[v]
+                r0, c0 = skip[0] if r else 0, skip[1] if c else 0
+                for a in range(m.rows):
+                    row = m.entries[a * m.cols:(a + 1) * m.cols]
+                    at = (r0 + a) * cols + c0
+                    entries[at:at + m.cols] = (row if sign > 0
+                                               else [(-x) % p for x in row])
+            maps.append(Matrix._trusted(p, rows, cols, tuple(entries)))
+        diffs.append(ModMorphism._trusted(terms[i], terms[i + 1], tuple(maps)))
     return terms, tuple(diffs)
 
 

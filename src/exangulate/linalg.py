@@ -201,6 +201,8 @@ class Matrix:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         p = self.p
         n, k, m = self.rows, self.cols, other.cols
+        if not (n and k and m):
+            return Matrix._trusted(p, n, m, (0,) * (n * m))
         a, b = self.entries, other.entries
         out = [0] * (n * m)
         for i in range(n):

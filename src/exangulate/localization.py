@@ -122,7 +122,12 @@ class IdealQuotient:
     def project(self, f: ModMorphism) -> tuple[int, ...]:
         """Coordinates of the class of f in C-bar(source, target)."""
         basis, proj, _ = self.tables(f.source, f.target)
-        return tuple((proj @ morphism_in_coords(f, basis)).col_list(0))
+        coords = morphism_in_coords(f, basis)
+        # a square projection kills nothing: the ideal is zero here, and
+        # `quotient_with_section` then returns the identity
+        if proj.is_square:
+            return coords.entries
+        return (proj @ coords).entries
 
     def rep(self, X: Module, Y: Module, coords: Sequence[int]) -> ModMorphism:
         """The chosen section representative of a class."""
@@ -140,12 +145,18 @@ class IdealQuotient:
         return tuple(self.rep(X, Y, tuple(1 if i == k else 0 for i in range(d)))
                      for k in range(d))
 
+    def class_count(self, X: Module, Y: Module) -> int:
+        """How many classes C-bar(X, Y) has; raises BoundExceeded exactly
+        where `classes` does."""
+        count = self.p ** self.qdim(X, Y)
+        if count > CLASS_ENUM_LIMIT:
+            raise BoundExceeded("quotient hom space too large to enumerate")
+        return count
+
     def classes(self, X: Module, Y: Module) -> list[tuple[int, ...]]:
         """Every class of C-bar(X, Y), the zero class first."""
-        d = self.qdim(X, Y)
-        if self.p ** d > CLASS_ENUM_LIMIT:
-            raise BoundExceeded("quotient hom space too large to enumerate")
-        return [tuple(v.col_list(0)) for v in enumerate_vectors(self.p, d)]
+        self.class_count(X, Y)
+        return [v.entries for v in enumerate_vectors(self.p, self.qdim(X, Y))]
 
     @memo
     def identity_class(self, X: Module) -> tuple[int, ...]:
@@ -436,18 +447,26 @@ def _check_m0(spec, q, mem, keys) -> CheckResult:
 def _check_mr1(spec, q, mem, keys) -> CheckResult:
     """Composing with a fixed member is linear, so one product with its
     `_pre`/`_post` matrix gives the composites with every class at once; a
-    pair can only fail when the composite's hom-set has members."""
+    pair can only fail when the composite's hom-set has members.
+
+    Nor can it fail when the fixed member is invertible, so those pairs are
+    counted and nothing is composed.  For invertible f, g = (g . f) . f^-1,
+    and F-bar is closed under composition with an invertible class on either
+    side: in iso mode F-bar is the invertible classes, and in saturate mode
+    `_saturate_extra` closes the seeds under exactly that.  So g . f in
+    F-bar puts g in F-bar (dually for an invertible second factor g)."""
     checked = 0
     for X, Y in keys:
+        inv = _invertible_classes(q, X, Y)
         for fc in sorted(mem[(X, Y)]):
-            f = q.rep(X, Y, fc)
+            f = None if fc in inv else q.rep(X, Y, fc)
             for Z in q.universe:
                 mem_xz = mem.get((X, Z), frozenset())
+                if f is None or not mem_xz:
+                    checked += q.class_count(Y, Z)
+                    continue
                 mem_yz = mem.get((Y, Z), frozenset())
                 gcs = q.classes(Y, Z)
-                if not mem_xz:
-                    checked += len(gcs)
-                    continue
                 for gc, comp in zip(gcs, _images(_pre(q, f, Z), gcs)):
                     checked += 1
                     if comp in mem_xz and gc not in mem_yz:
@@ -457,15 +476,16 @@ def _check_mr1(spec, q, mem, keys) -> CheckResult:
                             "factor and the composite are in F-bar but the "
                             "second factor is not", checked)
     for Y, Z in keys:
+        inv = _invertible_classes(q, Y, Z)
         for gc in sorted(mem[(Y, Z)]):
-            g = q.rep(Y, Z, gc)
+            g = None if gc in inv else q.rep(Y, Z, gc)
             for X in q.universe:
                 mem_xz = mem.get((X, Z), frozenset())
+                if g is None or not mem_xz:
+                    checked += q.class_count(X, Y)
+                    continue
                 mem_xy = mem.get((X, Y), frozenset())
                 fcs = q.classes(X, Y)
-                if not mem_xz:
-                    checked += len(fcs)
-                    continue
                 for fc, comp in zip(fcs, _images(_post(q, X, g), fcs)):
                     checked += 1
                     if comp in mem_xz and fc not in mem_xy:
@@ -479,19 +499,22 @@ def _check_mr1(spec, q, mem, keys) -> CheckResult:
 
 def _check_mr2(spec, q, mem, keys) -> CheckResult:
     """Where composing with the member s is onto, W = Z and s2 = 1 complete
-    every span (dually cospan) at once; elsewhere each class is solved for,
-    and searched for an Ore completion when that fails."""
+    every span (dually cospan) at once.  Composing with an invertible s is a
+    bijection, so onto, and its pairs are counted with no matrix built; for
+    any other s it is onto when its `_pre`/`_post` matrix has full rank.
+    Elsewhere each class is solved for, and searched for an Ore completion
+    when that fails."""
     checked = 0
     for X, Y in keys:
+        inv = _invertible_classes(q, X, Y)
         for sc in sorted(mem[(X, Y)]):
-            s = q.rep(X, Y, sc)
+            s = None if sc in inv else q.rep(X, Y, sc)
             for Z in q.universe:
-                lhs = _pre(q, s, Z)
-                fcs = q.classes(X, Z)
-                if rank(lhs) == lhs.rows:
-                    checked += len(fcs)
+                lhs = None if s is None else _pre(q, s, Z)
+                if lhs is None or rank(lhs) == lhs.rows:
+                    checked += q.class_count(X, Z)
                     continue
-                for fc in fcs:
+                for fc in q.classes(X, Z):
                     checked += 1
                     rhs = Matrix.column(q.p, list(fc))
                     if rref_solve(lhs, rhs) is not None:
@@ -504,15 +527,15 @@ def _check_mr2(spec, q, mem, keys) -> CheckResult:
                             f"no right Ore completion for the span "
                             f"{q.fmt(Y)} <- {q.fmt(X)} -> {q.fmt(Z)}", checked)
     for Y, X in keys:
+        inv = _invertible_classes(q, Y, X)
         for sc in sorted(mem[(Y, X)]):
-            s = q.rep(Y, X, sc)
+            s = None if sc in inv else q.rep(Y, X, sc)
             for Z in q.universe:
-                lhs = _post(q, Z, s)
-                fcs = q.classes(Z, X)
-                if rank(lhs) == lhs.rows:
-                    checked += len(fcs)
+                lhs = None if s is None else _post(q, Z, s)
+                if lhs is None or rank(lhs) == lhs.rows:
+                    checked += q.class_count(Z, X)
                     continue
-                for fc in fcs:
+                for fc in q.classes(Z, X):
                     checked += 1
                     rhs = Matrix.column(q.p, list(fc))
                     if rref_solve(lhs, rhs) is not None:
@@ -1278,16 +1301,40 @@ class LocalizedEngine:
     def edges(self, X: Module, Y: Module, dual: bool) -> list[ModMorphism]:
         return [self.q.rep(X, Y, c) for c in sorted(self.edge_classes(X, Y, dual))]
 
-    def far_factors(self, X: Module, Y: Module, dual: bool) -> list[ModMorphism]:
-        """Realized edges with an F-member factor at the end they share with
-        the near factor: e . m over m: X -> Z (dual: m . e over m: Z -> Y).
-        Built afresh for each use, not kept."""
-        out = []
-        for Z, members in self._members_at(Y if dual else X, dual):
-            edges = self.cat.edges(*((X, Z) if dual else (Z, Y)), dual)
-            for m in members:
-                out.extend(m.compose(e) if dual else e.compose(m) for e in edges)
+    def composites(self, near: Sequence[ModMorphism], mid: Module, far: Module,
+                   dual: bool) -> list[tuple[int, ...]]:
+        """The classes of t . f for f in near and t a far factor mid -> far
+        (dual: f . t over far factors far -> mid), f-major.  Composing with
+        f is linear, so each f applies one `_pre` (dual: `_post`) matrix to
+        the block of far-factor classes."""
+        fars = self._far_classes(mid, far, dual)
+        if not fars:
+            return []
+        q = self.q
+        out: list[tuple[int, ...]] = []
+        for f in near:
+            out.extend(_images(_post(q, far, f) if dual else _pre(q, f, far),
+                               fars))
         return out
+
+    @memo
+    def _far_classes(self, mid: Module, far: Module, dual: bool
+                     ) -> tuple[tuple[int, ...], ...]:
+        """The classes of the far factors mid -> far (dual: far -> mid):
+        realized edges with an F-member factor at mid, e . m over m: mid -> Z
+        (dual: m . e over m: Z -> mid), member-major.  The class of e . m is
+        the class of e under `_pre(q, m, far)`, so no composite is built."""
+        q = self.q
+        out: list[tuple[int, ...]] = []
+        for Z, members in self._members_at(mid, dual):
+            edges = self.cat.edges(*((far, Z) if dual else (Z, far)), dual)
+            if not edges:
+                continue
+            classes = [q.project(e) for e in edges]
+            for m in members:
+                out.extend(_images(_post(q, far, m) if dual else _pre(q, m, far),
+                                   classes))
+        return tuple(out)
 
     @memo
     def _members_at(self, X: Module, dual: bool) -> list:

@@ -1,0 +1,39 @@
+"""The mapping cone built through inclusions and projections, kept as the
+reference that `exangulated.cone` (block matrices per vertex) is tested
+against.
+
+Each middle term is a direct sum with its inclusions and projections; each
+differential is the sum of its three pieces, each composed through them.
+"""
+
+from exangulate.quiver import combine, direct_sum
+
+
+def cone(src, dst, f, shift):
+    """Terms and differentials of the mapping cone (shift 1) or cocone
+    (shift 0) of f: src -> dst, with differential (x, y) -> (-d x, f x + d' y)."""
+    n = len(src.terms) - 2
+    s = shift
+    mids = [direct_sum([src.terms[i + s], dst.terms[i - 1 + s]])
+            for i in range(1, n + 1)]
+    terms = (src.terms[s],) + tuple(m[0] for m in mids) + (dst.terms[n + s],)
+
+    def piece(i, k_in, k_out, g):
+        """g from summand k_in of terms[i] to summand k_out of terms[i+1]."""
+        if i > 0:
+            g = g.compose(mids[i - 1][2][k_in])
+        if i < n:
+            g = mids[i][1][k_out].compose(g)
+        return g
+
+    diffs = []
+    for i in range(n + 1):
+        pieces, coeffs = [piece(i, 0, 1, f[i + s])], [1]
+        if i < n:
+            pieces.append(piece(i, 0, 0, src.diffs[i + s]))
+            coeffs.append(-1)
+        if i > 0:
+            pieces.append(piece(i, 1, 1, dst.diffs[i - 1 + s]))
+            coeffs.append(1)
+        diffs.append(combine(terms[i], terms[i + 1], pieces, coeffs))
+    return terms, tuple(diffs)

@@ -471,6 +471,26 @@ def test_declared_backend_decides_up_to_homotopy(contractible):
     assert CAT.is_distinguished(padded) is contractible
 
 
+def test_one_lift_rule_compares_hom_homology_with_an_inexact_reference():
+    """The printed sequence with 3/4 added in degree 1 by zero maps lifts to
+    it with identity ends, and neither is exact, but the padding adds Hom
+    homology, so the two are not homotopy equivalent."""
+    seq = printed_sequence()
+    x0, x1, x2, x3 = seq.terms
+    d0, d1, d2 = seq.diffs
+    p = gen("3/4")
+    padded = NExangle(
+        (x0, direct_sum([x1, p])[0], x2, x3),
+        (block_morphism([x0], [x1, p], [[d0], [None]]),
+         block_morphism([x1, p], [x2], [[d1, None]]), d2), seq.delta)
+    assert CAT.lift_space(padded, seq, identity_morphism(x0),
+                          identity_morphism(x3)) is not None
+    assert len(CAT.is_n_exangle(seq).failures) == 3
+    assert len(CAT.is_n_exangle(padded).failures) == 6
+    assert homotopy_equivalent(CAT, padded, printed_sequence(), False) is False
+    assert homotopy_equivalent(CAT, seq, printed_sequence(), False) is True
+
+
 def test_declared_backend_corrupted_table_fails_c1():
     """The C1 witness names the class, the side, the position and the test
     object of the first Hom sequence that fails."""

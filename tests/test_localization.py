@@ -2,6 +2,7 @@
 multiplicative-system checks, roofs, localized extension groups and the
 top-level verdicts."""
 
+import dataclasses
 import gc
 import random
 import weakref
@@ -12,6 +13,8 @@ import pytest
 
 import exangulate.exangulated as exangulated
 import exangulate.localization as localization
+import c4_reference
+import cone_reference
 import mr_reference
 from exangulate.cli import build_category, main, parse_input
 from exangulate.exangulated import (BoundExceeded, CheckResult, ExCategory,
@@ -358,6 +361,36 @@ def test_invertible_classes_filter_on_dimensions(monkeypatch, make):
                 c for c in classes(q, X, Y)
                 if localization._class_invertible(q, X, Y, c))
     assert skipped
+
+
+def test_class_count_stops_where_classes_does(monkeypatch):
+    """`class_count` is the length of `classes`, and raises BoundExceeded at
+    exactly the limit where `classes` does."""
+    q = a3_rad2_quotient()
+    X, Y = max(((X, Y) for X in q.universe for Y in q.universe),
+               key=lambda k: q.qdim(*k))
+    count = q.p ** q.qdim(X, Y)
+    assert count > 1
+    monkeypatch.setattr(localization, "CLASS_ENUM_LIMIT", count)
+    assert q.class_count(X, Y) == len(q.classes(X, Y)) == count
+    monkeypatch.setattr(localization, "CLASS_ENUM_LIMIT", count - 1)
+    for enumerate_classes in (q.class_count, q.classes):
+        with pytest.raises(BoundExceeded, match="too large to enumerate"):
+            enumerate_classes(X, Y)
+
+
+def test_mr2_builds_no_matrix_for_an_invertible_member(monkeypatch):
+    """In iso mode every member is invertible, so MR2 counts its pairs and
+    builds no `_pre`/`_post` matrix; the count is the bench input's."""
+    q = a3_rad2_quotient()
+    mem, keys = member_table(ISO, q)
+    built = []
+    for name in ("_pre", "_post"):
+        monkeypatch.setattr(localization, name,
+                            lambda *args, name=name: built.append(name))
+    assert localization._check_mr2(ISO, q, mem, keys) == CheckResult(
+        "MR2", True, None, 4532)
+    assert built == []
 
 
 # -- K and E-bar ---------------------------------------------------------------
@@ -769,6 +802,53 @@ def test_localized_c4_reads_the_edge_table():
     assert check_c4(cat).checked == 458
     rep = localize(cat, ISO, [])
     assert rep.checks["C4"] == CheckResult("C4", True, None, 1810)
+
+
+C4_CASES = {
+    "a3-rad2-m1": lambda: fresh_engine("bench/inputs/a3-rad2.exg", 1),
+    "a3-rad2-m2": lambda: fresh_engine("bench/inputs/a3-rad2.exg", 2),
+    "a4-trivial": lambda: LocalizedEngine(CAT, ISO, trivial_quotient()),
+    "a2-at-p3": lambda: a2_at_p3()[1],
+}
+
+
+def fresh_engine(path, multiplicity):
+    cfg = parse_input((ROOT / path).read_text())
+    cat = build_category(dataclasses.replace(cfg, multiplicity=multiplicity))
+    return LocalizedEngine(cat, ISO, IdealQuotient(cat, []))
+
+
+@pytest.mark.parametrize("case", sorted(C4_CASES))
+def test_c4_agrees_with_the_per_pair_reference(case):
+    """C4 by one composition matrix per near edge returns the same verdict,
+    witness and count as composing each pair, in the quotient and in C."""
+    eng = C4_CASES[case]()
+    for engine in (eng, eng.cat):
+        assert check_c4(engine) == c4_reference.check_c4(engine)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: a3_rad2_quotient().base,
+    lambda: a2_at_p3()[0],
+], ids=["a3-rad2", "a2-at-p3"])
+def test_cone_agrees_with_the_composed_reference(monkeypatch, make):
+    """The block-matrix cone has the terms and differentials of the cone
+    composed through inclusions and projections, for every cone and cocone
+    that C3 and C3' test."""
+    cat = make()
+    shifts = []
+    block_cone = exangulated.cone
+
+    def both(src, dst, f, shift):
+        got = block_cone(src, dst, f, shift)
+        assert got == cone_reference.cone(src, dst, f, shift)
+        shifts.append(shift)
+        return got
+
+    monkeypatch.setattr(exangulated, "cone", both)
+    assert check_c3(cat, False).passed and check_c3(cat, True).passed
+    assert set(shifts) == {0, 1}
+    assert len(shifts) >= 142
 
 
 def test_localize_projinj_fails_weak_kc():
