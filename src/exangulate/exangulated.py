@@ -53,12 +53,15 @@ from .quiver import (
     morphism_in_coords,
     pull_back,
     push_forward,
+    sum_module,
     yoneda_class,
     zero_module,
     zero_morphism,
 )
 
-HOM_ENUM_LIMIT = 4096   # largest hom space enumerated element by element
+# largest hom space enumerated element by element (`_bounded_homs`): the
+# realization search, `_resolvable`, C3's `arrows`, C4's `edges` and WIC
+HOM_ENUM_LIMIT = 4096
 LIFT_ENUM_LIMIT = 4096  # largest affine space of lifts searched for a good lift
 ENDPOINT_SUMMANDS = 2   # most generator summands of an object of the universe
 
@@ -242,7 +245,7 @@ class ExCategory:
     def _materialize(self, key: tuple[int, ...]) -> Module:
         if not key:
             return zero_module(self.alg)
-        return direct_sum([self.generators[i] for i in key])[0]
+        return sum_module([self.generators[i] for i in key])
 
     def endpoint_multisets(self) -> list[tuple[int, ...]]:
         """Zero, generators, and sums of up to ENDPOINT_SUMMANDS generators."""
@@ -496,7 +499,7 @@ class ExCategory:
     hom_width = staticmethod(hom_dim)
 
     def arrows(self, src: Module, tgt: Module) -> list[ModMorphism]:
-        return enumerate_hom(src, tgt)
+        return self._bounded_homs(src, tgt)
 
     def push(self, delta: ExtElement, f: ModMorphism) -> ExtElement:
         return push_forward(delta, f)
@@ -556,9 +559,15 @@ class ExCategory:
     @memo
     def edges(self, src: Module, tgt: Module, dual: bool) -> tuple[ModMorphism, ...]:
         """The inflations src -> tgt (dual: the deflations), in
-        `enumerate_hom` order: the one edge table of the C4 checks."""
+        `enumerate_hom` order: the one edge table of the C4 checks.
+
+        A pair whose dimension vectors admit no mono (dual: no epi) has no
+        edge, and its hom space is not walked."""
+        # an inflation is injective at every vertex, a deflation surjective
+        if any(a < b if dual else a > b for a, b in zip(src.dims, tgt.dims)):
+            return ()
         edge = self.is_deflation if dual else self.is_inflation
-        return tuple(f for f in enumerate_hom(src, tgt) if edge(f))
+        return tuple(f for f in self._bounded_homs(src, tgt) if edge(f))
 
     def composites(self, near: Sequence[ModMorphism], mid: Module, far: Module,
                    dual: bool) -> list[tuple[int, ...]]:
@@ -619,17 +628,25 @@ class ExCategory:
     def _check_wic(self) -> CheckResult:
         """Weak cancellation: a composite deflation forces its second factor to
         be a deflation, a composite inflation its first factor an inflation.
-        Membership in `edge_classes` decides both, as in C4."""
+        Membership in `edge_classes` decides both, as in C4.
+
+        Each hom space is walked once per call: Hom(mid, h) is kept, with its
+        epis, for the whole call, and Hom(g, mid), with its monos, for one g."""
         checked = 0
+        into = {(mid, h): self._bounded_homs(mid, h)
+                for h in self.generators for mid in self.universe}
+        epis_into = {key: [t for t in homs if t.is_epi]
+                     for key, homs in into.items()}
         for gi, g in enumerate(self.generators):
-            homs_from_g = [enumerate_hom(g, mid) for mid in self.universe]
+            out_of_g = [into[g, mid] if (g, mid) in into
+                        else self._bounded_homs(g, mid) for mid in self.universe]
+            monos_of_g = [[f for f in homs if f.is_mono] for homs in out_of_g]
             for hj, h in enumerate(self.generators):
                 infl, defl = (self.edge_classes(g, h, dual)
                               for dual in (False, True))
-                for mid, all_first in zip(self.universe, homs_from_g):
-                    all_second = enumerate_hom(mid, h)
-                    monos = [f for f in all_first if f.is_mono]
-                    epis = [t for t in all_second if t.is_epi]
+                for mid, all_first, monos in zip(self.universe, out_of_g,
+                                                 monos_of_g):
+                    all_second, epis = into[mid, h], epis_into[mid, h]
                     for f in monos:
                         for t in all_second:
                             if self.hom_coords(t.compose(f)) in infl:
@@ -963,7 +980,7 @@ def cone(src, dst, f: Sequence[ModMorphism], shift: int
     s = shift
     p = src.terms[0].alg.p
     terms = (src.terms[s],) + tuple(
-        direct_sum([src.terms[i + s], dst.terms[i - 1 + s]])[0]
+        sum_module([src.terms[i + s], dst.terms[i - 1 + s]])
         for i in range(1, n + 1)) + (dst.terms[n + s],)
     diffs = []
     for i in range(n + 1):

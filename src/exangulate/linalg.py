@@ -315,6 +315,9 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def rank(m: Matrix) -> int:
+    # a single row or column spans a line iff it has a nonzero residue
+    if m.rows <= 1 or m.cols <= 1:
+        return 1 if any(m.entries) else 0
     return len(rref(m)[1])
 
 

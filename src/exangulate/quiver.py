@@ -780,12 +780,11 @@ def morphism_in_coords(phi: ModMorphism, basis: Sequence[ModMorphism]) -> Matrix
 # -- sums, kernels, images ----------------------------------------------------
 
 
-def direct_sum(parts: Sequence[Module]) -> tuple[Module, list[ModMorphism], list[ModMorphism]]:
-    """Direct sum with its inclusions and projections.
+def sum_module(parts: Sequence[Module]) -> Module:
+    """The direct sum module alone, without inclusions or projections.
 
-    Every matrix is written entry by entry: an arrow map is the block
-    diagonal of the parts' maps, and the inclusion of a part at a vertex is
-    an identity block between zero rows (its projection, the transpose).
+    Each arrow map is the block diagonal of the parts' maps, written entry
+    by entry.
     """
     if not parts:
         raise ValueError("direct sum of nothing; use zero_module")
@@ -807,7 +806,18 @@ def direct_sum(parts: Sequence[Module]) -> tuple[Module, list[ModMorphism], list
             r0 += br
             c0 += bc
         maps.append(Matrix._trusted(p, rows, cols, tuple(entries)))
-    total = Module._trusted(alg, dims, tuple(maps))
+    return Module._trusted(alg, dims, tuple(maps))
+
+
+def direct_sum(parts: Sequence[Module]) -> tuple[Module, list[ModMorphism], list[ModMorphism]]:
+    """Direct sum with its inclusions and projections.
+
+    The inclusion of a part at a vertex is an identity block between zero
+    rows (its projection, the transpose).
+    """
+    total = sum_module(parts)
+    p = total.alg.p
+    dims = total.dims
     incls, projs = [], []
     offsets = [0] * len(dims)
     for m in parts:

@@ -643,14 +643,68 @@ def test_rank_count_exactness_agrees_with_the_kernel_reference(
 
 
 def test_edge_table_is_the_filtered_hom_enumeration():
-    cat = fresh_category("bench/inputs/a3-rad2.exg", 2)
+    # at p = 2 the C4 count is the bench input's golden output's
+    for prime, c4_checked in ((2, 458), (3, 7632)):
+        cat = fresh_category("bench/inputs/a3-rad2.exg", prime)
+        for X in cat.universe:
+            for Y in cat.universe:
+                homs = enumerate_hom(X, Y)
+                assert list(cat.edges(X, Y, False)) == [f for f in homs
+                                                        if cat.is_inflation(f)]
+                assert list(cat.edges(X, Y, True)) == [f for f in homs
+                                                       if cat.is_deflation(f)]
+        assert check_c4(cat) == CheckResult("C4", True, None, c4_checked)
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_edge_table_skips_pairs_the_dimensions_rule_out(monkeypatch, prime):
+    """A pair with a larger source dimension at some vertex has no inflation
+    (a smaller one, no deflation), and its hom space is never walked."""
+    cat = fresh_category("bench/inputs/a3-rad2.exg", prime)
+
+    def walked(*args):
+        raise AssertionError("hom space walked")
+
+    monkeypatch.setattr(exangulated, "enumerate_hom", walked)
+    monkeypatch.setattr(exangulated, "hom_basis", walked)
+    pruned = 0
     for X in cat.universe:
         for Y in cat.universe:
-            homs = enumerate_hom(X, Y)
-            assert list(cat.edges(X, Y, False)) == [f for f in homs if cat.is_inflation(f)]
-            assert list(cat.edges(X, Y, True)) == [f for f in homs if cat.is_deflation(f)]
-    # the C4 count of the bench input's golden output
-    assert check_c4(cat) == CheckResult("C4", True, None, 458)
+            for dual in (False, True):
+                small, big = (Y, X) if dual else (X, Y)
+                if any(a > b for a, b in zip(small.dims, big.dims)):
+                    assert cat.edges(X, Y, dual) == ()
+                    pruned += 1
+    assert pruned == 314
+
+
+def test_every_hom_walk_of_the_engine_is_bounded(monkeypatch):
+    """C3's `arrows`, C4's `edges` and WIC stop at HOM_ENUM_LIMIT like the
+    realization search, with BoundExceeded; a pruned pair walks nothing."""
+    cat = fresh_category("bench/inputs/a3-rad2.exg", 2)
+    monkeypatch.setattr(exangulated, "HOM_ENUM_LIMIT", 1)
+    g = cat.generators[0]
+    for walk in (lambda: cat.arrows(g, g), lambda: cat.edges(g, g, False),
+                 lambda: cat.edges(g, g, True), cat._check_wic):
+        with pytest.raises(exangulated.BoundExceeded,
+                           match="^hom space too large to enumerate$"):
+            walk()
+    X, Y = next((X, Y) for X in cat.universe for Y in cat.universe
+                if hom_basis(X, Y) and any(a > b for a, b in zip(X.dims, Y.dims)))
+    assert cat.edges(X, Y, False) == () and cat.edges(Y, X, True) == ()
+
+
+def test_wic_walks_each_hom_space_once(monkeypatch):
+    """Within one WIC call (edge table already built by C4) every ordered
+    pair's hom space is enumerated at most once; the count is the golden
+    one."""
+    cat = fresh_category("bench/inputs/a3-rad2.exg", 2)
+    assert check_c4(cat).passed
+    walked = []
+    monkeypatch.setattr(exangulated, "enumerate_hom",
+                        lambda X, Y: walked.append((X, Y)) or enumerate_hom(X, Y))
+    assert cat._check_wic() == CheckResult("WIC", True, None, 140)
+    assert walked and len(walked) == len(set(walked))
 
 
 def test_c4_deflation_witness_at_multiplicity_one():

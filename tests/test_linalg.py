@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exangulate.linalg as linalg
 from exangulate.linalg import (
     Matrix,
     block_diag,
@@ -216,17 +218,18 @@ def test_randomized_solve_agrees_with_enumeration():
             assert x is None
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.integers(0, 4), st.integers(0, 4), st.data())
-def test_rref_is_idempotent_and_rank_bounded(rows, cols, data):
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_rref_is_idempotent_and_rank_bounded(p, rows, cols, data):
     entries = data.draw(
-        st.lists(st.integers(0, 1), min_size=rows * cols, max_size=rows * cols)
+        st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols)
     )
-    m = Matrix(2, rows, cols, tuple(entries))
+    m = Matrix(p, rows, cols, tuple(entries))
     r, pivots = rref(m)
     r2, pivots2 = rref(r)
     assert r == r2 and pivots == pivots2
     assert len(pivots) <= min(rows, cols)
+    assert rank(m) == len(pivots)
 
 
 @settings(max_examples=120, deadline=None)
@@ -245,3 +248,17 @@ def test_quotient_projection_section_identity(dim, data):
     for v in sub:
         assert (proj @ v).is_zero
     assert q == dim - rank(hstack(sub)) if sub else q == dim
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_rank_by_shape_is_the_rref_rank(monkeypatch, p):
+    """Every matrix with at most one row or column, k <= 4, is ranked
+    without `rref`, and its rank is the number of `rref` pivots."""
+    reduced = []   # the matrices `rank` hands to `rref`
+    monkeypatch.setattr(linalg, "rref", lambda m: reduced.append(m) or rref(m))
+    shapes = [(r, c) for k in range(5) for r, c in ((0, k), (k, 0), (1, k), (k, 1))]
+    for rows, cols in shapes:
+        for entries in itertools.product(range(p), repeat=rows * cols):
+            m = Matrix(p, rows, cols, entries)
+            assert rank(m) == len(rref(m)[1])
+    assert reduced == []

@@ -40,6 +40,7 @@ from exangulate.quiver import (
     interval_module,
     kernel_module,
     morphism_in_coords,
+    sum_module,
     zero_module,
     zero_morphism,
 )
@@ -131,13 +132,15 @@ def test_direct_sums_and_block_morphisms_validate():
 def test_direct_sum_matrices_are_the_block_matrices(gens):
     """The entry-by-entry sum against block matrices, on parts with
     zero-dimensional vertices (every interval module but one, and the zero
-    module), including a repeated part."""
+    module), including a repeated part; `sum_module` alone is the same
+    interned module."""
     zero = zero_module(gens[0].alg)
     part_lists = [[X, Y] for X, Y in pairs(gens)]
     part_lists += [[gens[0], zero, gens[-1], gens[0]], [zero], [zero, gens[1]]]
     for parts in part_lists:
         total, incls, projs = direct_sum(parts)
         full_check(total, incls, projs)
+        assert sum_module(parts) is total
         p = total.alg.p
         for k, a in enumerate(total.arrow_maps):
             assert a == block_diag(p, [m.arrow_maps[k] for m in parts])
