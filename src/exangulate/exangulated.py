@@ -60,7 +60,7 @@ from .quiver import (
 )
 
 # largest hom space enumerated element by element (`_bounded_homs`): the
-# realization search, `_resolvable`, C3's `arrows`, C4's `edges` and WIC
+# realization search and `_resolvable`
 HOM_ENUM_LIMIT = 4096
 LIFT_ENUM_LIMIT = 4096  # largest affine space of lifts searched for a good lift
 ENDPOINT_SUMMANDS = 2   # most generator summands of an object of the universe
@@ -499,7 +499,7 @@ class ExCategory:
     hom_width = staticmethod(hom_dim)
 
     def arrows(self, src: Module, tgt: Module) -> list[ModMorphism]:
-        return self._bounded_homs(src, tgt)
+        return enumerate_hom(src, tgt)
 
     def push(self, delta: ExtElement, f: ModMorphism) -> ExtElement:
         return push_forward(delta, f)
@@ -567,7 +567,7 @@ class ExCategory:
         if any(a < b if dual else a > b for a, b in zip(src.dims, tgt.dims)):
             return ()
         edge = self.is_deflation if dual else self.is_inflation
-        return tuple(f for f in self._bounded_homs(src, tgt) if edge(f))
+        return tuple(f for f in enumerate_hom(src, tgt) if edge(f))
 
     def composites(self, near: Sequence[ModMorphism], mid: Module, far: Module,
                    dual: bool) -> list[tuple[int, ...]]:
@@ -630,23 +630,23 @@ class ExCategory:
         be a deflation, a composite inflation its first factor an inflation.
         Membership in `edge_classes` decides both, as in C4.
 
-        Each hom space is walked once per call: Hom(mid, h) is kept, with its
-        epis, for the whole call, and Hom(g, mid), with its monos, for one g."""
+        Hom(g, mid) is walked, and its monos listed, once per g. Hom(mid, h)
+        is walked, and its epis listed, at its first use and kept for the
+        call, so a failure returns before later pairs are walked."""
         checked = 0
-        into = {(mid, h): self._bounded_homs(mid, h)
-                for h in self.generators for mid in self.universe}
-        epis_into = {key: [t for t in homs if t.is_epi]
-                     for key, homs in into.items()}
+        into = {}   # (mid, h) -> (Hom(mid, h), its epis), from first use
         for gi, g in enumerate(self.generators):
-            out_of_g = [into[g, mid] if (g, mid) in into
-                        else self._bounded_homs(g, mid) for mid in self.universe]
+            out_of_g = [enumerate_hom(g, mid) for mid in self.universe]
             monos_of_g = [[f for f in homs if f.is_mono] for homs in out_of_g]
             for hj, h in enumerate(self.generators):
                 infl, defl = (self.edge_classes(g, h, dual)
                               for dual in (False, True))
                 for mid, all_first, monos in zip(self.universe, out_of_g,
                                                  monos_of_g):
-                    all_second, epis = into[mid, h], epis_into[mid, h]
+                    if (mid, h) not in into:
+                        homs = enumerate_hom(mid, h)
+                        into[mid, h] = homs, [t for t in homs if t.is_epi]
+                    all_second, epis = into[mid, h]
                     for f in monos:
                         for t in all_second:
                             if self.hom_coords(t.compose(f)) in infl:

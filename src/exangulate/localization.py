@@ -188,14 +188,8 @@ def ideal_project(q: IdealQuotient, f: ModMorphism) -> tuple[int, ...]:
 
 def _class_invertible(q: IdealQuotient, X: Module, Y: Module,
                       coords: tuple[int, ...]) -> bool:
-    """Two-sided invertibility of a class: for X = Y by one rank, else by one
-    joint linear solve."""
+    """Two-sided invertibility of a class, by one joint linear solve."""
     f = q.rep(X, Y, coords)
-    if X == Y:
-        # C-bar(X, X) is a finite-dimensional algebra: injective left
-        # multiplication by f is onto, so f has a right inverse, and a
-        # one-sided inverse there is two-sided
-        return rank(_post(q, X, f)) == q.qdim(X, X)
     lhs = vstack([_pre(q, f, X), _post(q, Y, f)])
     rhs = Matrix.column(q.p, q.identity_class(X) + q.identity_class(Y))
     return rref_solve(lhs, rhs) is not None

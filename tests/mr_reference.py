@@ -1,6 +1,5 @@
 """Per-pair MR1 and MR2 checks, kept as the reference that the linear-map
-versions in `localization` (`_check_mr1`, `_check_mr2`) are tested against,
-and the joint-solve invertibility test of a class.
+versions in `localization` (`_check_mr1`, `_check_mr2`) are tested against.
 
 Both take the member table of `localization.member_table` and walk the same
 loops in the same order as the engine.  MR1 composes each member with each
@@ -10,18 +9,8 @@ with a fixed member is linear.
 """
 
 from exangulate.exangulated import CheckResult
-from exangulate.linalg import Matrix, rref_solve, vstack
+from exangulate.linalg import Matrix, rref_solve
 from exangulate.localization import LocalizationError, _post, _pre, ore_left, ore_right
-
-
-def class_invertible(q, X, Y, coords) -> bool:
-    """Two-sided invertibility of a class by one joint linear solve for g
-    with g . f = 1_X and f . g = 1_Y, at any ends: the reference for
-    `localization._class_invertible`, which ranks one matrix when X = Y."""
-    f = q.rep(X, Y, coords)
-    lhs = vstack([_pre(q, f, X), _post(q, Y, f)])
-    rhs = Matrix.column(q.p, q.identity_class(X) + q.identity_class(Y))
-    return rref_solve(lhs, rhs) is not None
 
 
 def check_mr1(spec, q, mem, keys) -> CheckResult:

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-import exangulate.exangulated as exangulated
 import exangulate.localization as localization
 import exangulate.quiver as quiver
 from exangulate.cli import ParseError, main, parse_input
@@ -333,17 +332,6 @@ def test_exhausted_bound_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "bound exceeded: quotient hom space too large to enumerate\n"
-
-
-def test_exhausted_hom_enumeration_limit_exits_3(capsys, monkeypatch):
-    """HOM_ENUM_LIMIT bounds every hom walk of `check`; running out of it
-    exits 3."""
-    monkeypatch.setattr(exangulated, "HOM_ENUM_LIMIT", 1)
-    code, out, err = run(["check", str(BENCH / "inputs" / "a3-rad2.exg")],
-                         capsys)
-    assert code == 3
-    assert out == ""
-    assert err == "bound exceeded: hom space too large to enumerate\n"
 
 
 @pytest.mark.parametrize("command", ["check", "localize"])

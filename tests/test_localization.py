@@ -342,9 +342,8 @@ def test_mr2_lets_an_exhausted_bound_through(monkeypatch):
 ], ids=["a3-rad2", "a4-cluster", "a4-projinj", "a4-trivial", "a2-at-p3"])
 def test_invertible_classes_filter_on_dimensions(monkeypatch, make):
     """`_invertible_classes` returns, for every ordered pair of the universe,
-    the classes that pass the joint-solve reference (`_class_invertible`
-    ranks one matrix when X = Y), and skips enumerating the classes of at
-    least one pair whose quotient dimensions differ."""
+    the classes that pass `_class_invertible`, and skips enumerating the
+    classes of at least one pair whose quotient dimensions differ."""
     q = make()                   # a fresh quotient: nothing cached yet
     classes = IdealQuotient.classes
     enumerated = []
@@ -362,7 +361,7 @@ def test_invertible_classes_filter_on_dimensions(monkeypatch, make):
             skipped += not enumerated
             assert got == frozenset(
                 c for c in classes(q, X, Y)
-                if mr_reference.class_invertible(q, X, Y, c))
+                if localization._class_invertible(q, X, Y, c))
             if X == Y:
                 assert got    # the identity class
     assert skipped
