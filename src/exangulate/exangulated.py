@@ -632,7 +632,7 @@ class ExCategory:
 
         Hom(g, mid) is walked, and its monos listed, once per g. Hom(mid, h)
         is walked, and its epis listed, at its first use and kept for the
-        call, so a failure returns before later pairs are walked."""
+        call, so a failure returns before later (mid, h) are walked."""
         checked = 0
         into = {}   # (mid, h) -> (Hom(mid, h), its epis), from first use
         for gi, g in enumerate(self.generators):

