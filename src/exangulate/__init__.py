@@ -3,7 +3,8 @@
 Construction of cluster-tilting style extension structures on module
 subcategories, mechanical verification of the defining axioms, and
 localization of the structure at a multiplicative system of morphisms via
-roof calculus.
+roof calculus.  The localization names load `localization.py` on first
+access, so a program that never localizes neither compiles nor runs it.
 """
 
 __version__ = "0.1.0"
@@ -45,27 +46,26 @@ from .exangulated import (
     mapping_cone,
     realize,
 )
-from .localization import (
-    EbarSpace,
-    EtildeGroup,
-    IdealQuotient,
-    LocalizationError,
-    LocalizationReport,
-    MorphismClassSpec,
-    Roof,
-    check_mr,
-    common_denominator,
-    ebar_group,
-    k_subgroup,
-    localize,
-    make_roof,
-    roof_add,
-    roof_equal,
-    roof_pull,
-    roof_push,
-    s_tilde,
-    weak_kc_check,
-)
+# served by `__getattr__` (PEP 562), which imports the module on first access
+_LOCALIZATION_NAMES = frozenset({
+    "EbarSpace", "EtildeGroup", "IdealQuotient", "LocalizationError",
+    "LocalizationReport", "MorphismClassSpec", "Roof", "check_mr",
+    "common_denominator", "ebar_group", "k_subgroup", "localize", "make_roof",
+    "roof_add", "roof_equal", "roof_pull", "roof_push", "s_tilde",
+    "weak_kc_check",
+})
+
+
+def __getattr__(name: str):
+    if name in _LOCALIZATION_NAMES:
+        from . import localization
+        return getattr(localization, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _LOCALIZATION_NAMES)
+
 
 __all__ = [
     "AlgebraPresentation",

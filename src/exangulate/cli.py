@@ -10,6 +10,9 @@ F-bar, and the search bounds.  Four commands consume it:
     exangulate hom <file> <obj> <obj>       dim Hom(X, Y)
     exangulate ext <file> <obj> <obj>       dim of the degree-n extension group
 
+Only `localize` imports the localization layer; the others load `linalg`,
+`quiver` and `exangulated` alone.
+
 `check` exits 0 when every axiom passes and 20 otherwise; `localize` exits
 with the report's code (0 = n-exangulated, 10 = weakly n-exangulated,
 20 = fails weak-kc, 30 = MR precondition failed); inspection commands exit 0.
@@ -65,10 +68,10 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .exangulated import BoundExceeded, ExCategory, NExangle, format_failure
 from .linalg import is_prime
-from .localization import LocalizationError, MorphismClassSpec, localize
 from .quiver import (
     AlgebraPresentation,
     Arrow,
@@ -79,6 +82,9 @@ from .quiver import (
     set_default_seed,
     zero_morphism,
 )
+
+if TYPE_CHECKING:
+    from .localization import MorphismClassSpec
 
 _REPORT_ORDER = ("M0", "MR1", "MR2", "MR3", "weak-kc",
                  "C1", "C2", "C2'", "C3", "C3'", "C4", "WIC",
@@ -464,6 +470,7 @@ def _the_map(cat: ExCategory, src: str, tgt: str, line: int):
 
 
 def build_spec(cfg: SessionConfig, cat: ExCategory) -> MorphismClassSpec:
+    from .localization import MorphismClassSpec
     if cfg.fbar_mode == "iso":
         return MorphismClassSpec("iso")
     seeds = tuple(_the_map(cat, s.source, s.target, s.line)
@@ -566,10 +573,12 @@ def run_check(cfg: SessionConfig, args, out) -> int:
 
 
 def run_localize(cfg: SessionConfig, args, out) -> int:
+    # loaded before build_category, so the setup stage still includes it
+    from . import localization
     cat = build_category(cfg)
     spec = build_spec(cfg, cat)
     nf_indices = [cfg.generators.index(label) for label in cfg.nf]
-    report = localize(cat, spec, nf_indices)
+    report = localization.localize(cat, spec, nf_indices)
     probes = probe_verdicts(cfg, cat)
 
     print(f"nf: {', '.join(report.nf_labels) if report.nf_labels else '(empty)'}",
@@ -738,7 +747,7 @@ def main(argv=None) -> int:
     except BoundExceeded as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return 3
-    except (LocalizationError, RuntimeError) as exc:
+    except RuntimeError as exc:  # LocalizationError among them
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

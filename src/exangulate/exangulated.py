@@ -63,6 +63,7 @@ from .quiver import (
 # realization search and `_resolvable`
 HOM_ENUM_LIMIT = 4096
 LIFT_ENUM_LIMIT = 4096  # largest affine space of lifts searched for a good lift
+EXT_ENUM_LIMIT = 64  # an E(C, A) with more classes is sampled as zero plus a basis
 ENDPOINT_SUMMANDS = 2   # most generator summands of an object of the universe
 
 
@@ -616,7 +617,7 @@ class ExCategory:
     def ext_elements(self, end_C: Module, end_A: Module) -> list[ExtElement]:
         """Every class of E(end_C, end_A), or zero plus the basis if too many."""
         space = self.ext(end_C, end_A)
-        if self.alg.p ** space.dim <= 64:
+        if self.alg.p ** space.dim <= EXT_ENUM_LIMIT:
             return space.all_elements()
         return [space.zero()] + space.basis()
 

@@ -48,6 +48,7 @@ from .quiver import (ExtElement, ModMorphism, Module, combine, direct_sum,
 CLASS_ENUM_LIMIT = 4096      # largest quotient hom-set we will enumerate
 SOLUTION_ENUM_LIMIT = 4096   # largest affine solution family we will scan
 ROOF_ENUM_LIMIT = 20000      # largest roof pool per localized Ext group
+FUNCTOR_UNIVERSE = 8         # the functor check walks only the first 8 universe objects
 
 
 class LocalizationError(RuntimeError):
@@ -1488,10 +1489,11 @@ def _check_functor(eng: LocalizedEngine) -> CheckResult:
     composition, identities, and distinguished realizations."""
     cat, spec, q = eng.cat, eng.spec, eng.q
     checked = 0
-    for X in q.universe[:8]:
-        for Y in q.universe[:8]:
+    objects = q.universe[:FUNCTOR_UNIVERSE]
+    for X in objects:
+        for Y in objects:
             for f in hom_basis(X, Y):
-                for Z in q.universe[:8]:
+                for Z in objects:
                     for g in hom_basis(Y, Z):
                         checked += 1
                         if q.project(g.compose(f)) != q.compose_classes(

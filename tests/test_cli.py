@@ -334,6 +334,20 @@ def test_exhausted_bound_exits_3(capsys, monkeypatch):
     assert err == "bound exceeded: quotient hom space too large to enumerate\n"
 
 
+def test_localization_error_exits_1(capsys, monkeypatch):
+    """A LocalizationError is an internal error.  The CLI calls the module's
+    `localize` when it runs, so a rebound attribute takes effect."""
+    def fail(*args):
+        raise localization.LocalizationError("boom")
+
+    monkeypatch.setattr(localization, "localize", fail)
+    code, out, err = run(["localize", str(BENCH / "inputs" / "a3-rad2.exg")],
+                         capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "internal error: boom\n"
+
+
 @pytest.mark.parametrize("command", ["check", "localize"])
 def test_exhausted_search_budget_exits_3(capsys, monkeypatch, command):
     """The decomposition's search budget is a bound like the enumeration

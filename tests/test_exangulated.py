@@ -210,6 +210,19 @@ def failures_ranking_per_slot(engine, cx):
     return out
 
 
+def test_ext_elements_sample_past_the_enumeration_limit(monkeypatch):
+    """Within EXT_ENUM_LIMIT every class is listed; past it, the zero class
+    followed by the basis."""
+    C, A = CAT.materialize((5, 5)), gen("4")
+    space = CAT.ext(C, A)
+    assert space.dim == 2
+    assert CAT.ext_elements(C, A) == space.all_elements()
+    monkeypatch.setattr(exangulated, "EXT_ENUM_LIMIT", 1)
+    sample = CAT.ext_elements(C, A)
+    assert sample == [space.zero()] + space.basis()
+    assert len(sample) == 3
+
+
 def test_exangle_failures_rank_each_map_once(monkeypatch):
     """Realizations relabelled with every class of the same ends fail in
     both ways; the failures and their order are those of the per-slot

@@ -1,16 +1,25 @@
-"""Every name a package module imports is used.
+"""Imports: every name a package module imports is used, and the
+localization layer loads only where it is used.
 
-No linter ships with the toolchain, so this parses each module with `ast`:
-an imported name must occur as a name somewhere in the module, or be listed
-in its `__all__` (a re-export).
+No linter ships with the toolchain, so the first check parses each module
+with `ast`: an imported name must occur as a name somewhere in the module,
+or be listed in its `__all__` (a re-export).  Function-level imports count.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "exangulate"
+import exangulate
+import exangulate.localization as localization
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "exangulate"
+BENCH_INPUT = str(ROOT / "bench" / "inputs" / "a3-rad2.exg")
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -44,3 +53,70 @@ def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Any, Sequence\n"
                      "x: Sequence[int] = []\n__all__ = ['Any']\n")
     assert unused_imports(tree) == ["os (line 1)"]
+
+
+# -- the localization layer loads on first use ----------------------------------
+
+
+def fresh_interpreter(script: str, *args: str) -> list[str]:
+    """stdout lines of `script` run in a new interpreter on this source tree."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          cwd=str(ROOT), capture_output=True, text=True,
+                          check=True)
+    return proc.stdout.splitlines()
+
+
+RUN_COMMANDS = """\
+import contextlib, io, sys
+from exangulate.cli import main
+path = sys.argv[1]
+for argv in sys.argv[2:]:
+    command, *objects = argv.split()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, path, *objects])
+    print(command, code, "exangulate.localization" in sys.modules)
+"""
+
+
+def test_check_hom_and_ext_leave_localization_unloaded():
+    assert fresh_interpreter(RUN_COMMANDS, BENCH_INPUT,
+                             "check", "hom 3 1/2", "ext 1 3") == [
+        "check 0 False", "hom 0 False", "ext 0 False"]
+
+
+def test_localize_loads_localization():
+    assert fresh_interpreter(RUN_COMMANDS, BENCH_INPUT, "localize") == [
+        "localize 0 True"]
+
+
+def test_library_access_loads_localization():
+    assert fresh_interpreter(
+        "import sys\n"
+        "import exangulate\n"
+        "print('exangulate.localization' in sys.modules)\n"
+        "from exangulate import localize\n"
+        "print('exangulate.localization' in sys.modules)\n") == [
+        "False", "True"]
+
+
+def test_star_import_binds_every_exported_name():
+    assert fresh_interpreter(
+        "from exangulate import *\n"
+        "import exangulate\n"
+        "print([n for n in exangulate.__all__ if n not in globals()])\n"
+    ) == ["[]"]
+
+
+def test_every_exported_name_resolves():
+    for name in exangulate.__all__:
+        assert getattr(exangulate, name) is not None
+    assert set(exangulate.__all__) <= set(dir(exangulate))
+    assert exangulate.localize is localization.localize
+    assert exangulate.LocalizationError is localization.LocalizationError
+
+
+def test_unknown_attribute_raises_the_standard_error():
+    with pytest.raises(AttributeError,
+                       match="^module 'exangulate' has no attribute 'nowhere'$"):
+        exangulate.nowhere
