@@ -30,7 +30,6 @@ from .quiver import (
     pull_back,
     push_forward,
     resolution,
-    set_default_seed,
     simple_module,
     yoneda_class,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "rref",
     "rref_solve",
     "s_tilde",
-    "set_default_seed",
     "simple_module",
     "weak_kc_check",
     "yoneda_class",

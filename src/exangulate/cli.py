@@ -20,9 +20,7 @@ Internal errors exit 1; unreadable or ill-formed input exits 2; a run that
 would pass one of the enumeration bounds or search budgets stops undecided
 and exits 3.  `--json
 PATH` additionally writes a machine-readable report (schema 1) whose bytes
-are identical across runs for identical inputs.  The environment variable
-EXANGULATE_SEED (0 when unset) fixes the seed used by the randomized
-Fitting-decomposition searches.
+are identical across runs for identical inputs.
 
 Grammar (lines; `#` starts a comment; keys are `name = value`)::
 
@@ -63,7 +61,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -79,7 +76,6 @@ from .quiver import (
     Relation,
     hom_basis,
     interval_module,
-    set_default_seed,
     zero_morphism,
 )
 
@@ -720,15 +716,6 @@ _RUNNERS = {"check": run_check, "localize": run_localize,
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # set on every call, so a run without the variable does not inherit
-    # the seed of an earlier run in the same process
-    seed_text = os.environ.get("EXANGULATE_SEED", "0")
-    try:
-        set_default_seed(int(seed_text))
-    except ValueError:
-        print(f"error: EXANGULATE_SEED={seed_text!r} is not an integer",
-              file=sys.stderr)
-        return 2
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except OSError as exc:

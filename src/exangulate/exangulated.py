@@ -118,7 +118,8 @@ class Subcategory:
     @memo
     def summand_multiset(self, m: Module) -> tuple[int, ...] | None:
         """Sorted generator indices of m's summands, or None if m is outside.
-        Cached per module value: the multiset is an isomorphism invariant."""
+        Cached per module, and so once per value, since equal modules are
+        one interned object."""
         if m.is_zero:
             return ()
         out = []
@@ -192,22 +193,6 @@ class CheckResult:
     passed: bool | None      # None: not checked within bounds
     witness: str | None = None
     checked: int = 0
-
-
-@dataclass
-class ExactFunctorData:
-    """An additive functor with a compatibility map between extension spaces.
-
-    `on_object` / `on_morphism` implement the functor; `on_extension` maps an
-    extension class of the source to one of the target.  Validation lives
-    with the consumer (the localization layer), which knows the target
-    category's composition and push/pull actions.
-    """
-
-    name: str
-    on_object: Callable
-    on_morphism: Callable
-    on_extension: Callable
 
 
 class ExCategory:

@@ -179,11 +179,6 @@ class IdealQuotient:
         return self.base.format_object(m)
 
 
-def ideal_project(q: IdealQuotient, f: ModMorphism) -> tuple[int, ...]:
-    """The class of f in the ideal quotient (zero iff f factors through N_F)."""
-    return q.project(f)
-
-
 # -- the class F-bar ----------------------------------------------------------
 
 

@@ -292,8 +292,8 @@ _new = object.__new__
 
 
 def _unhashed_state(obj) -> dict:
-    """Pickle state without the cached hash: a module's hash covers
-    arrow-name strings, whose hashes differ between interpreter runs."""
+    """Pickle state without the cached hash: it covers modules, which hash
+    by identity, so it does not hold for the unpickled copy."""
     state = dict(obj.__dict__)
     state.pop("_hash", None)
     return state
@@ -307,17 +307,21 @@ class Module:
     skips that for modules that are valid by construction (sums, kernels,
     images, cokernels, radicals), and `validate` re-runs the full check.
 
-    Modules are interned in their algebra's table (`_modules`):
-    `_trusted` returns the module already there for the same dims and arrow
-    maps, and the public constructor registers itself unless an equal module
-    came first.  Engine caches keyed by modules therefore hit by identity.
-    `__eq__` still compares values, since a module built by the public
-    constructor after an equal one, or unpickled, is not the canonical one.
+    Each module is interned in its algebra's table (`_modules`): the
+    constructor, `_trusted` and unpickling all return the module already
+    there for the same dims and arrow maps.  Within one algebra object equal
+    modules are therefore the same object, and modules compare and hash by
+    identity; modules over two distinct algebra objects are distinct.
     """
 
     alg: AlgebraPresentation
     dims: tuple[int, ...]
     arrow_maps: tuple[Matrix, ...]
+
+    def __new__(cls, alg: AlgebraPresentation, dims: tuple[int, ...],
+                arrow_maps: tuple[Matrix, ...]) -> "Module":
+        m = alg._modules().get((dims, arrow_maps))
+        return _new(cls) if m is None else m
 
     def __post_init__(self) -> None:
         self.validate()
@@ -340,23 +344,9 @@ class Module:
             table[key] = m
         return m
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Module:
-            return NotImplemented
-        return (self.dims == other.dims and self.arrow_maps == other.arrow_maps
-                and (self.alg is other.alg or self.alg == other.alg))
-
-    def __hash__(self) -> int:
-        d = self.__dict__
-        h = d.get("_hash")
-        if h is None:
-            h = d["_hash"] = hash((self.alg, self.dims, self.arrow_maps))
-        return h
-
-    def __getstate__(self) -> dict:
-        return _unhashed_state(self)
+    def __reduce__(self):
+        # unpickling validates and interns in the unpickled algebra's table
+        return Module, (self.alg, self.dims, self.arrow_maps)
 
     def validate(self) -> None:
         quiver = self.alg.quiver
@@ -523,8 +513,7 @@ class ModMorphism:
     The public constructor checks ends, shapes and squares;
     `ModMorphism._trusted` skips that for morphisms that are valid by
     construction (composites, sums, multiples, inclusions, projections), and
-    `validate` re-runs the full check.  The hash is kept once computed, as
-    for `Module`.
+    `validate` re-runs the full check.  The hash is kept once computed.
     """
 
     source: Module
@@ -676,10 +665,6 @@ def _maps_from_coords(src: Module, tgt: Module, coords: Matrix) -> tuple[Matrix,
     if pos != len(vals):
         raise ValueError("coordinate length mismatch")
     return tuple(maps)
-
-
-def hom_from_coords(src: Module, tgt: Module, coords: Matrix) -> ModMorphism:
-    return ModMorphism(src, tgt, _maps_from_coords(src, tgt, coords))
 
 
 def _hom_constraint_matrix(src: Module, tgt: Module) -> Matrix:
@@ -1029,28 +1014,18 @@ def _fitting_split(m: Module, rng: random.Random,
     return None
 
 
-_default_seed = 0
-
-
-def set_default_seed(seed: int) -> None:
-    """Fix the seed the randomized decomposition searches use when a call
-    does not pass one explicitly (e.g. from the EXANGULATE_SEED env var)."""
-    global _default_seed
-    _default_seed = int(seed)
-
-
-def decompose(m: Module, seed: int | None = None) -> list[tuple[Module, ModMorphism, ModMorphism]]:
+def decompose(m: Module) -> list[tuple[Module, ModMorphism, ModMorphism]]:
     """Indecomposable summands with inclusion and projection morphisms.
 
     End(M) of dimension <= 6 is searched exhaustively for idempotents (so
-    indecomposability is certified); larger endomorphism algebras use seeded
-    Fitting splitting, falling back to exhaustive search while p^dim stays
-    within a fixed budget.  Summands are sorted by decreasing total dimension,
+    indecomposability is certified); larger endomorphism algebras use
+    Fitting splitting seeded with 0, falling back to exhaustive search while
+    p^dim stays within a fixed budget.  Summands are sorted by decreasing total dimension,
     then dimension vector.
     """
     if m.is_zero:
         return []
-    rng = random.Random(_default_seed if seed is None else seed)
+    rng = random.Random(0)
     result: list[tuple[Module, ModMorphism, ModMorphism]] = []
     stack: list[tuple[Module, ModMorphism, ModMorphism]] = [
         (m, identity_morphism(m), identity_morphism(m))
@@ -1084,7 +1059,7 @@ def decompose(m: Module, seed: int | None = None) -> list[tuple[Module, ModMorph
     return result
 
 
-def isomorphism_between(a: Module, b: Module, seed: int | None = None) -> ModMorphism | None:
+def isomorphism_between(a: Module, b: Module) -> ModMorphism | None:
     """Search for an invertible morphism a -> b; None if there is none."""
     if a.dims != b.dims:
         return None
@@ -1094,7 +1069,7 @@ def isomorphism_between(a: Module, b: Module, seed: int | None = None) -> ModMor
     if not basis:
         return identity_morphism(a) if a.is_zero and b.is_zero else None
     p = a.alg.p
-    rng = random.Random(_default_seed if seed is None else seed)
+    rng = random.Random(0)
     # random combinations first, then exhaustive while the space is small
     for _ in range(32):
         phi = combine(a, b, basis, [rng.randrange(p) for _ in basis])
@@ -1109,9 +1084,9 @@ def isomorphism_between(a: Module, b: Module, seed: int | None = None) -> ModMor
     raise BoundExceeded("isomorphism search budget exceeded")
 
 
-def is_isomorphic(a: Module, b: Module, seed: int | None = None) -> bool:
+def is_isomorphic(a: Module, b: Module) -> bool:
     """Search for an invertible morphism a -> b."""
-    return isomorphism_between(a, b, seed) is not None
+    return isomorphism_between(a, b) is not None
 
 
 # -- resolutions and Ext -------------------------------------------------------
@@ -1169,7 +1144,7 @@ class ExtSpace:
         self.res = res
         self.hom_n = hom_basis(res.terms[n], end_A)
         hom_n1 = hom_basis(res.terms[n + 1], end_A)
-        hom_n_1 = hom_basis(res.terms[n - 1], end_A) if n >= 1 else ()
+        hom_n_1 = hom_basis(res.terms[n - 1], end_A)
         d_next = _precompose_matrix(res.diffs[n + 1], self.hom_n, hom_n1)
         self._cocycle_basis = kernel_basis(d_next)
         zmat = hstack(self._cocycle_basis) if self._cocycle_basis else Matrix.zeros(

@@ -478,24 +478,10 @@ def test_missing_file_is_an_input_error(capsys):
     assert "error:" in err
 
 
-def test_bad_seed_env_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("EXANGULATE_SEED", "not-a-number")
-    code, _, err = run(["hom", CLUSTER, "4", "4"], capsys)
-    assert code == 2
-    assert "EXANGULATE_SEED" in err
-
-
 def test_seed_env_accepted(capsys, monkeypatch):
-    monkeypatch.setenv("EXANGULATE_SEED", "7")
-    code, out, _ = run(["hom", CLUSTER, "4", "4"], capsys)
-    assert code == 0
-    assert out == "dim Hom(4, 4) = 1\n"
-
-
-def test_seed_does_not_leak_into_a_later_run(capsys, monkeypatch):
-    monkeypatch.setenv("EXANGULATE_SEED", "7")
-    assert run(["hom", CLUSTER, "4", "4"], capsys)[0] == 0
-    assert quiver._default_seed == 7
-    monkeypatch.delenv("EXANGULATE_SEED")
-    assert run(["hom", CLUSTER, "4", "4"], capsys)[0] == 0
-    assert quiver._default_seed == 0
+    # EXANGULATE_SEED is ignored: every randomized search is seeded with 0
+    for value in ("7", "not-a-number"):
+        monkeypatch.setenv("EXANGULATE_SEED", value)
+        code, out, _ = run(["hom", CLUSTER, "4", "4"], capsys)
+        assert code == 0
+        assert out == "dim Hom(4, 4) = 1\n"

@@ -32,7 +32,6 @@ from exangulate.localization import (
     ebar_push,
     etilde_group,
     fbar_membership,
-    ideal_project,
     identity_roof,
     k_subgroup,
     localize,
@@ -140,9 +139,8 @@ def test_ideal_project_kills_factoring_morphisms():
     onward = the_map("2/3/4", "1/2/3")
     composite = onward.compose(through)
     assert composite.is_zero is False
-    assert ideal_project(q, composite) == (0,) or not any(
-        ideal_project(q, composite))
-    assert any(ideal_project(q, identity_morphism(gen("4"))))
+    assert q.project(composite) == (0,) or not any(q.project(composite))
+    assert any(q.project(identity_morphism(gen("4"))))
 
 
 def test_rep_project_roundtrip():

@@ -8,6 +8,8 @@ full `validate()`.  The second half pins the hom-coordinate read-off of
 `morphism_in_coords` against the linear solve it replaces.
 """
 
+import copy
+import dataclasses
 import gc
 import itertools
 import pickle
@@ -17,7 +19,9 @@ from pathlib import Path
 import pytest
 
 import exangulate.quiver as quiver
-from exangulate.cli import build_category, parse_input
+from exangulate.cli import build_category, main, parse_input
+from exangulate.exangulated import ExCategory
+from exangulate.localization import IdealQuotient, LocalizedEngine
 from exangulate.linalg import Matrix, block_diag, hstack, solve_unique
 from exangulate.quiver import (
     AlgebraPresentation,
@@ -45,7 +49,8 @@ from exangulate.quiver import (
     zero_morphism,
 )
 
-FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "a4-cluster.exg"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = ROOT / "fixtures" / "a4-cluster.exg"
 GENS = build_category(parse_input(FIXTURE.read_text())).generators
 
 A3 = Quiver(3, (Arrow("a", 1, 2), Arrow("b", 2, 3)))
@@ -248,17 +253,9 @@ def test_other_bases_go_through_the_solve(monkeypatch):
         assert slow.col_list(0) == list(reversed(fast.col_list(0)))
 
 
-def test_module_hash_is_cached_but_not_pickled():
-    X = direct_sum([GENS[0], GENS[1]])[0]
-    assert hash(X) == hash(X) == hash(direct_sum([GENS[0], GENS[1]])[0])
-    copy = pickle.loads(pickle.dumps(X))
-    assert "_hash" not in copy.__dict__
-    assert copy == X and hash(copy) == hash(X)
-
-
 def test_morphism_and_class_hashes_are_cached_but_not_pickled():
-    """As for modules: a morphism's and an extension class's hash covers
-    the arrow names of their modules, so it is kept but not pickled."""
+    """A morphism's and an extension class's hash covers their modules,
+    which hash by identity, so it is kept but not pickled."""
     f = next(f for X, Y in pairs(GENS) for f in hom_basis(X, Y))
     C, A = next((C, A) for C, A in pairs(GENS)
                 if ext_group(GENS[0].alg, 2, C, A).dim)
@@ -266,27 +263,60 @@ def test_morphism_and_class_hashes_are_cached_but_not_pickled():
     for x in (f, delta):
         assert hash(x) == hash(x)
         assert "_hash" in x.__dict__
-        copy = pickle.loads(pickle.dumps(x))
-        assert "_hash" not in copy.__dict__
-        assert copy == x and hash(copy) == hash(x)
-    copy = pickle.loads(pickle.dumps(delta))
-    assert "_hash" not in copy.cocycle.__dict__
+        back = pickle.loads(pickle.dumps(x))
+        assert "_hash" not in back.__dict__
+        assert back.__class__ is x.__class__ and hash(back) == hash(back)
+    alg, back = pickle.loads(pickle.dumps((GENS[0].alg, delta)))
+    assert "_hash" not in back.cocycle.__dict__
+    assert (back.end_C, back.end_A) == (
+        Module(alg, C.dims, C.arrow_maps), Module(alg, A.dims, A.arrow_maps))
+    assert back.coords == delta.coords
 
 
 # -- interned modules ------------------------------------------------------------
 
 
 def test_engine_built_modules_are_interned():
-    """Equal modules that the engine builds are one object, and a parsed
-    generator is the canonical module of its value."""
-    assert direct_sum([GENS[0], GENS[1]])[0] is direct_sum([GENS[0], GENS[1]])[0]
-    for g in GENS:
-        assert direct_sum([g])[0] is g
-    # the public constructor after an equal module gives an equal module that
-    # is not the canonical one; the engine still returns the canonical one
-    late = Module(GENS[0].alg, GENS[0].dims, GENS[0].arrow_maps)
-    assert late == GENS[0] and late is not GENS[0]
-    assert direct_sum([late])[0] is GENS[0]
+    """Equal modules are one object, whether the engine or the public
+    constructor builds them, and a parsed generator is the canonical module
+    of its value."""
+    X = direct_sum([GENS[0], GENS[1]])[0]
+    assert direct_sum([GENS[0], GENS[1]])[0] is X
+    for m in (X, *GENS):
+        assert direct_sum([m])[0] is m
+        assert Module(m.alg, m.dims, tuple(
+            Matrix(a.p, a.rows, a.cols, a.entries) for a in m.arrow_maps)) is m
+    # modules compare and hash by identity alone
+    for name in ("__eq__", "__hash__", "__getstate__"):
+        assert name not in Module.__dict__
+    assert Module.__eq__ is object.__eq__ and Module.__hash__ is object.__hash__
+
+
+def test_bad_module_input_raises_and_is_not_interned():
+    alg = AlgebraPresentation(A3, (Relation((1,), (("a", "b"),)),), p=3)
+    one = Matrix.identity(3, 1)
+    with pytest.raises(ValueError, match="arrow maps do not satisfy relation"):
+        Module(alg, (1, 1, 1), (one, one))
+    with pytest.raises(ValueError, match="dimension vector length disagrees"):
+        Module(alg, (1, 1), (one, one))
+    with pytest.raises(ValueError, match="arrow 'b' matrix is 1x1, expected 0x1"):
+        Module(alg, (1, 1, 0), (one, one))
+    assert not alg._modules()
+
+
+def test_pickled_module_is_interned_in_its_algebra():
+    """Unpickling goes through the public constructor, so a pickled module
+    comes back validated and interned in the unpickled algebra's table."""
+    X = direct_sum([GENS[0], GENS[1]])[0]
+    a, b = pickle.loads(pickle.dumps((X, X)))
+    assert a is b
+    assert a.alg._modules()[a.dims, a.arrow_maps] is a
+    # the copy lives over the unpickled algebra: equal by value, another object
+    assert a.alg == X.alg and a.alg is not X.alg and a is not X
+    # the engine over the unpickled algebra finds the unpickled module
+    g0, g1, Y = pickle.loads(pickle.dumps((GENS[0], GENS[1], X)))
+    assert direct_sum([g0, g1])[0] is Y
+    assert copy.copy(X) is X and copy.deepcopy(X) is not X
 
 
 def test_intern_table_holds_modules_weakly():
@@ -309,3 +339,46 @@ def test_pickled_algebra_carries_no_intern_table():
     assert "_module_table" not in copy.__dict__
     assert copy == alg and hash(copy) == hash(alg)
     assert "_module_table" not in repr(alg)
+
+
+def _modules_in(x):
+    """The modules inside a cache key: through tuples and the fields of
+    value types, not into engines or matrices."""
+    if isinstance(x, Module):
+        yield x
+    elif isinstance(x, (tuple, list, frozenset)):
+        for y in x:
+            yield from _modules_in(y)
+    elif (dataclasses.is_dataclass(x) and not isinstance(x, (type, Matrix))
+          and not hasattr(x, "_memo")):
+        for f in dataclasses.fields(x):
+            yield from _modules_in(getattr(x, f.name))
+
+
+def test_every_cached_module_is_the_interned_one(monkeypatch, capsys):
+    """Modules compare by identity, so a cache keyed by a module that is
+    not its algebra's interned one would miss.  After `check` and
+    `localize` of the benchmark input in one process, every module key of
+    the engines' `memo` caches and of the `hom_basis` cache is interned."""
+    owners = []
+    for cls in (ExCategory, IdealQuotient, LocalizedEngine):
+        def record(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            owners.append(self)
+        monkeypatch.setattr(cls, "__init__", record)
+    path = str(ROOT / "bench" / "inputs" / "a3-rad2.exg")
+    assert main(["check", path]) == 0
+    assert main(["localize", path]) == 0
+    capsys.readouterr()
+    assert {type(o) for o in owners} == {ExCategory, IdealQuotient, LocalizedEngine}
+    owners += [o.objects for o in owners if isinstance(o, ExCategory)]
+    memo_keys = [key for o in owners for cache in o._memo.values()
+                 for key in cache]
+    # the C lru_cache keeps its table, keyed by argument tuples, as a referent
+    lru_keys = [key for d in gc.get_referents(hom_basis)
+                if isinstance(d, dict) for key in d]
+    for keys in (memo_keys, lru_keys):
+        mods = list(_modules_in(keys))
+        assert mods
+        for m in mods:
+            assert m.alg._modules()[m.dims, m.arrow_maps] is m
