@@ -263,9 +263,7 @@ def test_morphism_and_class_hashes_are_cached_but_not_pickled():
     for x in (f, delta):
         assert hash(x) == hash(x)
         assert "_hash" in x.__dict__
-        back = pickle.loads(pickle.dumps(x))
-        assert "_hash" not in back.__dict__
-        assert back.__class__ is x.__class__ and hash(back) == hash(back)
+        assert "_hash" not in pickle.loads(pickle.dumps(x)).__dict__
     alg, back = pickle.loads(pickle.dumps((GENS[0].alg, delta)))
     assert "_hash" not in back.cocycle.__dict__
     assert (back.end_C, back.end_A) == (
