@@ -958,9 +958,10 @@ def cone(src, dst, f: Sequence[ModMorphism], shift: int
     src_s -> src_{1+s} + dst_s -> ... -> src_{n+s} + dst_{n-1+s} -> dst_{n+s},
 
     with differential (x, y) -> (-d x, f x + d' y).  Each middle sum is built
-    once, and each differential is written at every vertex as the block
-    matrix [[-d, 0], [f, d']] over the summands of its ends (the first column
-    or the second row dropped at an end term).
+    once, and each differential's `flat` is written vertex by vertex as the
+    block matrix [[-d, 0], [f, d']] over the summands of its ends (the first
+    column or the second row dropped at an end term), read from the blocks'
+    `flat` vectors.
     """
     n = len(src.terms) - 2
     s = shift
@@ -977,22 +978,24 @@ def cone(src, dst, f: Sequence[ModMorphism], shift: int
             blocks.append((0, 0, src.diffs[i + s], -1))
         if i > 0:
             blocks.append((low, 1, dst.diffs[i - 1 + s], 1))
-        maps = []
+        flat: list[int] = []
+        starts = [0] * len(blocks)   # each block's vertex v matrix in its flat
         for v, (rows, cols) in enumerate(zip(terms[i + 1].dims, terms[i].dims)):
             # the src summand comes first in each middle sum
             skip = (src.terms[i + 1 + s].dims[v] if i < n else 0,
                     src.terms[i + s].dims[v])
             entries = [0] * (rows * cols)
-            for r, c, g, sign in blocks:
-                m = g.maps[v]
+            for b, (r, c, g, sign) in enumerate(blocks):
+                gr, gc, at0 = g.target.dims[v], g.source.dims[v], starts[b]
                 r0, c0 = skip[0] if r else 0, skip[1] if c else 0
-                for a in range(m.rows):
-                    row = m.entries[a * m.cols:(a + 1) * m.cols]
+                for a in range(gr):
+                    row = g.flat[at0 + a * gc:at0 + (a + 1) * gc]
                     at = (r0 + a) * cols + c0
-                    entries[at:at + m.cols] = (row if sign > 0
-                                               else [(-x) % p for x in row])
-            maps.append(Matrix._trusted(p, rows, cols, tuple(entries)))
-        diffs.append(ModMorphism._trusted(terms[i], terms[i + 1], tuple(maps)))
+                    entries[at:at + gc] = (row if sign > 0
+                                           else [(-x) % p for x in row])
+                starts[b] = at0 + gr * gc
+            flat += entries
+        diffs.append(ModMorphism._of(terms[i], terms[i + 1], tuple(flat)))
     return terms, tuple(diffs)
 
 

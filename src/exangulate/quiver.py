@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, mul
 from typing import Sequence
 
@@ -291,15 +291,7 @@ def algebra_dimension(alg: AlgebraPresentation) -> int:
 _new = object.__new__
 
 
-def _unhashed_state(obj) -> dict:
-    """Pickle state without the cached hash: it covers modules, which hash
-    by identity, so it does not hold for the unpickled copy."""
-    state = dict(obj.__dict__)
-    state.pop("_hash", None)
-    return state
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Module:
     """Representation of the bound quiver: F_p space at each vertex, matrix per arrow.
 
@@ -309,7 +301,8 @@ class Module:
 
     Each module is interned in its algebra's table (`_modules`): the
     constructor, `_trusted` and unpickling all return the module already
-    there for the same dims and arrow maps.  Within one algebra object equal
+    there for the same dims and arrow maps, untouched; only a new module is
+    filled, validated and interned.  Within one algebra object equal
     modules are therefore the same object, and modules compare and hash by
     identity; modules over two distinct algebra objects are distinct.
     """
@@ -323,9 +316,14 @@ class Module:
         m = alg._modules().get((dims, arrow_maps))
         return _new(cls) if m is None else m
 
-    def __post_init__(self) -> None:
+    def __init__(self, alg: AlgebraPresentation, dims: tuple[int, ...],
+                 arrow_maps: tuple[Matrix, ...]) -> None:
+        d = self.__dict__
+        if "alg" in d:  # `__new__` returned the interned module
+            return
+        d["alg"], d["dims"], d["arrow_maps"] = alg, dims, arrow_maps
         self.validate()
-        self.alg._modules().setdefault((self.dims, self.arrow_maps), self)
+        alg._modules()[dims, arrow_maps] = self
 
     @classmethod
     def _trusted(cls, alg: AlgebraPresentation, dims: tuple[int, ...],
@@ -506,46 +504,83 @@ def standard_module(alg: AlgebraPresentation, kind: str, v: int) -> Module:
 # -- morphisms ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ModMorphism:
     """Module homomorphism: one matrix per vertex, every square commuting.
 
-    The public constructor checks ends, shapes and squares;
-    `ModMorphism._trusted` skips that for morphisms that are valid by
-    construction (composites, sums, multiples, inclusions, projections), and
+    The one stored form is `flat`: the vertex matrices' entries, vertex by
+    vertex, each row-major.  That is the layout of the hom-space constraint
+    matrix, so `flat` is also the morphism's hom coordinate vector.  `maps`,
+    the vertex matrices, is a view of it built on first use.
+
+    The public constructor takes the vertex matrices and checks ends, shapes
+    and squares; `ModMorphism._of` (from `flat`) and `_trusted` (from vertex
+    matrices) skip that for morphisms that are valid by construction, and
     `validate` re-runs the full check.  The hash is kept once computed.
     """
 
     source: Module
     target: Module
-    maps: tuple[Matrix, ...]
+    flat: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, source: Module, target: Module, maps: tuple[Matrix, ...]) -> None:
+        maps = tuple(maps)
+        self.__dict__.update(source=source, target=target, maps=maps,
+                             flat=tuple(x for m in maps for x in m.entries))
         self.validate()
 
     @classmethod
-    def _trusted(cls, source: Module, target: Module,
-                 maps: tuple[Matrix, ...]) -> "ModMorphism":
-        """Unchecked constructor; the caller guarantees a valid morphism."""
+    def _of(cls, source: Module, target: Module,
+            flat: tuple[int, ...]) -> "ModMorphism":
+        """Unchecked constructor from `flat`; the caller guarantees a valid morphism."""
         f = _new(cls)
         d = f.__dict__
         d["source"] = source
         d["target"] = target
-        d["maps"] = maps
+        d["flat"] = flat
         return f
+
+    @classmethod
+    def _trusted(cls, source: Module, target: Module,
+                 maps: tuple[Matrix, ...]) -> "ModMorphism":
+        """Unchecked constructor from vertex matrices, kept as the `maps` view."""
+        f = cls._of(source, target, tuple(x for m in maps for x in m.entries))
+        f.__dict__["maps"] = maps
+        return f
+
+    @cached_property
+    def maps(self) -> tuple[Matrix, ...]:
+        """The vertex matrices, cut out of `flat`."""
+        p, flat = self.source.alg.p, self.flat
+        out, pos = [], 0
+        for r, c in zip(self.target.dims, self.source.dims):
+            out.append(Matrix._trusted(p, r, c, flat[pos:pos + r * c]))
+            pos += r * c
+        if pos != len(flat):
+            raise ValueError("coordinate length mismatch")
+        return tuple(out)
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not ModMorphism:
+            return NotImplemented
+        return (self.flat == other.flat and self.source is other.source
+                and self.target is other.target)
 
     def __hash__(self) -> int:
         d = self.__dict__
         h = d.get("_hash")
         if h is None:
-            h = d["_hash"] = hash((self.source, self.target, self.maps))
+            h = d["_hash"] = hash((self.source, self.target, self.flat))
         return h
 
     def __getstate__(self) -> dict:
-        return _unhashed_state(self)
+        # neither the hash (it covers modules, which hash by identity) nor the view
+        return {"source": self.source, "target": self.target, "flat": self.flat}
 
     def validate(self) -> None:
-        if self.source.alg != self.target.alg:
+        if self.source.alg is not self.target.alg:
             raise ValueError("morphism between modules over different algebras")
         nv = self.source.alg.quiver.vertex_count
         if len(self.maps) != nv:
@@ -565,28 +600,50 @@ class ModMorphism:
         return self.maps[v - 1]
 
     def compose(self, other: "ModMorphism") -> "ModMorphism":
-        """self after other (other first)."""
-        if other.target != self.source:
+        """self after other (other first).  At each vertex the n x k block of
+        self times the k x m block of other is written straight into the
+        output: zeros when a side is empty, an outer product when k = 1."""
+        if other.target is not self.source:
             raise ValueError("composition mismatch")
-        return ModMorphism._trusted(other.source, self.target,
-                                    tuple(a @ b for a, b in zip(self.maps, other.maps)))
+        p = self.source.alg.p
+        a, b = self.flat, other.flat
+        out: list[int] = []
+        i = j = 0
+        for n, k, m in zip(self.target.dims, self.source.dims, other.source.dims):
+            if not (n and k and m):
+                out += [0] * (n * m)
+            elif k == 1:
+                col = b[j:j + m]
+                for x in a[i:i + n]:
+                    out += [x * y % p for y in col]
+            else:
+                cols = [b[c:j + k * m:m] for c in range(j, j + m)]
+                for r in range(i, i + n * k, k):
+                    row = a[r:r + k]
+                    out += [sum(map(mul, row, col)) % p for col in cols]
+            i += n * k
+            j += k * m
+        return ModMorphism._of(other.source, self.target, tuple(out))
 
     def __add__(self, other: "ModMorphism") -> "ModMorphism":
-        if self.source != other.source or self.target != other.target:
+        if self.source is not other.source or self.target is not other.target:
             raise ValueError("sum of morphisms with different ends")
-        return ModMorphism._trusted(self.source, self.target,
-                                    tuple(a + b for a, b in zip(self.maps, other.maps)))
+        p = self.source.alg.p
+        return ModMorphism._of(self.source, self.target,
+                               tuple((x + y) % p for x, y in zip(self.flat, other.flat)))
 
     def __neg__(self) -> "ModMorphism":
-        return ModMorphism._trusted(self.source, self.target, tuple(-m for m in self.maps))
+        p = self.source.alg.p
+        return ModMorphism._of(self.source, self.target, tuple(-x % p for x in self.flat))
 
     def scale(self, c: int) -> "ModMorphism":
-        return ModMorphism._trusted(self.source, self.target,
-                                    tuple(m.scale(c) for m in self.maps))
+        p = self.source.alg.p
+        c %= p
+        return ModMorphism._of(self.source, self.target, tuple(c * x % p for x in self.flat))
 
     @property
     def is_zero(self) -> bool:
-        return all(m.is_zero for m in self.maps)
+        return not any(self.flat)
 
     @property
     def is_mono(self) -> bool:
@@ -606,65 +663,40 @@ class ModMorphism:
 
 
 def identity_morphism(m: Module) -> ModMorphism:
-    return ModMorphism._trusted(m, m, tuple(Matrix.identity(m.alg.p, d) for d in m.dims))
+    flat: list[int] = []
+    for d in m.dims:
+        blk = [0] * (d * d)
+        blk[::d + 1] = [1] * d
+        flat += blk
+    return ModMorphism._of(m, m, tuple(flat))
 
 
 def zero_morphism(src: Module, tgt: Module) -> ModMorphism:
-    if src.alg is not tgt.alg and src.alg != tgt.alg:
+    if src.alg is not tgt.alg:
         raise ValueError("morphism between modules over different algebras")
-    return ModMorphism._trusted(src, tgt, tuple(
-        Matrix.zeros(src.alg.p, tgt.dims[i], src.dims[i]) for i in range(len(src.dims))
-    ))
+    return ModMorphism._of(src, tgt, (0,) * sum(map(mul, tgt.dims, src.dims)))
 
 
 def combine(src: Module, tgt: Module, basis: Sequence[ModMorphism],
             coeffs: Sequence[int]) -> ModMorphism:
     """The morphism sum_k coeffs[k] * basis[k] in Hom(src, tgt).
 
-    One pass over the vertex entries of the terms with a nonzero
+    One pass over the `flat` vectors of the terms with a nonzero
     coefficient; no intermediate morphisms are built.
     """
     p = src.alg.p
-    terms = [(c % p, b.maps) for c, b in zip(coeffs, basis) if c % p]
+    terms = [(c % p, b.flat) for c, b in zip(coeffs, basis) if c % p]
+    if not terms:
+        return zero_morphism(src, tgt)
     cs = [c for c, _ in terms]
-    maps = []
-    for v, (rows, cols) in enumerate(zip(tgt.dims, src.dims)):
-        if terms:
-            entries = tuple(sum(map(mul, cs, col)) % p
-                            for col in zip(*(m[v].entries for _, m in terms)))
-        else:
-            entries = (0,) * (rows * cols)
-        maps.append(Matrix._trusted(p, rows, cols, entries))
-    return ModMorphism._trusted(src, tgt, tuple(maps))
-
-
-# hom coordinates: concatenate row-major vec of each vertex matrix, vertex order
-
-
-def _flat_entries(phi: ModMorphism) -> list[int]:
-    vals: list[int] = []
-    for m in phi.maps:
-        vals.extend(m.entries)
-    return vals
+    return ModMorphism._of(src, tgt, tuple(
+        sum(map(mul, cs, col)) % p for col in zip(*(f for _, f in terms))))
 
 
 def hom_coords(phi: ModMorphism) -> Matrix:
-    vals = _flat_entries(phi)
-    return Matrix._trusted(phi.source.alg.p, len(vals), 1, tuple(vals))
-
-
-def _maps_from_coords(src: Module, tgt: Module, coords: Matrix) -> tuple[Matrix, ...]:
-    p = src.alg.p
-    vals = coords.col_list(0)
-    maps = []
-    pos = 0
-    for v in range(1, len(src.dims) + 1):
-        r, c = tgt.vertex_dim(v), src.vertex_dim(v)
-        maps.append(Matrix._trusted(p, r, c, tuple(vals[pos : pos + r * c])))
-        pos += r * c
-    if pos != len(vals):
-        raise ValueError("coordinate length mismatch")
-    return tuple(maps)
+    """phi's `flat` vector as a column: its coordinates in the layout of the
+    hom-space constraint matrix."""
+    return Matrix._trusted(phi.source.alg.p, len(phi.flat), 1, phi.flat)
 
 
 def _hom_constraint_matrix(src: Module, tgt: Module) -> Matrix:
@@ -712,10 +744,10 @@ class _HomBasis(tuple):
 
 @lru_cache(maxsize=None)
 def hom_basis(src: Module, tgt: Module) -> tuple[ModMorphism, ...]:
-    """Deterministic basis of Hom(src, tgt)."""
+    """Deterministic basis of Hom(src, tgt); each basis morphism's `flat` is
+    a `kernel_basis` vector of the constraint matrix, taken as it is."""
     basis = kernel_basis(_hom_constraint_matrix(src, tgt))
-    out = _HomBasis(ModMorphism._trusted(src, tgt, _maps_from_coords(src, tgt, v))
-                    for v in basis)
+    out = _HomBasis(ModMorphism._of(src, tgt, v.entries) for v in basis)
     cols = [v.entries for v in basis]
     # kernel_basis puts each vector's free column at its last nonzero entry
     out.free = tuple(max(i for i, x in enumerate(col) if x) for col in cols)
@@ -740,9 +772,9 @@ def enumerate_hom(src: Module, tgt: Module) -> list[ModMorphism]:
 def morphism_in_coords(phi: ModMorphism, basis: Sequence[ModMorphism]) -> Matrix:
     """Express phi in the given hom basis (raises if it is outside the span).
 
-    A basis from `hom_basis` gives the coordinates as phi's entries at its
-    free columns, checked against the other entries; any other basis is
-    solved for.
+    A basis from `hom_basis` gives the coordinates as the entries of
+    `phi.flat` at its free columns, checked against the other entries; any
+    other basis is solved for.
     """
     p = phi.source.alg.p
     if not basis:
@@ -750,9 +782,9 @@ def morphism_in_coords(phi: ModMorphism, basis: Sequence[ModMorphism]) -> Matrix
             return Matrix.zeros(p, 0, 1)
         raise ValueError("nonzero morphism in zero hom space")
     if basis.__class__ is not _HomBasis:
-        mat = hstack([hom_coords(b) for b in basis])
+        mat = from_columns(p, len(phi.flat), [b.flat for b in basis])
         return solve_unique(mat, hom_coords(phi))
-    vals = _flat_entries(phi)
+    vals = phi.flat
     if len(vals) != len(basis.free) + len(basis.pivots):
         raise ValueError("incompatible right-hand side")
     coords = [vals[i] for i in basis.free]
@@ -801,24 +833,23 @@ def direct_sum(parts: Sequence[Module]) -> tuple[Module, list[ModMorphism], list
     rows (its projection, the transpose).
     """
     total = sum_module(parts)
-    p = total.alg.p
     dims = total.dims
     incls, projs = [], []
     offsets = [0] * len(dims)
     for m in parts:
-        inc_maps, prj_maps = [], []
+        inc, prj = [], []
         for v, (d, big) in enumerate(zip(m.dims, dims)):
             off = offsets[v]
-            inc = [0] * (big * d)
-            prj = [0] * (d * big)
+            blk_inc = [0] * (big * d)
+            blk_prj = [0] * (d * big)
             for i in range(d):
-                inc[(off + i) * d + i] = 1
-                prj[i * big + off + i] = 1
-            inc_maps.append(Matrix._trusted(p, big, d, tuple(inc)))
-            prj_maps.append(Matrix._trusted(p, d, big, tuple(prj)))
+                blk_inc[(off + i) * d + i] = 1
+                blk_prj[i * big + off + i] = 1
+            inc += blk_inc
+            prj += blk_prj
             offsets[v] = off + d
-        incls.append(ModMorphism._trusted(m, total, tuple(inc_maps)))
-        projs.append(ModMorphism._trusted(total, m, tuple(prj_maps)))
+        incls.append(ModMorphism._of(m, total, tuple(inc)))
+        projs.append(ModMorphism._of(total, m, tuple(prj)))
     return total, incls, projs
 
 
@@ -1184,12 +1215,16 @@ class ExtSpace:
         return out
 
     def class_of_cocycle(self, cocycle: ModMorphism) -> "ExtElement":
+        return self.element(self._class_coords(cocycle))
+
+    def _class_coords(self, cocycle: ModMorphism) -> Matrix:
+        """The coordinates of a cocycle's class, without building the class."""
         if cocycle.source != self.res.terms[self.n] or cocycle.target != self.end_A:
             raise ValueError("cocycle has wrong ends for this Ext space")
         hom_vec = morphism_in_coords(cocycle, self.hom_n)
         z = solve_unique(self._zmat, hom_vec) if self._zmat.cols else Matrix.zeros(
             self.alg.p, 0, 1)
-        return self.element(self._proj @ z)
+        return self._proj @ z
 
     def all_elements(self) -> list["ExtElement"]:
         return [self.element(v) for v in enumerate_vectors(self.alg.p, self.dim)]
@@ -1214,7 +1249,10 @@ class ExtElement:
         return h
 
     def __getstate__(self) -> dict:
-        return _unhashed_state(self)
+        # not the hash: it covers modules, which hash by identity
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     @property
     def is_zero(self) -> bool:
@@ -1262,8 +1300,7 @@ def _solve_postcompose(f: ModMorphism, src: Module, rhs: ModMorphism) -> ModMorp
         if rhs.is_zero:
             return zero_morphism(src, f.source)
         raise ValueError("no candidates for lifting problem")
-    cols = [hom_coords(f.compose(b)) for b in basis]
-    mat = hstack(cols)
+    mat = from_columns(p, len(rhs.flat), [f.compose(b).flat for b in basis])
     sol = rref_solve(mat, hom_coords(rhs))
     if sol is None:
         raise ValueError("lifting problem has no solution")
@@ -1286,14 +1323,13 @@ def pull_back(delta: ExtElement, c: ModMorphism) -> ExtElement:
     basis = hom_basis(c.source, delta.end_C)
     coords = morphism_in_coords(c, basis)
     space = ext_group(alg, delta.n, c.source, delta.end_A)
-    total = space.zero()
-    for idx, coeff in enumerate(coords.col_list(0)):
-        if not coeff:
-            continue
-        lift_n = _chain_lift(c.source, delta.end_C, idx, delta.n)[delta.n]
-        part = space.class_of_cocycle(delta.cocycle.compose(lift_n))
-        total = space.element(total.coords + part.coords.scale(coeff))
-    return total
+    total = Matrix.zeros(alg.p, space.dim, 1)
+    for idx, coeff in enumerate(coords.entries):
+        if coeff:
+            lift_n = _chain_lift(c.source, delta.end_C, idx, delta.n)[delta.n]
+            part = space._class_coords(delta.cocycle.compose(lift_n))
+            total = total + part.scale(coeff)
+    return space.element(total)
 
 
 def _is_exact_sequence(mods: Sequence[Module], maps: Sequence[ModMorphism]) -> bool:

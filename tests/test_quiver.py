@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -177,6 +178,21 @@ def test_mod_morphism_rejects_modules_over_different_algebras():
         ModMorphism(src, tgt, maps)
     with pytest.raises(ValueError, match="different algebras"):
         zero_morphism(src, tgt)
+
+
+def test_mod_morphism_rejects_modules_over_a_pickled_copy_of_the_algebra():
+    """Modules over two value-equal algebra objects are different modules,
+    so no morphism runs between them."""
+    copy = pickle.loads(pickle.dumps(ALG))
+    assert copy == ALG and copy is not ALG
+    src, tgt = GENS["4"], interval_module(copy, 4, 4)
+    maps = (Matrix.zeros(2, 0, 0),) * 3 + (Matrix.identity(2, 1),)
+    with pytest.raises(ValueError, match="different algebras"):
+        ModMorphism(src, tgt, maps)
+    with pytest.raises(ValueError, match="different algebras"):
+        zero_morphism(src, tgt)
+    with pytest.raises(ValueError, match="different algebras"):
+        zero_morphism(tgt, src)
 
 
 # -- hom spaces ----------------------------------------------------------------

@@ -302,6 +302,17 @@ def test_bad_module_input_raises_and_is_not_interned():
     assert not alg._modules()
 
 
+def test_constructor_leaves_an_interned_module_untouched():
+    """Given equal but distinct inputs, the public constructor returns the
+    interned module as it is: it still holds the tuple its table key holds."""
+    for m in GENS:
+        maps = tuple(Matrix(a.p, a.rows, a.cols, a.entries) for a in m.arrow_maps)
+        assert Module(m.alg, tuple(m.dims), maps) is m
+        assert m.arrow_maps is not maps
+        key = next(k for k, v in m.alg._modules().items() if v is m)
+        assert m.arrow_maps is key[1] and m.dims is key[0]
+
+
 def test_pickled_module_is_interned_in_its_algebra():
     """Unpickling goes through the public constructor, so a pickled module
     comes back validated and interned in the unpickled algebra's table."""
