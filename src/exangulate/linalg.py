@@ -5,12 +5,22 @@ reduces to solving small linear systems over F_p, so this module keeps the
 contract strict: matrices are immutable, entries are residues in 0..p-1,
 every operation checks shapes and moduli, and row reduction always picks the
 leftmost available pivot so that bases and solutions are reproducible.
+
+The same small systems recur many times in one run, so `rref`,
+`kernel_basis` and `rref_solve` remember their last `LINALG_CACHE_SIZE`
+results by argument value (`Matrix` hashes by value).  A result is shared
+between callers, so it is immutable: matrices, ints and tuples only, which
+is why `kernel_basis` returns a tuple.  The caches reach no module or
+algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
+
+LINALG_CACHE_SIZE = 1024  # results each row-reduction cache keeps
 
 
 def is_prime(p: int) -> bool:
@@ -280,6 +290,7 @@ def block_diag(p: int, blocks: Sequence[Matrix]) -> Matrix:
 # -- row reduction ---------------------------------------------------------
 
 
+@lru_cache(maxsize=LINALG_CACHE_SIZE)
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with leftmost pivots.
 
@@ -321,8 +332,9 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def kernel_basis(m: Matrix) -> list[Matrix]:
-    """Basis of the right null space, as column vectors.
+@lru_cache(maxsize=LINALG_CACHE_SIZE)
+def kernel_basis(m: Matrix) -> tuple[Matrix, ...]:
+    """Basis of the right null space, as a tuple of column vectors.
 
     One basis vector per free column, with a 1 in the free column's slot and
     0 in every other free column; enumerated in increasing column order
@@ -342,9 +354,10 @@ def kernel_basis(m: Matrix) -> list[Matrix]:
         for i, pc in enumerate(pivots):
             v[pc] = (-r.at(i, fc)) % p
         basis.append(Matrix._trusted(p, m.cols, 1, tuple(v)))
-    return basis
+    return tuple(basis)
 
 
+@lru_cache(maxsize=LINALG_CACHE_SIZE)
 def rref_solve(a: Matrix, b: Matrix) -> Matrix | None:
     """One solution x of a @ x = b (b may have several columns), or None.
 

@@ -735,11 +735,15 @@ class _HomBasis(tuple):
     a morphism's coordinates are its entries at the free columns `free`.
     `pivots` lists, for every other entry position, the basis elements
     nonzero there with their values; a vector with those coordinates is in
-    the span iff every such entry is the matching combination.
+    the span iff every such entry is the matching combination.  `read` maps
+    the `flat` of each morphism read so far to its coordinate column; it
+    holds only morphisms in the span, at most p^dim of them, and dies with
+    the basis.
     """
 
     free: tuple[int, ...]
     pivots: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    read: dict[tuple[int, ...], Matrix]
 
 
 @lru_cache(maxsize=None)
@@ -755,6 +759,7 @@ def hom_basis(src: Module, tgt: Module) -> tuple[ModMorphism, ...]:
     out.pivots = tuple(
         (i, tuple((k, col[i]) for k, col in enumerate(cols) if col[i]))
         for i in range(len(cols[0]) if cols else 0) if i not in free)
+    out.read = {}
     return out
 
 
@@ -773,8 +778,11 @@ def morphism_in_coords(phi: ModMorphism, basis: Sequence[ModMorphism]) -> Matrix
     """Express phi in the given hom basis (raises if it is outside the span).
 
     A basis from `hom_basis` gives the coordinates as the entries of
-    `phi.flat` at its free columns, checked against the other entries; any
-    other basis is solved for.
+    `phi.flat` at its free columns, checked against the other entries, and
+    keeps the column in its `read` table, so each distinct morphism is read
+    once per basis and later calls share that column.  A morphism outside
+    the span raises every time; nothing is stored for it.  Any other basis
+    is solved for.
     """
     p = phi.source.alg.p
     if not basis:
@@ -785,13 +793,17 @@ def morphism_in_coords(phi: ModMorphism, basis: Sequence[ModMorphism]) -> Matrix
         mat = from_columns(p, len(phi.flat), [b.flat for b in basis])
         return solve_unique(mat, hom_coords(phi))
     vals = phi.flat
+    column = basis.read.get(vals)
+    if column is not None:
+        return column
     if len(vals) != len(basis.free) + len(basis.pivots):
         raise ValueError("incompatible right-hand side")
     coords = [vals[i] for i in basis.free]
     for i, terms in basis.pivots:
         if sum(coords[k] * x for k, x in terms) % p != vals[i]:
             raise ValueError("inconsistent linear system")
-    return Matrix._trusted(p, len(coords), 1, tuple(coords))
+    column = basis.read[vals] = Matrix._trusted(p, len(coords), 1, tuple(coords))
+    return column
 
 
 # -- sums, kernels, images ----------------------------------------------------

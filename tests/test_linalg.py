@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import exangulate.linalg as linalg
 from exangulate.linalg import (
+    LINALG_CACHE_SIZE,
     Matrix,
     block_diag,
     block_matrix,
@@ -262,3 +263,86 @@ def test_rank_by_shape_is_the_rref_rank(monkeypatch, p):
             m = Matrix(p, rows, cols, entries)
             assert rank(m) == len(rref(m)[1])
     assert reduced == []
+
+
+# -- the row-reduction caches ---------------------------------------------------
+
+CACHED = (rref, kernel_basis, rref_solve)
+
+
+def _drawn_matrix(data, p, rows, cols):
+    return Matrix(p, rows, cols, tuple(data.draw(
+        st.lists(st.integers(0, p - 1), min_size=rows * cols, max_size=rows * cols))))
+
+
+def _twin(m):
+    """An equal matrix that shares no object with m."""
+    return Matrix(m.p, m.rows, m.cols, tuple(list(m.entries)))
+
+
+def _cached_calls(a, b):
+    return ((rref, (a,)), (kernel_basis, (a,)), (rref_solve, (a, b)))
+
+
+def _assert_cached_by_value(a, b):
+    for fn, args in _cached_calls(a, b):
+        got = fn(*args)
+        assert got == fn.__wrapped__(*args)
+        # an equal matrix built anew is answered with the shared result
+        twins = tuple(map(_twin, args))
+        assert all(t is not x for t, x in zip(twins, args))
+        assert fn(*twins) is got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 3), st.data())
+def test_cached_results_equal_the_computation(p, rows, cols, rhs_cols, data):
+    """`rref`, `kernel_basis` and `rref_solve` (with a right-hand side of
+    0 to 3 columns) return what their undecorated bodies compute, and an
+    equal but distinct argument gets the same result object."""
+    _assert_cached_by_value(_drawn_matrix(data, p, rows, cols),
+                            _drawn_matrix(data, p, rows, rhs_cols))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (3, 0)])
+def test_empty_shapes_are_cached_by_value(p, rows, cols):
+    _assert_cached_by_value(Matrix.zeros(p, rows, cols), Matrix.zeros(p, rows, 2))
+    assert kernel_basis(Matrix.zeros(p, rows, cols)) == tuple(
+        Matrix.identity(p, cols).column_at(j) for j in range(cols))
+
+
+def test_a_failing_call_raises_every_time_and_is_not_stored():
+    a, b = Matrix.zeros(2, 2, 2), Matrix.zeros(2, 3, 1)
+    sizes = rref_solve.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="incompatible right-hand side"):
+            rref_solve(a, b)
+    assert rref_solve.cache_info().currsize == sizes
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_results_survive_clearing_and_eviction(p):
+    rng = random.Random(p)
+    probes = [(_random_matrix(rng, p, r, c), _random_matrix(rng, p, r, 2))
+              for r in range(4) for c in range(4)]
+
+    def answers():
+        return [fn(*args) for a, b in probes for fn, args in _cached_calls(a, b)]
+
+    before = answers()
+    for fn in CACHED:
+        fn.cache_clear()
+    assert answers() == before
+    # more distinct systems than a cache keeps push every probe out
+    width = 12   # p ** 12 > LINALG_CACHE_SIZE distinct 1 x 12 rows
+    for k in range(LINALG_CACHE_SIZE + 1):
+        m = Matrix(p, 1, width, tuple((k // p ** i) % p for i in range(width)))
+        for fn, args in _cached_calls(m, Matrix.zeros(p, 1, 1)):
+            fn(*args)
+    misses = [fn.cache_info().misses for fn in CACHED]
+    for fn in CACHED:
+        assert fn.cache_info().currsize == LINALG_CACHE_SIZE
+    assert answers() == before
+    assert all(fn.cache_info().misses > m for fn, m in zip(CACHED, misses))

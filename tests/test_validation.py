@@ -5,7 +5,8 @@ through the public constructors, but composites, sums, kernels and the like
 are built unchecked because they are valid by construction.  Here every such
 output over the generators of `fixtures/a4-cluster.exg` is handed back to the
 full `validate()`.  The second half pins the hom-coordinate read-off of
-`morphism_in_coords` against the linear solve it replaces.
+`morphism_in_coords`, and its table of coordinates already read, against
+the linear solve it replaces, and checks what the caches hold.
 """
 
 import copy
@@ -13,16 +14,20 @@ import dataclasses
 import gc
 import itertools
 import pickle
+import types
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import exangulate.quiver as quiver
 from exangulate.cli import build_category, main, parse_input
 from exangulate.exangulated import ExCategory
 from exangulate.localization import IdealQuotient, LocalizedEngine
-from exangulate.linalg import Matrix, block_diag, hstack, solve_unique
+from exangulate.linalg import (LINALG_CACHE_SIZE, Matrix, block_diag, hstack,
+                               kernel_basis, rref, rref_solve, solve_unique)
 from exangulate.quiver import (
     AlgebraPresentation,
     Arrow,
@@ -211,20 +216,80 @@ def test_read_off_equals_the_solve(gens):
     assert checked > 200
 
 
-def test_read_off_rejects_a_morphism_outside_the_span():
+def _outside_the_span():
+    """The projection onto S3 as an endomorphism of S3 + S4, with the
+    uniserial 3/4: the projection's vertex matrices are the vector (1, 0),
+    while End(3/4) is spanned by (1, 1)."""
     alg = GENS[0].alg
     s3, s4 = interval_module(alg, 3, 3), interval_module(alg, 4, 4)
     split, _, _ = direct_sum([s3, s4])
-    # the projection onto S3 as an endomorphism of S3 + S4: its vertex
-    # matrices are the vector (1, 0), while End(3/4) is spanned by (1, 1)
     e = ModMorphism(split, split, tuple(
         Matrix.identity(2, d) if v == 3 else Matrix.zeros(2, d, d)
         for v, d in enumerate(split.dims, start=1)))
-    uniserial = interval_module(alg, 3, 4)
+    return e, interval_module(alg, 3, 4)
+
+
+def test_read_off_rejects_a_morphism_outside_the_span():
+    e, uniserial = _outside_the_span()
     with pytest.raises(ValueError, match="inconsistent linear system"):
         morphism_in_coords(e, hom_basis(uniserial, uniserial))
     with pytest.raises(ValueError, match="inconsistent linear system"):
         solved_coords(e, hom_basis(uniserial, uniserial))
+
+
+def test_read_off_stores_each_morphism_once_and_no_failure():
+    e, uniserial = _outside_the_span()
+    basis = hom_basis.__wrapped__(uniserial, uniserial)   # an unread basis
+    for _ in range(2):
+        with pytest.raises(ValueError, match="inconsistent linear system"):
+            morphism_in_coords(e, basis)
+    assert basis.read == {}
+    phi = identity_morphism(uniserial)
+    first = morphism_in_coords(phi, basis)
+    assert first == solved_coords(phi, basis)
+    twin = ModMorphism(uniserial, uniserial, phi.maps)
+    assert twin is not phi and twin.flat is not phi.flat
+    assert morphism_in_coords(twin, basis) is first
+    assert list(basis.read) == [phi.flat]
+    # the table holds at most the p^dim elements of the space
+    X, Y = GENS3[5], GENS3[6]
+    basis = hom_basis.__wrapped__(X, Y)
+    elements = enumerate_hom(X, Y)
+    for phi in elements + elements:
+        assert morphism_in_coords(phi, basis) == solved_coords(phi, basis)
+    assert len(basis.read) == len(elements) == 3 ** len(basis) > 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([GENS, GENS3]), st.data())
+def test_memoized_read_off_equals_the_solve(gens, data):
+    """A combination of basis morphisms, sometimes moved off the span by a
+    random vector, reads the solve's coordinates on every call, or raises
+    on every call; an equal but distinct morphism reads the same column."""
+    X, Y = data.draw(st.sampled_from(pairs(gens)))
+    basis = hom_basis(X, Y)
+    if not basis:
+        return
+    p, size = X.alg.p, len(basis[0].flat)
+    residues = st.integers(0, p - 1)
+    phi = combine(X, Y, basis, data.draw(st.lists(
+        residues, min_size=len(basis), max_size=len(basis))))
+    if data.draw(st.booleans()):
+        noise = data.draw(st.lists(residues, min_size=size, max_size=size))
+        phi = ModMorphism._of(X, Y, tuple(
+            (a + b) % p for a, b in zip(phi.flat, noise)))
+    try:
+        want = solved_coords(phi, basis)
+    except ValueError:
+        for _ in range(2):
+            with pytest.raises(ValueError, match="inconsistent linear system"):
+                morphism_in_coords(phi, basis)
+        assert phi.flat not in basis.read
+        return
+    got = morphism_in_coords(phi, basis)
+    assert got == want
+    assert morphism_in_coords(phi, basis) is got
+    assert morphism_in_coords(ModMorphism(X, Y, phi.maps), basis) is got
 
 
 def test_other_bases_go_through_the_solve(monkeypatch):
@@ -391,3 +456,43 @@ def test_every_cached_module_is_the_interned_one(monkeypatch, capsys):
         assert mods
         for m in mods:
             assert m.alg._modules()[m.dims, m.arrow_maps] is m
+
+
+def _reachable(roots):
+    """Every object reachable from `roots` by `gc.get_referents`, without
+    entering classes, functions or modules."""
+    seen = {}
+    stack = list(roots)
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or isinstance(
+                x, (type, types.FunctionType, types.ModuleType)):
+            continue
+        seen[id(x)] = x
+        stack.extend(gc.get_referents(x))
+    return list(seen.values())
+
+
+def test_linalg_caches_are_bounded_and_hold_no_module(capsys):
+    """The row-reduction caches are process-global, so they must not keep
+    a finished run alive.  After `check` and `localize` of the benchmark
+    input, each is within its bound, and neither its keys nor its results
+    reach a module, morphism or algebra."""
+    path = str(ROOT / "bench" / "inputs" / "a3-rad2.exg")
+    assert main(["check", path]) == 0
+    assert main(["localize", path]) == 0
+    capsys.readouterr()
+    for fn in (rref, kernel_basis, rref_solve):
+        assert 0 < fn.cache_info().currsize <= LINALG_CACHE_SIZE
+        # the C lru_cache keeps its table as a referent; its links are not
+        # tracked, so each result is read back by a call that hits
+        keys = [key for d in gc.get_referents(fn) if isinstance(d, dict)
+                for key in d if isinstance(key, tuple)]
+        assert len(keys) == fn.cache_info().currsize
+        hits = fn.cache_info().hits
+        results = [fn(*key) for key in keys]
+        assert fn.cache_info().hits == hits + len(keys)
+        held = _reachable(keys + results)
+        assert any(isinstance(x, Matrix) for x in held)
+        assert not [x for x in held
+                    if isinstance(x, (Module, ModMorphism, AlgebraPresentation))]
