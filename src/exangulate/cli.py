@@ -63,7 +63,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -78,6 +77,7 @@ from .quiver import (
     interval_module,
     zero_morphism,
 )
+from .values import Value
 
 if TYPE_CHECKING:
     from .localization import MorphismClassSpec
@@ -96,41 +96,47 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class RelationSpec:
-    coeffs: tuple[int, ...]
-    paths: tuple[tuple[str, ...], ...]
-    line: int
+class RelationSpec(Value):
+    _fields = ("coeffs", "paths", "line")
+
+    def __init__(self, coeffs: tuple[int, ...], paths: tuple[tuple[str, ...], ...],
+                 line: int) -> None:
+        self.__dict__.update(coeffs=coeffs, paths=paths, line=line)
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    source: str
-    target: str
-    line: int
+class SeedSpec(Value):
+    _fields = ("source", "target", "line")
+
+    def __init__(self, source: str, target: str, line: int) -> None:
+        self.__dict__.update(source=source, target=target, line=line)
 
 
-@dataclass(frozen=True)
-class ProbeSpec:
-    name: str
-    terms: tuple[str, ...]
-    coords: tuple[int, ...]
-    line: int
+class ProbeSpec(Value):
+    _fields = ("name", "terms", "coords", "line")
+
+    def __init__(self, name: str, terms: tuple[str, ...], coords: tuple[int, ...],
+                 line: int) -> None:
+        self.__dict__.update(name=name, terms=terms, coords=coords, line=line)
 
 
-@dataclass(frozen=True)
-class SessionConfig:
-    prime: int
-    quiver: Quiver
-    relations: tuple[RelationSpec, ...]
-    n: int
-    generators: tuple[str, ...]
-    nf: tuple[str, ...]
-    fbar_mode: str
-    seeds: tuple[SeedSpec, ...]
-    multiplicity: int
-    path_length: int
-    probes: tuple[ProbeSpec, ...]
+class SessionConfig(Value):
+    _fields = ("prime", "quiver", "relations", "n", "generators", "nf",
+               "fbar_mode", "seeds", "multiplicity", "path_length", "probes")
+
+    def __init__(self, prime: int, quiver: Quiver,
+                 relations: tuple[RelationSpec, ...], n: int,
+                 generators: tuple[str, ...], nf: tuple[str, ...],
+                 fbar_mode: str, seeds: tuple[SeedSpec, ...], multiplicity: int,
+                 path_length: int, probes: tuple[ProbeSpec, ...]) -> None:
+        self.__dict__.update(
+            prime=prime, quiver=quiver, relations=relations, n=n,
+            generators=generators, nf=nf, fbar_mode=fbar_mode, seeds=seeds,
+            multiplicity=multiplicity, path_length=path_length, probes=probes)
+
+    def replace(self, **changes) -> "SessionConfig":
+        """A copy with the named fields changed, built by the constructor."""
+        return SessionConfig(**{**{f: getattr(self, f) for f in self._fields},
+                                **changes})
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -724,9 +730,9 @@ def main(argv=None) -> int:
     try:
         cfg = parse_input(text)
         if args.prime is not None:
-            cfg = replace(cfg, prime=args.prime)
+            cfg = cfg.replace(prime=args.prime)
         if args.multiplicity_bound is not None:
-            cfg = replace(cfg, multiplicity=args.multiplicity_bound)
+            cfg = cfg.replace(multiplicity=args.multiplicity_bound)
         return _RUNNERS[args.command](cfg, args, sys.stdout)
     except ParseError as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)

@@ -24,10 +24,8 @@ so is its second factor, and dually for inflations).
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .linalg import (Matrix, enumerate_vectors, from_columns, hstack,
@@ -58,6 +56,7 @@ from .quiver import (
     zero_module,
     zero_morphism,
 )
+from .values import Record, Value
 
 # largest hom space enumerated element by element (`_bounded_homs`): the
 # realization search and `_resolvable`
@@ -76,7 +75,8 @@ def memo(fn: Callable) -> Callable:
     The caches live and die with their owner; nothing module-global holds
     them.  A call that raises caches nothing.
     """
-    params = list(inspect.signature(fn).parameters)
+    code = fn.__code__
+    params = code.co_varnames[:code.co_argcount]
     at = params.index("q") if "q" in params else 0
 
     @functools.wraps(fn)
@@ -91,22 +91,23 @@ def memo(fn: Callable) -> Callable:
     return cached
 
 
-@dataclass(frozen=True)
-class Subcategory:
-    """add(generators): all finite direct sums of summand-closed generators."""
+class Subcategory(Value):
+    """add(generators): all finite direct sums of summand-closed generators.
+    Its `_memo` is outside `_fields`, so it takes no part in eq, hash or repr."""
 
-    generators: tuple[Module, ...]
-    multiplicity_bound: int = 2
-    _memo: defaultdict = field(default_factory=lambda: defaultdict(dict),
-                               compare=False, repr=False)
+    _fields = ("generators", "multiplicity_bound")
 
-    def __post_init__(self) -> None:
+    def __init__(self, generators: tuple[Module, ...],
+                 multiplicity_bound: int = 2) -> None:
+        self.__dict__.update(generators=generators,
+                             multiplicity_bound=multiplicity_bound,
+                             _memo=defaultdict(dict))
         if self.multiplicity_bound < 1:
             raise ValueError("multiplicity bound must be positive")
         if not self.generators:
             raise ValueError("subcategory needs at least one generator")
         alg = self.generators[0].alg
-        if any(g.alg != alg for g in self.generators):
+        if any(g.alg is not alg for g in self.generators):
             raise ValueError("generators live over different algebras")
 
     def generator_index(self, m: Module) -> int | None:
@@ -134,8 +135,7 @@ class Subcategory:
         return self.summand_multiset(m) is not None
 
 
-@dataclass(frozen=True)
-class NExangle:
+class NExangle(Value):
     """(n+2)-term complex in the subcategory together with an extension class.
 
     Construction checks shapes and that consecutive differentials compose to
@@ -144,11 +144,11 @@ class NExangle:
     represented and reported on.
     """
 
-    terms: tuple[Module, ...]
-    diffs: tuple[ModMorphism, ...]
-    delta: ExtElement
+    _fields = ("terms", "diffs", "delta")
 
-    def __post_init__(self) -> None:
+    def __init__(self, terms: tuple[Module, ...], diffs: tuple[ModMorphism, ...],
+                 delta: ExtElement) -> None:
+        self.__dict__.update(terms=terms, diffs=diffs, delta=delta)
         if len(self.terms) < 3:
             raise ValueError("an exangle needs at least three terms")
         if len(self.diffs) != len(self.terms) - 1:
@@ -169,30 +169,38 @@ class NExangle:
         return len(self.terms) - 2
 
 
-@dataclass(frozen=True)
-class ExangleFailure:
-    side: str       # "contravariant" | "covariant"
-    position: int   # index of the term X_position whose Hom spot fails
-    tester: int     # generator index of the test object
-    reason: str     # "not a complex" | "homology"
+class ExangleFailure(Value):
+    """`side` is "contravariant" or "covariant", `position` the index of the
+    term X_position whose Hom spot fails, `tester` the generator index of
+    the test object, `reason` "not a complex" or "homology"."""
+
+    _fields = ("side", "position", "tester", "reason")
+
+    def __init__(self, side: str, position: int, tester: int, reason: str) -> None:
+        self.__dict__.update(side=side, position=position, tester=tester,
+                             reason=reason)
 
 
-@dataclass(frozen=True)
-class ExangleVerdict:
-    ok: bool
-    failures: tuple[ExangleFailure, ...] = ()
+class ExangleVerdict(Value):
+    _fields = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: tuple[ExangleFailure, ...] = ()) -> None:
+        self.__dict__.update(ok=ok, failures=failures)
 
     @property
     def first_failure(self) -> ExangleFailure | None:
         return self.failures[0] if self.failures else None
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool | None      # None: not checked within bounds
-    witness: str | None = None
-    checked: int = 0
+class CheckResult(Record):
+    _fields = ("name", "passed", "witness", "checked")
+
+    def __init__(self, name: str, passed: bool | None,
+                 witness: str | None = None, checked: int = 0) -> None:
+        self.name = name
+        self.passed = passed      # None: not checked within bounds
+        self.witness = witness
+        self.checked = checked
 
 
 class ExCategory:

@@ -8,17 +8,19 @@ leftmost available pivot so that bases and solutions are reproducible.
 
 The same small systems recur many times in one run, so `rref`,
 `kernel_basis` and `rref_solve` remember their last `LINALG_CACHE_SIZE`
-results by argument value (`Matrix` hashes by value).  A result is shared
-between callers, so it is immutable: matrices, ints and tuples only, which
-is why `kernel_basis` returns a tuple.  The caches reach no module or
+results by argument value (`Matrix` hashes by value); `rref_solve` reduces
+its augmented matrix without going through `rref`'s cache.  A result is
+shared between callers, so it is immutable: matrices, ints and tuples only,
+which is why `kernel_basis` returns a tuple.  The caches reach no module or
 algebra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
+
+from .values import Frozen
 
 LINALG_CACHE_SIZE = 1024  # results each row-reduction cache keeps
 
@@ -58,8 +60,7 @@ def _inv_mod(a: int, p: int) -> int:
 _new = object.__new__
 
 
-@dataclass(frozen=True, eq=False)
-class Matrix:
+class Matrix(Frozen):
     """Immutable row-major matrix over F_p. 0xN and Nx0 shapes are legal.
 
     The public constructor validates its arguments; `Matrix._trusted` skips
@@ -67,12 +68,11 @@ class Matrix:
     matrices, row reduction), and `validate` re-runs the full check.
     """
 
-    p: int
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    _fields = ("p", "rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
+    def __init__(self, p: int, rows: int, cols: int,
+                 entries: tuple[int, ...]) -> None:
+        self.__dict__.update(p=p, rows=rows, cols=cols, entries=entries)
         self.validate()
 
     def validate(self) -> None:
@@ -298,6 +298,12 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     first row with a nonzero entry in the current column becomes the pivot
     row.
     """
+    return _rref(m)
+
+
+def _rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    # uncached, for `rref_solve`, whose augmented matrices recur only
+    # through its own cache
     p = m.p
     rows = [m.row_list(i) for i in range(m.rows)]
     pivots: list[int] = []
@@ -368,8 +374,7 @@ def rref_solve(a: Matrix, b: Matrix) -> Matrix | None:
         raise ValueError("modulus mismatch")
     if a.rows != b.rows:
         raise ValueError("incompatible right-hand side")
-    aug = hstack([a, b])
-    r, pivots = rref(aug)
+    r, pivots = _rref(hstack([a, b]))
     for pc in pivots:
         if pc >= a.cols:
             return None

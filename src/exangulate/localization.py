@@ -31,7 +31,6 @@ explicit message, rather than guessing.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Sequence
 
 from .exangulated import (ENDPOINT_SUMMANDS, BoundExceeded, CheckResult,
@@ -44,6 +43,7 @@ from .linalg import (Matrix, column_space_basis, enumerate_vectors,
 from .quiver import (ExtElement, ModMorphism, Module, combine, direct_sum,
                      enumerate_hom, hom_basis, identity_morphism,
                      morphism_in_coords, pull_back, push_forward)
+from .values import Record, Value
 
 CLASS_ENUM_LIMIT = 4096      # largest quotient hom-set we will enumerate
 SOLUTION_ENUM_LIMIT = 4096   # largest affine solution family we will scan
@@ -56,8 +56,7 @@ class LocalizationError(RuntimeError):
     inconsistent."""
 
 
-@dataclass(frozen=True)
-class MorphismClassSpec:
+class MorphismClassSpec(Value):
     """Which morphisms to invert.
 
     mode "iso":      F consists of exactly the morphisms whose classes are
@@ -68,10 +67,10 @@ class MorphismClassSpec:
                      are *checked* by MR1, not forced into the closure.
     """
 
-    mode: str
-    seeds: tuple[ModMorphism, ...] = ()
+    _fields = ("mode", "seeds")
 
-    def __post_init__(self) -> None:
+    def __init__(self, mode: str, seeds: tuple[ModMorphism, ...] = ()) -> None:
+        self.__dict__.update(mode=mode, seeds=seeds)
         if self.mode not in ("iso", "saturate"):
             raise ValueError("mode must be 'iso' or 'saturate'")
         if self.mode == "iso" and self.seeds:
@@ -662,15 +661,17 @@ def k_subgroup(spec: MorphismClassSpec, q: IdealQuotient,
     return [tuple(b.col_list(0)) for b in basis]
 
 
-@dataclass(frozen=True)
-class EbarSpace:
-    """E-bar(C, A) = E(C, A)/K(C, A) with a chosen linear section."""
+class EbarSpace(Value):
+    """E-bar(C, A) = E(C, A)/K(C, A) with a chosen linear section; `space`
+    is the underlying ExtSpace."""
 
-    spec: MorphismClassSpec
-    space: object               # the underlying ExtSpace
-    k_basis: tuple[tuple[int, ...], ...]
-    proj: Matrix
-    sect: Matrix
+    _fields = ("spec", "space", "k_basis", "proj", "sect")
+
+    def __init__(self, spec: MorphismClassSpec, space: object,
+                 k_basis: tuple[tuple[int, ...], ...], proj: Matrix,
+                 sect: Matrix) -> None:
+        self.__dict__.update(spec=spec, space=space, k_basis=k_basis,
+                             proj=proj, sect=sect)
 
     @property
     def dim(self) -> int:
@@ -758,14 +759,15 @@ def ebar_pull(spec: MorphismClassSpec, q: IdealQuotient, eb: EbarSpace,
 # -- roofs and the localized extension groups ----------------------------------
 
 
-@dataclass(frozen=True)
-class Roof:
-    """Formal fraction [t \\ delta / s]: a span Z -> C, A -> X of F-members
-    with a class delta in E-bar(Z, X)."""
+class Roof(Value):
+    """Formal fraction [t \\ delta / s]: a span t: Z -> C, s: A -> X of
+    F-members (classes in F-bar) with a class delta in E-bar(Z, X)."""
 
-    t: ModMorphism              # Z -> C, class in F-bar
-    delta_coords: tuple[int, ...]
-    s: ModMorphism              # A -> X, class in F-bar
+    _fields = ("t", "delta_coords", "s")
+
+    def __init__(self, t: ModMorphism, delta_coords: tuple[int, ...],
+                 s: ModMorphism) -> None:
+        self.__dict__.update(t=t, delta_coords=delta_coords, s=s)
 
     @property
     def end_C(self) -> Module:
@@ -890,18 +892,23 @@ def roof_pull(spec: MorphismClassSpec, q: IdealQuotient, r: Roof,
     return Roof(v.compose(t2), coords, r.s)
 
 
-@dataclass
-class EtildeGroup:
+class EtildeGroup(Record):
     """A localized extension group: explicit roof class representatives,
     the addition table, and the comparison map from E-bar."""
 
-    end_C: Module
-    end_A: Module
-    reps: tuple[Roof, ...]
-    add_table: tuple[tuple[int, ...], ...]
-    zero_index: int
-    mu_map: tuple[int, ...]      # E-bar class index -> roof class index
-    ebar: EbarSpace
+    _fields = ("end_C", "end_A", "reps", "add_table", "zero_index", "mu_map",
+               "ebar")
+
+    def __init__(self, end_C: Module, end_A: Module, reps: tuple[Roof, ...],
+                 add_table: tuple[tuple[int, ...], ...], zero_index: int,
+                 mu_map: tuple[int, ...], ebar: EbarSpace) -> None:
+        self.end_C = end_C
+        self.end_A = end_A
+        self.reps = reps
+        self.add_table = add_table
+        self.zero_index = zero_index
+        self.mu_map = mu_map      # E-bar class index -> roof class index
+        self.ebar = ebar
 
 
 @memo
@@ -962,17 +969,16 @@ def etilde_group(spec: MorphismClassSpec, q: IdealQuotient,
 # -- realization of roofs and complexes in the quotient ------------------------
 
 
-@dataclass(frozen=True)
-class TableComplex:
+class TableComplex(Value):
     """A chain of composable morphisms read modulo the ideal: consecutive
     composites vanish in C-bar (for realization output they vanish on the
     nose).  `roof` is the class the complex realizes, when it has one."""
 
-    terms: tuple[Module, ...]
-    diffs: tuple[ModMorphism, ...]
-    roof: Roof | None = None
+    _fields = ("terms", "diffs", "roof")
 
-    def __post_init__(self) -> None:
+    def __init__(self, terms: tuple[Module, ...], diffs: tuple[ModMorphism, ...],
+                 roof: Roof | None = None) -> None:
+        self.__dict__.update(terms=terms, diffs=diffs, roof=roof)
         if len(self.terms) < 3:
             raise ValueError("a complex needs at least three terms")
         if len(self.diffs) != len(self.terms) - 1:
@@ -1527,17 +1533,24 @@ def _verdict_exit(verdict: str) -> int:
     return 0
 
 
-@dataclass
-class LocalizationReport:
+class LocalizationReport(Record):
     """Everything the pipeline established, with witnesses."""
 
-    verdict: str
-    checks: dict[str, CheckResult]
-    skipped: dict[str, str]
-    kc_details: tuple[tuple[str, bool, str | None], ...]
-    nf_labels: tuple[str, ...]
-    mode: str
-    bounds: dict[str, int]
+    _fields = ("verdict", "checks", "skipped", "kc_details", "nf_labels",
+               "mode", "bounds")
+
+    def __init__(self, verdict: str, checks: dict[str, CheckResult],
+                 skipped: dict[str, str],
+                 kc_details: tuple[tuple[str, bool, str | None], ...],
+                 nf_labels: tuple[str, ...], mode: str,
+                 bounds: dict[str, int]) -> None:
+        self.verdict = verdict
+        self.checks = checks
+        self.skipped = skipped
+        self.kc_details = kc_details
+        self.nf_labels = nf_labels
+        self.mode = mode
+        self.bounds = bounds
 
     @property
     def exit_code(self) -> int:

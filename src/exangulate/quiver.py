@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 import weakref
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add, mul
 from typing import Sequence
@@ -40,6 +39,7 @@ from .linalg import (
     rref_solve,
     solve_unique,
 )
+from .values import Frozen, Record, Value
 
 DECOMPOSE_END_ENUM_LIMIT = 6  # End(M) dimension up to which idempotents are enumerated
 DECOMPOSE_FITTING_TRIES = 24
@@ -52,19 +52,18 @@ class BoundExceeded(RuntimeError):
     undecided within bounds."""
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: int
-    target: int
+class Arrow(Value):
+    _fields = ("name", "source", "target")
+
+    def __init__(self, name: str, source: int, target: int) -> None:
+        self.__dict__.update(name=name, source=source, target=target)
 
 
-@dataclass(frozen=True)
-class Quiver:
-    vertex_count: int
-    arrows: tuple[Arrow, ...]
+class Quiver(Value):
+    _fields = ("vertex_count", "arrows")
 
-    def __post_init__(self) -> None:
+    def __init__(self, vertex_count: int, arrows: tuple[Arrow, ...]) -> None:
+        self.__dict__.update(vertex_count=vertex_count, arrows=arrows)
         if self.vertex_count < 1:
             raise ValueError("quiver needs at least one vertex")
         seen: set[str] = set()
@@ -105,28 +104,26 @@ def path_endpoints(quiver: Quiver, path: Path) -> tuple[int, int]:
     return first.source, cur
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Value):
     """F_p-linear combination of parallel paths, each of length >= 2."""
 
-    coeffs: tuple[int, ...]
-    paths: tuple[Path, ...]
+    _fields = ("coeffs", "paths")
 
-    def __post_init__(self) -> None:
+    def __init__(self, coeffs: tuple[int, ...], paths: tuple[Path, ...]) -> None:
+        self.__dict__.update(coeffs=coeffs, paths=paths)
         if len(self.coeffs) != len(self.paths) or not self.paths:
             raise ValueError("relation needs matching nonempty coefficient/path lists")
         if any(len(q) < 2 for q in self.paths):
             raise ValueError("relation paths must have length >= 2")
 
 
-@dataclass(frozen=True)
-class AlgebraPresentation:
-    quiver: Quiver
-    relations: tuple[Relation, ...]
-    p: int = 2
-    path_length_bound: int = 16
+class AlgebraPresentation(Value):
+    _fields = ("quiver", "relations", "p", "path_length_bound")
 
-    def __post_init__(self) -> None:
+    def __init__(self, quiver: Quiver, relations: tuple[Relation, ...],
+                 p: int = 2, path_length_bound: int = 16) -> None:
+        self.__dict__.update(quiver=quiver, relations=relations, p=p,
+                             path_length_bound=path_length_bound)
         if not is_prime(self.p):
             raise ValueError(f"coefficient modulus {self.p} is not prime")
         if self.path_length_bound < 1:
@@ -146,8 +143,8 @@ class AlgebraPresentation:
     def _modules(self) -> weakref.WeakValueDictionary:
         """This algebra's intern table of modules, keyed by (dims, arrow_maps).
 
-        It lives in the instance dict, outside the dataclass fields, so it
-        takes no part in eq, hash or repr; it holds its modules weakly.
+        It lives in the instance dict, outside `_fields`, so it takes no
+        part in eq, hash or repr; it holds its modules weakly.
         """
         d = self.__dict__
         table = d.get("_module_table")
@@ -291,8 +288,7 @@ def algebra_dimension(alg: AlgebraPresentation) -> int:
 _new = object.__new__
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Module:
+class Module(Frozen):
     """Representation of the bound quiver: F_p space at each vertex, matrix per arrow.
 
     The public constructor validates shapes and relations; `Module._trusted`
@@ -307,9 +303,7 @@ class Module:
     identity; modules over two distinct algebra objects are distinct.
     """
 
-    alg: AlgebraPresentation
-    dims: tuple[int, ...]
-    arrow_maps: tuple[Matrix, ...]
+    _fields = ("alg", "dims", "arrow_maps")
 
     def __new__(cls, alg: AlgebraPresentation, dims: tuple[int, ...],
                 arrow_maps: tuple[Matrix, ...]) -> "Module":
@@ -504,8 +498,7 @@ def standard_module(alg: AlgebraPresentation, kind: str, v: int) -> Module:
 # -- morphisms ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class ModMorphism:
+class ModMorphism(Frozen):
     """Module homomorphism: one matrix per vertex, every square commuting.
 
     The one stored form is `flat`: the vertex matrices' entries, vertex by
@@ -519,9 +512,7 @@ class ModMorphism:
     `validate` re-runs the full check.  The hash is kept once computed.
     """
 
-    source: Module
-    target: Module
-    flat: tuple[int, ...]
+    _fields = ("source", "target", "flat")
 
     def __init__(self, source: Module, target: Module, maps: tuple[Matrix, ...]) -> None:
         maps = tuple(maps)
@@ -1135,14 +1126,17 @@ def is_isomorphic(a: Module, b: Module) -> bool:
 # -- resolutions and Ext -------------------------------------------------------
 
 
-@dataclass
-class Resolution:
+class Resolution(Record):
     """Projective resolution P_len -> ... -> P_0 -> M (diffs[k]: P_k -> P_{k-1})."""
 
-    module: Module
-    terms: list[Module]
-    diffs: list[ModMorphism]           # index k >= 1
-    augmentation: ModMorphism          # P_0 -> M
+    _fields = ("module", "terms", "diffs", "augmentation")
+
+    def __init__(self, module: Module, terms: list[Module],
+                 diffs: list[ModMorphism], augmentation: ModMorphism) -> None:
+        self.module = module
+        self.terms = terms
+        self.diffs = diffs                  # index k >= 1
+        self.augmentation = augmentation    # P_0 -> M
 
 
 @lru_cache(maxsize=None)
@@ -1242,15 +1236,15 @@ class ExtSpace:
         return [self.element(v) for v in enumerate_vectors(self.alg.p, self.dim)]
 
 
-@dataclass(frozen=True)
-class ExtElement:
+class ExtElement(Value):
     """Class in Ext^n(end_C, end_A): coordinates plus a representing cocycle."""
 
-    n: int
-    end_C: Module
-    end_A: Module
-    coords: Matrix
-    cocycle: ModMorphism
+    _fields = ("n", "end_C", "end_A", "coords", "cocycle")
+
+    def __init__(self, n: int, end_C: Module, end_A: Module, coords: Matrix,
+                 cocycle: ModMorphism) -> None:
+        self.__dict__.update(n=n, end_C=end_C, end_A=end_A, coords=coords,
+                             cocycle=cocycle)
 
     def __hash__(self) -> int:
         d = self.__dict__

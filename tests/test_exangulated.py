@@ -1,7 +1,7 @@
 """Tests for the extension-structure layer: realizations, exangle checks,
 cones, lifts, inflations and the axiom suite."""
 
-import dataclasses
+import pickle
 import random
 from collections import Counter
 from pathlib import Path
@@ -274,6 +274,15 @@ def test_summand_multiset_decomposes_each_module_once(monkeypatch):
     assert objects.summand_multiset(m) == (0, 4)
     assert objects.contains(rebuilt)
     assert len(calls) == 1
+
+
+def test_subcategory_rejects_generators_over_a_pickled_copy_of_the_algebra():
+    """A module over a value-equal copy of the algebra is interned in
+    another table, so it is another module and cannot join the generators."""
+    copy = pickle.loads(pickle.dumps(ALG))
+    assert copy == ALG and copy is not ALG
+    with pytest.raises(ValueError, match="generators live over different algebras"):
+        Subcategory((gen("4"), interval_module(copy, 1, 1)))
 
 
 def test_nexangle_validation():
@@ -594,7 +603,7 @@ def test_cocone_realizes_the_signed_pull_back(n, spans):
 def fresh_category(path, prime):
     """A new category from an input file, so no engine cache is warm."""
     cfg = parse_input((ROOT / path).read_text(encoding="utf-8"))
-    return build_category(dataclasses.replace(cfg, prime=prime))
+    return build_category(cfg.replace(prime=prime))
 
 
 def perturbations(mods, maps):
@@ -712,7 +721,7 @@ def test_c4_deflation_witness_at_multiplicity_one():
     """With no inflations at all, C4 reaches its deflation half, which fails
     at multiplicity bound one on the bench input."""
     cfg = parse_input((ROOT / "bench/inputs/a3-rad2.exg").read_text())
-    cat = build_category(dataclasses.replace(cfg, multiplicity=1))
+    cat = build_category(cfg.replace(multiplicity=1))
     edges = cat.edges
     cat.edges = lambda X, Y, dual: edges(X, Y, dual) if dual else ()
     assert check_core_axioms(cat)["C4"] == CheckResult(

@@ -1,5 +1,6 @@
-"""Imports: every name a package module imports is used, and the
-localization layer loads only where it is used.
+"""Imports: every name a package module imports is used, the
+localization layer loads only where it is used, and no run loads
+`dataclasses` or `inspect`.
 
 No linter ships with the toolchain, so the first check parses each module
 with `ast`: an imported name must occur as a name somewhere in the module,
@@ -88,6 +89,25 @@ def test_check_hom_and_ext_leave_localization_unloaded():
 def test_localize_loads_localization():
     assert fresh_interpreter(RUN_COMMANDS, BENCH_INPUT, "localize") == [
         "localize 0 True"]
+
+
+def test_runs_load_neither_dataclasses_nor_inspect():
+    """The value types are plain classes, so a run imports neither module
+    (nor what `inspect` pulls in: `ast`, `dis`, `tokenize`)."""
+    assert fresh_interpreter(
+        RUN_COMMANDS + "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n",
+        BENCH_INPUT, "check", "localize") == [
+        "check 0 False", "localize 0 True", "False False"]
+
+
+def test_no_package_module_imports_dataclasses_or_inspect():
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names}
+        names |= {node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 0}
+        assert not {n.split(".")[0] for n in names} & {"dataclasses", "inspect"}, path.name
 
 
 def test_library_access_loads_localization():

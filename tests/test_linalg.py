@@ -322,6 +322,17 @@ def test_a_failing_call_raises_every_time_and_is_not_stored():
     assert rref_solve.cache_info().currsize == sizes
 
 
+def test_a_solve_miss_stores_nothing_in_the_rref_cache():
+    """`rref_solve` reduces its augmented matrix uncached: only its own
+    cache would look that matrix up again."""
+    rref.cache_clear()
+    rref_solve.cache_clear()
+    a, b = Matrix(3, 2, 2, (1, 2, 0, 1)), Matrix(3, 2, 1, (1, 1))
+    assert rref_solve(a, b) == Matrix(3, 2, 1, (2, 1))
+    assert rref_solve.cache_info().misses == 1
+    assert rref.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_results_survive_clearing_and_eviction(p):
     rng = random.Random(p)

@@ -2,7 +2,6 @@
 multiplicative-system checks, roofs, localized extension groups and the
 top-level verdicts."""
 
-import dataclasses
 import gc
 import random
 import weakref
@@ -812,7 +811,7 @@ C4_CASES = {
 
 def fresh_engine(path, multiplicity):
     cfg = parse_input((ROOT / path).read_text())
-    cat = build_category(dataclasses.replace(cfg, multiplicity=multiplicity))
+    cat = build_category(cfg.replace(multiplicity=multiplicity))
     return LocalizedEngine(cat, ISO, IdealQuotient(cat, []))
 
 

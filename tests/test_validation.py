@@ -10,7 +10,6 @@ the linear solve it replaces, and checks what the caches hold.
 """
 
 import copy
-import dataclasses
 import gc
 import itertools
 import pickle
@@ -25,9 +24,11 @@ from hypothesis import strategies as st
 import exangulate.quiver as quiver
 from exangulate.cli import build_category, main, parse_input
 from exangulate.exangulated import ExCategory
-from exangulate.localization import IdealQuotient, LocalizedEngine
+from exangulate.localization import (IdealQuotient, LocalizedEngine, Roof,
+                                     TableComplex)
 from exangulate.linalg import (LINALG_CACHE_SIZE, Matrix, block_diag, hstack,
                                kernel_basis, rref, rref_solve, solve_unique)
+from exangulate.values import Record
 from exangulate.quiver import (
     AlgebraPresentation,
     Arrow,
@@ -423,10 +424,24 @@ def _modules_in(x):
     elif isinstance(x, (tuple, list, frozenset)):
         for y in x:
             yield from _modules_in(y)
-    elif (dataclasses.is_dataclass(x) and not isinstance(x, (type, Matrix))
-          and not hasattr(x, "_memo")):
-        for f in dataclasses.fields(x):
-            yield from _modules_in(getattr(x, f.name))
+    elif isinstance(x, Record) and not isinstance(x, Matrix) and not hasattr(x, "_memo"):
+        for name in x._fields:
+            yield from _modules_in(getattr(x, name))
+
+
+def test_the_walk_reaches_modules_inside_value_types():
+    """`_modules_in` enters extension classes, exangles, roofs and table
+    complexes, so the guard below checks the modules of such keys."""
+    cat = build_category(parse_input(FIXTURE.read_text()))
+    delta = next(d for C, A in pairs(cat.generators)
+                 for d in ext_group(cat.alg, cat.n, C, A).basis())
+    nex = cat.realize(delta)
+    roof = Roof(identity_morphism(delta.end_C), tuple(delta.coords.entries),
+                identity_morphism(delta.end_A))
+    cx = TableComplex(nex.terms, nex.diffs, roof)
+    for key, want in ((delta, (delta.end_C, delta.end_A)), (nex, nex.terms),
+                      (roof, (roof.end_C, roof.end_A)), (cx, nex.terms)):
+        assert set(_modules_in((key,))) == set(want)
 
 
 def test_every_cached_module_is_the_interned_one(monkeypatch, capsys):
