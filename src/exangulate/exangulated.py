@@ -110,6 +110,16 @@ class Subcategory(Value):
         if any(g.alg is not alg for g in self.generators):
             raise ValueError("generators live over different algebras")
 
+    def __getstate__(self) -> dict:
+        # the caches are keyed by the undecorated methods, which do not
+        # pickle; an unpickled subcategory starts with empty ones
+        state = dict(self.__dict__)
+        del state["_memo"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _memo=defaultdict(dict))
+
     def generator_index(self, m: Module) -> int | None:
         for i, g in enumerate(self.generators):
             if is_isomorphic(m, g):
@@ -167,6 +177,10 @@ class NExangle(Value):
     @property
     def n(self) -> int:
         return len(self.terms) - 2
+
+    @property
+    def ends(self) -> tuple[Module, Module]:
+        return self.terms[0], self.terms[-1]
 
 
 class ExangleFailure(Value):
@@ -433,8 +447,8 @@ class ExCategory:
         return from_columns(self.alg.p, target.dim, cols)
 
     def _hom_sequence(self, nex: NExangle, tester: Module, variance: str
-                      ) -> tuple[list[int], list[Matrix]]:
-        """Dimensions and maps of the induced Hom sequence ending in E."""
+                      ) -> list[Matrix]:
+        """The maps of the induced Hom sequence ending in E."""
         contra = variance == "contravariant"
         terms = nex.terms if contra else nex.terms[::-1]
         bases = [hom_basis(tester, t) if contra else hom_basis(t, tester)
@@ -445,7 +459,7 @@ class ExCategory:
                                        bases[i + 1]).entries for b in bases[i]]
             maps.append(from_columns(self.alg.p, len(bases[i + 1]), cols))
         maps.append(self.delta_sharp(nex.delta, tester, variance))
-        return [len(b) for b in bases] + [maps[-1].rows], maps
+        return maps
 
     def is_n_exangle(self, nex: NExangle) -> ExangleVerdict:
         """Exactness of both induced Hom sequences at every inner position,
@@ -485,6 +499,9 @@ class ExCategory:
     def all_lifts(self, src: NExangle, dst: NExangle, a: ModMorphism,
                   c: ModMorphism) -> Iterator[list[ModMorphism]]:
         return enumerate_lifts(src, dst, a, c, self.hom_coords, self.hom_width)
+
+    def identity_lift_exists(self, cx: NExangle, ref: NExangle) -> bool:
+        return has_identity_lift(cx, ref, self.hom_coords, self.hom_width)
 
     @staticmethod
     def hom_coords(f: ModMorphism) -> tuple[int, ...]:
@@ -683,16 +700,24 @@ class ExCategory:
 # -- C1-C4 and the exangle test, shared with the localized engine -------------
 #
 # These run on an engine: `ExCategory`, or `localization.LocalizedEngine`.
+# A complex exposes `n` and its end terms `ends` (X_0, X_{n+1}).  That is all
+# `exangle_failures` and `homotopy_equivalent` read of it; the rest goes
+# through the engine's primitives, so a localized cone never builds its terms.
 # An engine has `n`, `generators` and `labels`, and these primitives:
 #
 #   ext_elements(C, A)   the classes of E(C, A) to check
 #   realize(cls)         the complex of cls, which carries cls; raises
 #                        ValueError when cls has no realization
 #   _pair_tag(cls)       cls in words, for witnesses
-#   _hom_sequence(cx, T, variance)   a Hom sequence (see `exangle_failures`)
+#   _hom_sequence(cx, T, variance)   the maps of a Hom sequence (see
+#                        `exangle_failures`); the dimensions are their shapes
 #   hom_coords(f), hom_width(X, Y)   coordinates of f in its hom space, and
 #                        the dimension of Hom(X, Y): the unknowns of a lift
 #                        system (see `solve_lift`)
+#   identity_lift_exists(cx, ref)    one lift cx -> ref of the identity ends
+#                        exists: `solve_lift` in the coordinates above, except
+#                        for a localized cone, whose system is written from
+#                        its pieces (`LocalizedEngine.identity_lift_exists`)
 #   is_split(cx)         cx, a complex of a zero class, is homotopy equivalent
 #                        to the split complex
 #   arrows(X, Y)         one morphism X -> Y per element of Hom(X, Y)
@@ -729,22 +754,35 @@ def exangle_failures(engine, cx) -> Iterator[ExangleFailure]:
     (contravariant) or X_n .. X_0 (covariant).  Since the sequences end in E,
     the boundary compatibilities (d_0)_* delta = 0 and (d_n)^* delta = 0 are
     part of the complex condition.  Each sequence is built when first
-    needed, and each of its maps ranked once with it.
+    needed, and its defects are read from `_homology`.
     """
-    n = len(cx.terms) - 2
-    seqs: dict[tuple[str, int], tuple[list[int], list[Matrix], list[int]]] = {}
+    n = cx.n
+    homology: dict[tuple[str, int], tuple[int | None, ...]] = {}
     for variance in ("contravariant", "covariant"):
         for slot in range(1, n + 2):
             position = slot if variance == "contravariant" else n + 1 - slot
             for ti, tester in enumerate(engine.generators):
-                if (variance, ti) not in seqs:
-                    dims, maps = engine._hom_sequence(cx, tester, variance)
-                    seqs[variance, ti] = dims, maps, [rank(m) for m in maps]
-                dims, maps, ranks = seqs[variance, ti]
-                if not (maps[slot] @ maps[slot - 1]).is_zero:
+                if (variance, ti) not in homology:
+                    homology[variance, ti] = _homology(
+                        engine, tuple(engine._hom_sequence(cx, tester, variance)))
+                h = homology[variance, ti][slot - 1]
+                if h is None:
                     yield ExangleFailure(variance, position, ti, "not a complex")
-                elif ranks[slot - 1] != dims[slot] - ranks[slot]:
+                elif h:
                     yield ExangleFailure(variance, position, ti, "homology")
+
+
+@memo
+def _homology(engine, maps: tuple[Matrix, ...]) -> tuple[int | None, ...]:
+    """The homology dimension of the Hom sequence with these maps at each
+    inner slot, None where it is not a complex there.  Each map is ranked
+    once.  Cached on the engine by the values of the matrices: many
+    complexes induce equal sequences (on `bench/inputs`, 28 distinct among
+    the 1984 that `localize` tests)."""
+    ranks = [rank(m) for m in maps]
+    return tuple(maps[s].cols - ranks[s] - ranks[s - 1]
+                 if (maps[s] @ maps[s - 1]).is_zero else None
+                 for s in range(1, len(maps)))
 
 
 def format_failure(labels: Sequence[str], fail: ExangleFailure) -> str:
@@ -769,25 +807,24 @@ def homotopy_equivalent(engine, cx, ref, ref_is_exangle: bool) -> bool:
     morphism with identity ends between two n-exangles for the same class is
     a homotopy equivalence.  So when ref is an n-exangle, cx is equivalent
     to it exactly when cx is an n-exangle too and one lift cx -> ref of the
-    identity ends exists; both tests are linear algebra.  When ref is not an
-    n-exangle, the one lift is necessary but not sufficient, so the rule
-    also asks for the Hom homology of cx to have the same dimension as that
-    of ref at every variance, position and test object (`_hom_homology`;
-    equal everywhere implies that neither is exact), which a homotopy
-    equivalence keeps.  Without it the defective sequence
-    4 -> 2/3/4 -> 1/2 -> 1 of E(1, 4) over A4 mod rad^3 (n = 2), and the same
-    sequence with 3/4 added in degree 1 by zero maps, would pass: the second
-    lifts to the first with identity ends and neither is exact, but the
-    padding adds Hom homology.  Even so this is a necessary test only; the
-    localized engine meets it only where weak-kc fails (as on the
-    a4-projinj fixture), and the tests check the rule there against a
-    two-way homotopy search.
+    identity ends exists (`identity_lift_exists`); both tests are linear
+    algebra, and both read cx only through the engine, so a localized cone
+    is decided from its pieces.  When ref is not an n-exangle, the one lift
+    is necessary but not sufficient, so the rule also asks for the Hom
+    homology of cx to have the same dimension as that of ref at every
+    variance, position and test object (`_hom_homology`; equal everywhere
+    implies that neither is exact), which a homotopy equivalence keeps.
+    Without it the defective sequence 4 -> 2/3/4 -> 1/2 -> 1 of E(1, 4)
+    over A4 mod rad^3 (n = 2), and the same sequence with 3/4 added in
+    degree 1 by zero maps, would pass: the second lifts to the first with
+    identity ends and neither is exact, but the padding adds Hom homology.
+    Even so this is a necessary test only; the localized engine meets it
+    only where weak-kc fails (as on the a4-projinj fixture), and the tests
+    check the rule there against a two-way homotopy search.
     """
-    if (len(cx.terms), cx.terms[0], cx.terms[-1]) != (
-            len(ref.terms), ref.terms[0], ref.terms[-1]):
+    if (cx.n, cx.ends) != (ref.n, ref.ends):
         return False
-    ends = identity_morphism(ref.terms[0]), identity_morphism(ref.terms[-1])
-    if solve_lift(cx, ref, *ends, engine.hom_coords, engine.hom_width) is None:
+    if not engine.identity_lift_exists(cx, ref):
         return False
     if ref_is_exangle:
         return _is_exangle(engine, cx)
@@ -798,16 +835,10 @@ def _hom_homology(engine, cx) -> tuple[int | None, ...]:
     """The homology dimension of every Hom sequence of cx at every inner
     position (see `exangle_failures`), None where it is not a complex there;
     all zero exactly when cx is an n-exangle."""
-    n = len(cx.terms) - 2
-    out: list[int | None] = []
-    for variance in ("contravariant", "covariant"):
-        for tester in engine.generators:
-            dims, maps = engine._hom_sequence(cx, tester, variance)
-            ranks = [rank(m) for m in maps]
-            out.extend(dims[slot] - ranks[slot] - ranks[slot - 1]
-                       if (maps[slot] @ maps[slot - 1]).is_zero else None
-                       for slot in range(1, n + 2))
-    return tuple(out)
+    return tuple(h for variance in ("contravariant", "covariant")
+                 for tester in engine.generators
+                 for h in _homology(engine, tuple(
+                     engine._hom_sequence(cx, tester, variance))))
 
 
 # a reference complex is the realization of its class, built once per class
@@ -958,44 +989,62 @@ def check_c4(engine) -> CheckResult:
 # `terms` (X_0 .. X_{n+1}) and `diffs` (X_i -> X_{i+1}).
 
 
+def cone_summands(src, dst, shift: int, i: int) -> tuple[Module, ...]:
+    """The summands of term i of the mapping cone (shift 1) or cocone
+    (shift 0) of a chain map src -> dst, the src summand first:
+
+    src_s -> src_{1+s} + dst_s -> ... -> src_{n+s} + dst_{n-1+s} -> dst_{n+s}.
+    """
+    n = len(src.terms) - 2
+    if i == 0:
+        return (src.terms[shift],)
+    if i == n + 1:
+        return (dst.terms[n + shift],)
+    return (src.terms[i + shift], dst.terms[i - 1 + shift])
+
+
+def cone_blocks(src, dst, f: Sequence[ModMorphism], shift: int, i: int
+                ) -> list[tuple[int, int, ModMorphism, int]]:
+    """The nonzero blocks of differential i of that cone, (x, y) ->
+    (-d x, f x + d' y): (row summand, column summand, component, sign) over
+    the `cone_summands` of terms i + 1 and i.  It is the block matrix
+    [[-d, 0], [f, d']], with the first column or the second row dropped at
+    an end term."""
+    n = len(src.terms) - 2
+    s = shift
+    low = 1 if i < n else 0      # the dst summand's place in term i + 1
+    blocks = [(low, 0, f[i + s], 1)]
+    if i < n:
+        blocks.append((0, 0, src.diffs[i + s], -1))
+    if i > 0:
+        blocks.append((low, 1, dst.diffs[i - 1 + s], 1))
+    return blocks
+
+
 def cone(src, dst, f: Sequence[ModMorphism], shift: int
          ) -> tuple[tuple[Module, ...], tuple[ModMorphism, ...]]:
     """Terms and differentials of the mapping cone (shift 1, for f_0 = id) or
-    cocone (shift 0, for f_{n+1} = id) of the chain map f: src -> dst:
-
-    src_s -> src_{1+s} + dst_s -> ... -> src_{n+s} + dst_{n-1+s} -> dst_{n+s},
-
-    with differential (x, y) -> (-d x, f x + d' y).  Each middle sum is built
-    once, and each differential's `flat` is written vertex by vertex as the
-    block matrix [[-d, 0], [f, d']] over the summands of its ends (the first
-    column or the second row dropped at an end term), read from the blocks'
+    cocone (shift 0, for f_{n+1} = id) of the chain map f: src -> dst (see
+    `cone_summands` and `cone_blocks`).  Each middle sum is built once, and
+    each differential's `flat` is written vertex by vertex from its blocks'
     `flat` vectors.
     """
     n = len(src.terms) - 2
-    s = shift
     p = src.terms[0].alg.p
-    terms = (src.terms[s],) + tuple(
-        sum_module([src.terms[i + s], dst.terms[i - 1 + s]])
-        for i in range(1, n + 1)) + (dst.terms[n + s],)
+    parts = [cone_summands(src, dst, shift, i) for i in range(n + 2)]
+    terms = tuple(ps[0] if len(ps) == 1 else sum_module(ps) for ps in parts)
     diffs = []
     for i in range(n + 1):
-        low = 1 if i < n else 0      # the dst summand's place in terms[i+1]
-        # (row summand, column summand, component, sign)
-        blocks = [(low, 0, f[i + s], 1)]
-        if i < n:
-            blocks.append((0, 0, src.diffs[i + s], -1))
-        if i > 0:
-            blocks.append((low, 1, dst.diffs[i - 1 + s], 1))
+        blocks = cone_blocks(src, dst, f, shift, i)
+        first_row, first_col = parts[i + 1][0], parts[i][0]
         flat: list[int] = []
         starts = [0] * len(blocks)   # each block's vertex v matrix in its flat
         for v, (rows, cols) in enumerate(zip(terms[i + 1].dims, terms[i].dims)):
-            # the src summand comes first in each middle sum
-            skip = (src.terms[i + 1 + s].dims[v] if i < n else 0,
-                    src.terms[i + s].dims[v])
             entries = [0] * (rows * cols)
             for b, (r, c, g, sign) in enumerate(blocks):
                 gr, gc, at0 = g.target.dims[v], g.source.dims[v], starts[b]
-                r0, c0 = skip[0] if r else 0, skip[1] if c else 0
+                r0 = first_row.dims[v] if r else 0
+                c0 = first_col.dims[v] if c else 0
                 for a in range(gr):
                     row = g.flat[at0 + a * gc:at0 + (a + 1) * gc]
                     at = (r0 + a) * cols + c0
@@ -1067,6 +1116,12 @@ def solve_lift(src, dst, a: ModMorphism, c: ModMorphism, coords: Coords,
     if particular is None:
         return None
     return bases, particular, kernel_basis(mat)
+
+
+def has_identity_lift(cx, ref, coords: Coords, width: Width) -> bool:
+    """Does one lift cx -> ref of the identity ends exist (`solve_lift`)?"""
+    a, c = (identity_morphism(t) for t in ref.ends)
+    return solve_lift(cx, ref, a, c, coords, width) is not None
 
 
 def _unpack_lift(src, dst, bases: Sequence[Sequence[ModMorphism]],

@@ -31,12 +31,14 @@ explicit message, rather than guessing.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cached_property
 from typing import Sequence
 
 from .exangulated import (ENDPOINT_SUMMANDS, BoundExceeded, CheckResult,
                           ExCategory, NExangle, check_c1, check_c2, check_c3,
-                          check_c4, cone, enumerate_lifts, homotopy_equivalent,
-                          memo, realization_is_exangle)
+                          check_c4, cone, cone_blocks, cone_summands,
+                          enumerate_lifts, has_identity_lift,
+                          homotopy_equivalent, memo, realization_is_exangle)
 from .linalg import (Matrix, column_space_basis, enumerate_vectors,
                      from_columns, hstack, kernel_basis, quotient_with_section,
                      rank, rref_solve, vstack)
@@ -991,6 +993,49 @@ class TableComplex(Value):
     def n(self) -> int:
         return len(self.terms) - 2
 
+    @property
+    def ends(self) -> tuple[Module, Module]:
+        return self.terms[0], self.terms[-1]
+
+
+class TableCone(Value):
+    """The mapping cone (shift 1) or cocone (shift 0) of a chain map f
+    between two TableComplexes, kept as its pieces, with the roof it is
+    tested against.  C-bar is additive, so its Hom sequences and its lifts
+    are assembled from the pieces' (`LocalizedEngine`): `layout[i]` holds
+    the `cone_blocks` of differential i.  `terms` and `diffs` are built by
+    `cone` only when read, and then kept."""
+
+    _fields = ("src", "dst", "f", "shift", "roof")
+
+    def __init__(self, src: TableComplex, dst: TableComplex,
+                 f: Sequence[ModMorphism], shift: int, roof: Roof) -> None:
+        f = tuple(f)
+        self.__dict__.update(
+            src=src, dst=dst, f=f, shift=shift, roof=roof,
+            layout=tuple(cone_blocks(src, dst, f, shift, i)
+                         for i in range(src.n + 1)))
+
+    @property
+    def n(self) -> int:
+        return self.src.n
+
+    @property
+    def ends(self) -> tuple[Module, Module]:
+        return self.src.terms[self.shift], self.dst.terms[self.n + self.shift]
+
+    @property
+    def terms(self) -> tuple[Module, ...]:
+        return self._built[0]
+
+    @property
+    def diffs(self) -> tuple[ModMorphism, ...]:
+        return self._built[1]
+
+    @cached_property
+    def _built(self) -> tuple:
+        return cone(self.src, self.dst, self.f, self.shift)
+
 
 def s_tilde(cat: ExCategory, spec: MorphismClassSpec, q: IdealQuotient,
             roof: Roof) -> TableComplex:
@@ -1030,6 +1075,31 @@ def _pre(q: IdealQuotient, d: ModMorphism, T: Module) -> Matrix:
 
 _post_matrix = memo(_post)
 _pre_matrix = memo(_pre)
+
+
+def _from_blocks(p: int, blocks) -> Matrix:
+    """The block matrix whose block (r, c) is sign * m for each
+    (r, c, m, sign) in blocks, and zero elsewhere, written into one entries
+    list.  Every block row and block column up to the last must hold a
+    block, which gives its size."""
+    heights = [0] * (1 + max(r for r, _, _, _ in blocks))
+    widths = [0] * (1 + max(c for _, c, _, _ in blocks))
+    for r, c, m, _ in blocks:
+        heights[r], widths[c] = m.rows, m.cols
+    row0, col0 = [0], [0]
+    for h in heights:
+        row0.append(row0[-1] + h)
+    for w in widths:
+        col0.append(col0[-1] + w)
+    width = col0[-1]
+    out = [0] * (row0[-1] * width)
+    for r, c, m, sign in blocks:
+        k, e = m.cols, m.entries
+        for a in range(m.rows):
+            row = e[a * k:(a + 1) * k]
+            at = (row0[r] + a) * width + col0[c]
+            out[at:at + k] = row if sign > 0 else [(-x) % p for x in row]
+    return Matrix._trusted(p, row0[-1], width, tuple(out))
 
 
 def weak_kc_check(cat: ExCategory, spec: MorphismClassSpec, q: IdealQuotient,
@@ -1203,7 +1273,13 @@ class LocalizedEngine:
     identity roofs over E-bar(C, A), its complexes `TableComplex`es that
     carry their roof, and a complex is distinguished when it is homotopy
     equivalent in C-bar to the realization of its class
-    (`homotopy_equivalent`)."""
+    (`homotopy_equivalent`).
+
+    The cones and cocones that C3/C3' test are `TableCone`s.  C-bar is
+    additive, so Hom(T, cone f) is the cone of Hom(T, f): the Hom sequences
+    of a cone and its lift system are written block by block from the
+    memoized `_post_matrix`/`_pre_matrix` of its pieces, and no sum module
+    of a cone is built."""
 
     def __init__(self, cat: ExCategory, spec: MorphismClassSpec,
                  q: IdealQuotient) -> None:
@@ -1228,19 +1304,42 @@ class LocalizedEngine:
         return (f"the class {list(roof.delta_coords)} in E-bar("
                 f"{self.q.fmt(roof.end_C)}, {self.q.fmt(roof.end_A)})")
 
-    def _hom_sequence(self, cx: TableComplex, T: Module, variance: str
-                      ) -> tuple[list[int], list[Matrix]]:
-        """Dimensions and maps of a Hom sequence of C-bar ending in E-bar."""
+    def _hom_sequence(self, cx: TableComplex | TableCone, T: Module,
+                      variance: str) -> list[Matrix]:
+        """The maps of a Hom sequence of C-bar ending in E-bar."""
         q = self.q
-        if variance == "contravariant":
+        contra = variance == "contravariant"
+        if isinstance(cx, TableCone):
+            maps = [self._cone_map(cx, i, T, contra) for i in range(cx.n + 1)]
+        elif contra:
             maps = [_post_matrix(q, T, d) for d in cx.diffs]
-            dims = [q.qdim(T, t) for t in cx.terms]
         else:
-            maps = [_pre_matrix(q, d, T) for d in reversed(cx.diffs)]
-            dims = [q.qdim(t, T) for t in reversed(cx.terms)]
-        column = self._ebar_column(cx.roof, T, variance)
-        maps.append(column)
-        return dims + [column.rows], maps
+            maps = [_pre_matrix(q, d, T) for d in cx.diffs]
+        if not contra:
+            maps.reverse()
+        maps.append(self._ebar_column(cx.roof, T, variance))
+        return maps
+
+    def _cone_map(self, cx: TableCone, i: int, T: Module, contra: bool
+                  ) -> Matrix:
+        """Differential i of a cone under C-bar(T, -) (contra) or C-bar(-, T),
+        over the summands of its ends: the `_post_matrix` of each block in
+        the block's place, or the `_pre_matrix` in the transposed place."""
+        # every summand of both ends is an end of some block
+        q = self.q
+        if contra:
+            return self._block_map(tuple((r, c, _post_matrix(q, T, g), sign)
+                                         for r, c, g, sign in cx.layout[i]))
+        return self._block_map(tuple((c, r, _pre_matrix(q, g, T), sign)
+                                     for r, c, g, sign in cx.layout[i]))
+
+    @memo
+    def _block_map(self, blocks: tuple) -> Matrix:
+        """`_from_blocks`, cached by the values of the blocks: the cones of
+        C3/C3' share few maps (84 distinct of the 5292 that their Hom
+        sequences and lift systems use on `bench/inputs`), and a shared
+        map's hash is computed once."""
+        return _from_blocks(self.q.p, blocks)
 
     @memo
     def _ebar_column(self, roof: Roof, T: Module, variance: str) -> Matrix:
@@ -1281,13 +1380,40 @@ class LocalizedEngine:
     def all_lifts(self, src, dst, a: ModMorphism, c: ModMorphism):
         return self.q.lifts(src, dst, a, c)
 
-    def mapping_cone(self, src, dst, f, roof: Roof) -> TableComplex:
-        return TableComplex(*cone(src, dst, f, 1), roof)
+    def identity_lift_exists(self, cx: TableComplex | TableCone,
+                             ref: TableComplex) -> bool:
+        """One lift cx -> ref of the identity ends exists.  For a cone this
+        is the system of `solve_lift` in block coordinates: u_i lies in
+        C-bar(X_i, ref_i), one block per summand of X_i, and square i reads
+        u_{i+1} . d_i - d'_i . u_i = 0.  Its blocks are the map of d_i under
+        C-bar(-, ref_{i+1}) (`_cone_map`, from `_pre_matrix(g, ref_{i+1})`)
+        and minus `_post_matrix(summand, d'_i)`; u_0 and u_{n+1} are the
+        identities, so squares 0 and n put d'_0 and -d_n on the right."""
+        q = self.q
+        if not isinstance(cx, TableCone):
+            return has_identity_lift(cx, ref, q.project, q.qdim)
+        n, p = cx.n, q.p
+        pre = [self._cone_map(cx, i, ref.terms[i + 1], False)
+               for i in range(n + 1)]
+        blocks = [(i, i, pre[i], 1) for i in range(n)]
+        for i in range(1, n + 1):
+            post = [(k, k, _post_matrix(q, X, ref.diffs[i]), 1) for k, X in
+                    enumerate(cone_summands(cx.src, cx.dst, cx.shift, i))]
+            blocks.append((i, i - 1, _from_blocks(p, post), -1))
+        ids = q.identity_class(ref.terms[n + 1])
+        last = -(pre[n] @ Matrix._trusted(p, len(ids), 1, ids))
+        rhs = (q.project(ref.diffs[0]) + (0,) * sum(m.rows for m in pre[1:n])
+               + last.entries)
+        return rref_solve(_from_blocks(p, blocks),
+                          Matrix._trusted(p, len(rhs), 1, rhs)) is not None
 
-    def mapping_cocone(self, src, dst, f, roof: Roof) -> TableComplex:
-        return TableComplex(*cone(src, dst, f, 0), roof)
+    def mapping_cone(self, src, dst, f, roof: Roof) -> TableCone:
+        return TableCone(src, dst, f, 1, roof)
 
-    def is_distinguished(self, cx: TableComplex) -> bool:
+    def mapping_cocone(self, src, dst, f, roof: Roof) -> TableCone:
+        return TableCone(src, dst, f, 0, roof)
+
+    def is_distinguished(self, cx: TableComplex | TableCone) -> bool:
         return homotopy_equivalent(self, cx, self.realize(cx.roof),
                                    realization_is_exangle(self, cx.roof))
 
