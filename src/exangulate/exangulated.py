@@ -91,7 +91,21 @@ def memo(fn: Callable) -> Callable:
     return cached
 
 
-class Subcategory(Value):
+class MemoOwner:
+    """Base of the objects that own `memo` caches.  The caches are keyed by
+    the undecorated functions, which do not pickle, so `_memo` is never
+    pickled and an unpickled owner starts with an empty one."""
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_memo"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _memo=defaultdict(dict))
+
+
+class Subcategory(MemoOwner, Value):
     """add(generators): all finite direct sums of summand-closed generators.
     Its `_memo` is outside `_fields`, so it takes no part in eq, hash or repr."""
 
@@ -109,16 +123,6 @@ class Subcategory(Value):
         alg = self.generators[0].alg
         if any(g.alg is not alg for g in self.generators):
             raise ValueError("generators live over different algebras")
-
-    def __getstate__(self) -> dict:
-        # the caches are keyed by the undecorated methods, which do not
-        # pickle; an unpickled subcategory starts with empty ones
-        state = dict(self.__dict__)
-        del state["_memo"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, _memo=defaultdict(dict))
 
     def generator_index(self, m: Module) -> int | None:
         for i, g in enumerate(self.generators):
@@ -217,7 +221,7 @@ class CheckResult(Record):
         self.checked = checked
 
 
-class ExCategory:
+class ExCategory(MemoOwner):
     """Additive subcategory with degree-n extension spaces and realizations."""
 
     def __init__(self, alg: AlgebraPresentation, n: int,
@@ -227,6 +231,7 @@ class ExCategory:
         if n < 1:
             raise ValueError("extension degree must be positive")
         self.alg = alg
+        self.p = alg.p
         self.n = n
         self.objects = Subcategory(tuple(generators), multiplicity_bound)
         self.labels = tuple(labels) if labels is not None else tuple(
@@ -449,15 +454,7 @@ class ExCategory:
     def _hom_sequence(self, nex: NExangle, tester: Module, variance: str
                       ) -> list[Matrix]:
         """The maps of the induced Hom sequence ending in E."""
-        contra = variance == "contravariant"
-        terms = nex.terms if contra else nex.terms[::-1]
-        bases = [hom_basis(tester, t) if contra else hom_basis(t, tester)
-                 for t in terms]
-        maps = []
-        for i, d in enumerate(nex.diffs if contra else nex.diffs[::-1]):
-            cols = [morphism_in_coords(d.compose(b) if contra else b.compose(d),
-                                       bases[i + 1]).entries for b in bases[i]]
-            maps.append(from_columns(self.alg.p, len(bases[i + 1]), cols))
+        maps = _diff_maps(self, nex, tester, variance == "contravariant")
         maps.append(self.delta_sharp(nex.delta, tester, variance))
         return maps
 
@@ -477,7 +474,7 @@ class ExCategory:
         exists.  The full solution set is the particular family plus any
         combination of the kernel families.
         """
-        got = solve_lift(src, dst, a, c, self.hom_coords, self.hom_width)
+        got = solve_lift(src, dst, a, c, self)
         if got is None:
             return None
         bases, particular, kernel = got
@@ -498,16 +495,22 @@ class ExCategory:
 
     def all_lifts(self, src: NExangle, dst: NExangle, a: ModMorphism,
                   c: ModMorphism) -> Iterator[list[ModMorphism]]:
-        return enumerate_lifts(src, dst, a, c, self.hom_coords, self.hom_width)
+        return enumerate_lifts(src, dst, a, c, self)
 
     def identity_lift_exists(self, cx: NExangle, ref: NExangle) -> bool:
-        return has_identity_lift(cx, ref, self.hom_coords, self.hom_width)
+        return has_identity_lift(cx, ref, self)
+
+    # the hom-space interface (see `_post`); `basis_reps` calls the module
+    # global `hom_basis`, which `bench/layertrace.py` rebinds to count calls
+    @staticmethod
+    def basis_reps(X: Module, Y: Module) -> tuple[ModMorphism, ...]:
+        return hom_basis(X, Y)
 
     @staticmethod
-    def hom_coords(f: ModMorphism) -> tuple[int, ...]:
+    def project(f: ModMorphism) -> tuple[int, ...]:
         return morphism_in_coords(f, hom_basis(f.source, f.target)).entries
 
-    hom_width = staticmethod(hom_dim)
+    qdim = staticmethod(hom_dim)
 
     def arrows(self, src: Module, tgt: Module) -> list[ModMorphism]:
         return enumerate_hom(src, tgt)
@@ -580,22 +583,23 @@ class ExCategory:
         edge = self.is_deflation if dual else self.is_inflation
         return tuple(f for f in enumerate_hom(src, tgt) if edge(f))
 
-    def composites(self, near: Sequence[ModMorphism], mid: Module, far: Module,
-                   dual: bool) -> list[tuple[int, ...]]:
+    @memo
+    def far_classes(self, mid: Module, far: Module, dual: bool
+                    ) -> tuple[tuple[int, ...], ...]:
         """C4's far factors are the edges mid -> far themselves (dual: far ->
-        mid): the `hom_coords` of each t . f (dual: f . t), f-major."""
-        fars = self.edges(*((far, mid) if dual else (mid, far)), dual)
-        return [self.hom_coords(f.compose(t) if dual else t.compose(f))
-                for f in near for t in fars]
+        mid): their `project`, in `edges` order."""
+        return tuple(self.project(f) for f in
+                     self.edges(*((far, mid) if dual else (mid, far)), dual))
 
     # C4's witnesses say "inflations"
     edge_qualifier = ""
 
     @memo
     def edge_classes(self, src: Module, tgt: Module, dual: bool) -> frozenset:
-        """The `hom_coords` of `edges`: whether a map src -> tgt is an
+        """The `far_classes` as a set: whether a map src -> tgt is an
         inflation (dual: a deflation) is membership here."""
-        return frozenset(self.hom_coords(f) for f in self.edges(src, tgt, dual))
+        return frozenset(self.far_classes(*((tgt, src) if dual else (src, tgt)),
+                                          dual))
 
     def _resolvable(self, w: Module, steps: int, dual: bool) -> bool:
         """0 -> w -> Z_1 -> ... -> Z_steps -> 0 exact with Z_i in the
@@ -660,9 +664,9 @@ class ExCategory:
                     all_second, epis = into[mid, h]
                     for f in monos:
                         for t in all_second:
-                            if self.hom_coords(t.compose(f)) in infl:
+                            if self.project(t.compose(f)) in infl:
                                 checked += 1
-                                if (self.hom_coords(f)
+                                if (self.project(f)
                                         not in self.edge_classes(g, mid, False)):
                                     return CheckResult(
                                         "WIC", False,
@@ -672,9 +676,9 @@ class ExCategory:
                                         checked)
                     for t in epis:
                         for f in all_first:
-                            if self.hom_coords(t.compose(f)) in defl:
+                            if self.project(t.compose(f)) in defl:
                                 checked += 1
-                                if (self.hom_coords(t)
+                                if (self.project(t)
                                         not in self.edge_classes(mid, h, True)):
                                     return CheckResult(
                                         "WIC", False,
@@ -697,13 +701,58 @@ class ExCategory:
         return out
 
 
+# -- composition on a hom space ------------------------------------------------
+#
+# A hom space is an engine or an `IdealQuotient`: `p`, and `basis_reps(X, Y)`
+# (morphisms whose classes are a basis), `project(f)` (the coordinates of f's
+# class) and `qdim(X, Y)` on each Hom(X, Y).  C is its own quotient by the
+# zero ideal: a class is a morphism, and its basis the hom basis.
+
+
+def _post(space, T: Module, d: ModMorphism) -> Matrix:
+    """Matrix of postcomposition with d: Hom(T, src d) -> Hom(T, tgt d)."""
+    return from_columns(space.p, space.qdim(T, d.target),
+                        [space.project(d.compose(b))
+                         for b in space.basis_reps(T, d.source)])
+
+
+def _pre(space, d: ModMorphism, T: Module) -> Matrix:
+    """Matrix of precomposition with d: Hom(tgt d, T) -> Hom(src d, T)."""
+    return from_columns(space.p, space.qdim(d.source, T),
+                        [space.project(b.compose(d))
+                         for b in space.basis_reps(d.target, T)])
+
+
+_post_matrix = memo(_post)
+_pre_matrix = memo(_pre)
+
+
+def _diff_maps(space, cx, T: Module, contra: bool) -> list[Matrix]:
+    """The `_post_matrix` of d_0 .. d_n (contra), or the `_pre_matrix` of
+    d_n .. d_0: cx's maps in its Hom sequence (see `exangle_failures`)."""
+    if contra:
+        return [_post_matrix(space, T, d) for d in cx.diffs]
+    return [_pre_matrix(space, d, T) for d in reversed(cx.diffs)]
+
+
+def _images(m: Matrix, vectors: Sequence[tuple[int, ...]]
+            ) -> list[tuple[int, ...]]:
+    """m applied to each of the vectors, by one product."""
+    if not m.rows:
+        return [()] * len(vectors)
+    prod = m @ from_columns(m.p, m.cols, vectors)
+    w = prod.cols
+    return list(zip(*(prod.entries[i * w:(i + 1) * w]
+                      for i in range(prod.rows))))
+
+
 # -- C1-C4 and the exangle test, shared with the localized engine -------------
 #
 # These run on an engine: `ExCategory`, or `localization.LocalizedEngine`.
 # A complex exposes `n` and its end terms `ends` (X_0, X_{n+1}).  That is all
 # `exangle_failures` and `homotopy_equivalent` read of it; the rest goes
 # through the engine's primitives, so a localized cone never builds its terms.
-# An engine has `n`, `generators` and `labels`, and these primitives:
+# An engine: a hom space with `n`, `generators`, `labels` and these primitives:
 #
 #   ext_elements(C, A)   the classes of E(C, A) to check
 #   realize(cls)         the complex of cls, which carries cls; raises
@@ -711,17 +760,14 @@ class ExCategory:
 #   _pair_tag(cls)       cls in words, for witnesses
 #   _hom_sequence(cx, T, variance)   the maps of a Hom sequence (see
 #                        `exangle_failures`); the dimensions are their shapes
-#   hom_coords(f), hom_width(X, Y)   coordinates of f in its hom space, and
-#                        the dimension of Hom(X, Y): the unknowns of a lift
-#                        system (see `solve_lift`)
 #   identity_lift_exists(cx, ref)    one lift cx -> ref of the identity ends
-#                        exists: `solve_lift` in the coordinates above, except
-#                        for a localized cone, whose system is written from
-#                        its pieces (`LocalizedEngine.identity_lift_exists`)
+#                        exists: `solve_lift` over the engine's hom spaces,
+#                        except for a localized cone, whose system is written
+#                        from its pieces (`LocalizedEngine.identity_lift_exists`)
 #   is_split(cx)         cx, a complex of a zero class, is homotopy equivalent
 #                        to the split complex
 #   arrows(X, Y)         one morphism X -> Y per element of Hom(X, Y)
-#   push(cls, f), pull(cls, f), all_lifts(src, dst, a, c),
+#   push(cls, f), pull(cls, f),
 #   mapping_cone(src, dst, f, cls), mapping_cocone(src, dst, f, cls),
 #   is_distinguished(cx) cx is homotopy equivalent to the realization of its
 #                        class: `homotopy_equivalent`, except on `ExCategory`,
@@ -733,14 +779,12 @@ class ExCategory:
 #   universe             the bounded objects, `ExCategory.universe`
 #   outer_ends()         (index, generator) pairs C4 starts (dually ends) at
 #   edges(X, Y, dual)    the inflations X -> Y (dual: deflations), as maps
-#   composites(near, mid, far, dual)  the hom_coords of f then t (dual: t
-#                        then f) for every near edge f between the outer end
-#                        and mid and every far factor t between mid and far,
-#                        f-major, t-minor
-#   edge_classes(X, Y, dual) the hom_coords of every inflation (deflation)
+#   far_classes(mid, far, dual)  the classes of the far factors mid -> far
+#                        (dual: far -> mid) that `composites` composes with
+#   edge_classes(X, Y, dual) the classes of every inflation (deflation)
 #   format_object(X), edge_qualifier   X and the edges in words
 #
-# Each engine carries `_memo = defaultdict(dict)` for `memo`.
+# Each engine is a `MemoOwner` and carries `_memo = defaultdict(dict)`.
 
 
 def exangle_failures(engine, cx) -> Iterator[ExangleFailure]:
@@ -913,7 +957,7 @@ def check_c3(engine, dual: bool) -> CheckResult:
                             src, dst = X, engine.realize(engine.push(cls, arrow))
                             ends = (arrow, identity_morphism(C))
                         found_lift = good = False
-                        for lift in engine.all_lifts(src, dst, *ends):
+                        for lift in enumerate_lifts(src, dst, *ends, engine):
                             found_lift = True
                             f = [ends[0]] + lift + [ends[1]]
                             if dual:
@@ -966,7 +1010,7 @@ def check_c4(engine) -> CheckResult:
                 if not near:
                     continue
                 for far in engine.universe:
-                    comps = engine.composites(near, mid, far, dual)
+                    comps = composites(engine, near, mid, far, dual)
                     if not comps:
                         continue
                     target = engine.edge_classes(*way(g, far), dual)
@@ -981,6 +1025,20 @@ def check_c4(engine) -> CheckResult:
                                 f"{' -> '.join(path)} compose to a non-{kind}",
                                 checked)
     return CheckResult("C4", True, None, checked)
+
+
+def composites(engine, near: Sequence[ModMorphism], mid: Module, far: Module,
+               dual: bool) -> list[tuple[int, ...]]:
+    """The classes of t . f (dual: f . t) for every near edge f and every
+    far factor t (`far_classes`), f-major, t-minor.  Composing with f is
+    linear, so each f applies one `_pre` (dual: `_post`) matrix to the block
+    of far-factor classes, and no composite is built."""
+    fars = engine.far_classes(mid, far, dual)
+    if not fars:
+        return []
+    return [comp for f in near
+            for comp in _images(_post(engine, far, f) if dual
+                                else _pre(engine, f, far), fars)]
 
 
 # -- complex operations shared with the localized engine ----------------------
@@ -1070,21 +1128,16 @@ def cocone_sign(n: int) -> int:
     return -1 if n % 2 else 1
 
 
-Coords = Callable[[ModMorphism], Sequence[int]]
-Width = Callable[[Module, Module], int]
-
-
-def solve_lift(src, dst, a: ModMorphism, c: ModMorphism, coords: Coords,
-               width: Width) -> tuple[list, Matrix, list[Matrix]] | None:
+def solve_lift(src, dst, a: ModMorphism, c: ModMorphism, space
+               ) -> tuple[list, Matrix, list[Matrix]] | None:
     """The linear system of the lifts of the end morphisms (a, c).
 
     A lift is a family f_1 .. f_n, f_i: src_i -> dst_i, with
     f_{i+1} . d_i = d'_i . f_i for i = 0 .. n (f_0 = a, f_{n+1} = c).  Each
-    square is read through `coords`, a linear coordinate map on the hom
-    spaces whose dimension `width` gives: hom-basis coordinates in C, class
-    coordinates in an ideal quotient.  Returns (bases, particular, kernel):
-    the hom bases of the unknowns, and vectors in their concatenated
-    coordinates; None when no lift exists.
+    square is read in the coordinates of a hom space: an engine, or an ideal
+    quotient, where it commutes modulo the ideal.  Returns (bases,
+    particular, kernel): the hom bases in C of the unknowns, and vectors in
+    their concatenated coordinates; None when no lift exists.
     """
     n = len(src.terms) - 2
     if a.source != src.terms[0] or a.target != dst.terms[0]:
@@ -1095,10 +1148,10 @@ def solve_lift(src, dst, a: ModMorphism, c: ModMorphism, coords: Coords,
     bases = [hom_basis(src.terms[i], dst.terms[i]) for i in range(1, n + 1)]
     offsets = [0]
     for i in range(n + 1):
-        offsets.append(offsets[-1] + width(src.terms[i], dst.terms[i + 1]))
+        offsets.append(offsets[-1] + space.qdim(src.terms[i], dst.terms[i + 1]))
 
     def put(vals: list[int], square: int, f: ModMorphism, sign: int) -> None:
-        for k, x in enumerate(coords(f), offsets[square]):
+        for k, x in enumerate(space.project(f), offsets[square]):
             vals[k] = (vals[k] + sign * x) % p
 
     cols = []
@@ -1118,10 +1171,10 @@ def solve_lift(src, dst, a: ModMorphism, c: ModMorphism, coords: Coords,
     return bases, particular, kernel_basis(mat)
 
 
-def has_identity_lift(cx, ref, coords: Coords, width: Width) -> bool:
+def has_identity_lift(cx, ref, space) -> bool:
     """Does one lift cx -> ref of the identity ends exist (`solve_lift`)?"""
     a, c = (identity_morphism(t) for t in ref.ends)
-    return solve_lift(cx, ref, a, c, coords, width) is not None
+    return solve_lift(cx, ref, a, c, space) is not None
 
 
 def _unpack_lift(src, dst, bases: Sequence[Sequence[ModMorphism]],
@@ -1137,11 +1190,11 @@ def _unpack_lift(src, dst, bases: Sequence[Sequence[ModMorphism]],
     return out
 
 
-def enumerate_lifts(src, dst, a: ModMorphism, c: ModMorphism, coords: Coords,
-                    width: Width) -> Iterator[list[ModMorphism]]:
+def enumerate_lifts(src, dst, a: ModMorphism, c: ModMorphism, space
+                    ) -> Iterator[list[ModMorphism]]:
     """Every lift of (a, c), lazily: the particular solution plus each
     combination of the kernel basis, in `enumerate_vectors` order."""
-    got = solve_lift(src, dst, a, c, coords, width)
+    got = solve_lift(src, dst, a, c, space)
     if got is None:
         return
     bases, particular, kernel = got

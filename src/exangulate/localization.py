@@ -35,9 +35,10 @@ from functools import cached_property
 from typing import Sequence
 
 from .exangulated import (ENDPOINT_SUMMANDS, BoundExceeded, CheckResult,
-                          ExCategory, NExangle, check_c1, check_c2, check_c3,
-                          check_c4, cone, cone_blocks, cone_summands,
-                          enumerate_lifts, has_identity_lift,
+                          ExCategory, MemoOwner, NExangle, _diff_maps,
+                          _images, _post, _post_matrix, _pre, _pre_matrix,
+                          check_c1, check_c2, check_c3, check_c4, cone,
+                          cone_blocks, cone_summands, has_identity_lift,
                           homotopy_equivalent, memo, realization_is_exangle)
 from .linalg import (Matrix, column_space_basis, enumerate_vectors,
                      from_columns, hstack, kernel_basis, quotient_with_section,
@@ -82,7 +83,7 @@ class MorphismClassSpec(Value):
 # -- the ideal quotient C-bar -------------------------------------------------
 
 
-class IdealQuotient:
+class IdealQuotient(MemoOwner):
     """Hom tables of C-bar = C/[N_F] over the bounded object universe.
 
     [N_F](X, Y) is spanned by the composites X -> N -> Y with N one of the
@@ -170,11 +171,6 @@ class IdealQuotient:
     def compose_classes(self, X: Module, Y: Module, Z: Module,
                         fc: Sequence[int], gc: Sequence[int]) -> tuple[int, ...]:
         return self.project(self.rep(Y, Z, gc).compose(self.rep(X, Y, fc)))
-
-    def lifts(self, src, dst, a: ModMorphism, c: ModMorphism):
-        """Every filler (f_1 .. f_n) of the end components (a, c) between
-        two complexes, making each square commute in C-bar; lazily."""
-        return enumerate_lifts(src, dst, a, c, self.project, self.qdim)
 
     def fmt(self, m: Module) -> str:
         return self.base.format_object(m)
@@ -383,17 +379,6 @@ def member_table(spec: MorphismClassSpec, q: IdealQuotient):
     uidx = {o: i for i, o in enumerate(q.universe)}
     keys = sorted(mem.keys(), key=lambda k: (uidx[k[0]], uidx[k[1]]))
     return mem, keys
-
-
-def _images(m: Matrix, vectors: Sequence[tuple[int, ...]]
-            ) -> list[tuple[int, ...]]:
-    """m applied to each of the vectors, by one product."""
-    if not m.rows:
-        return [()] * len(vectors)
-    prod = m @ from_columns(m.p, m.cols, vectors)
-    w = prod.cols
-    return list(zip(*(prod.entries[i * w:(i + 1) * w]
-                      for i in range(prod.rows))))
 
 
 def _check_m0(spec, q, mem, keys) -> CheckResult:
@@ -1056,25 +1041,7 @@ def s_tilde(cat: ExCategory, spec: MorphismClassSpec, q: IdealQuotient,
     return TableComplex(terms, diffs, roof)
 
 
-# -- quotient hom matrices and the weak kernel-cokernel criterion ---------------
-
-
-def _post(q: IdealQuotient, T: Module, d: ModMorphism) -> Matrix:
-    """Matrix of postcomposition with d: C-bar(T, src d) -> C-bar(T, tgt d)."""
-    return from_columns(q.p, q.qdim(T, d.target),
-                        [q.project(d.compose(b))
-                         for b in q.basis_reps(T, d.source)])
-
-
-def _pre(q: IdealQuotient, d: ModMorphism, T: Module) -> Matrix:
-    """Matrix of precomposition with d: C-bar(tgt d, T) -> C-bar(src d, T)."""
-    return from_columns(q.p, q.qdim(d.source, T),
-                        [q.project(b.compose(d))
-                         for b in q.basis_reps(d.target, T)])
-
-
-_post_matrix = memo(_post)
-_pre_matrix = memo(_pre)
+# -- block matrices and the weak kernel-cokernel criterion ----------------------
 
 
 def _from_blocks(p: int, blocks) -> Matrix:
@@ -1143,7 +1110,7 @@ def _kc_tables(cat, q, nex):
     return None, checked
 
 
-class FractionHoms:
+class FractionHoms(MemoOwner):
     """Right-fraction hom-sets of the localized category (saturate mode):
     pairs (f: X -> W, s: Y -> W) with the class of s in F-bar, up to joint
     Ore equivalence over the bounded universe.  A None denominator marks the
@@ -1267,7 +1234,7 @@ def _kc_fractions(cat, spec, q, nex):
 # -- the axiom suite on the materialized quotient (iso mode) --------------------
 
 
-class LocalizedEngine:
+class LocalizedEngine(MemoOwner):
     """The localized category in iso mode, as an engine of the shared
     C1-C4 drivers (`exangulated.check_c1` and on).  Its classes are the
     identity roofs over E-bar(C, A), its complexes `TableComplex`es that
@@ -1285,7 +1252,8 @@ class LocalizedEngine:
                  q: IdealQuotient) -> None:
         self.cat, self.spec, self.q = cat, spec, q
         self.n, self.generators, self.labels = cat.n, cat.generators, cat.labels
-        self.hom_coords, self.hom_width = q.project, q.qdim
+        self.p, self.basis_reps, self.project, self.qdim = (
+            q.p, q.basis_reps, q.project, q.qdim)
         self.universe, self.format_object = q.universe, cat.format_object
         self._memo: defaultdict = defaultdict(dict)
 
@@ -1307,16 +1275,13 @@ class LocalizedEngine:
     def _hom_sequence(self, cx: TableComplex | TableCone, T: Module,
                       variance: str) -> list[Matrix]:
         """The maps of a Hom sequence of C-bar ending in E-bar."""
-        q = self.q
         contra = variance == "contravariant"
         if isinstance(cx, TableCone):
             maps = [self._cone_map(cx, i, T, contra) for i in range(cx.n + 1)]
-        elif contra:
-            maps = [_post_matrix(q, T, d) for d in cx.diffs]
+            if not contra:
+                maps.reverse()
         else:
-            maps = [_pre_matrix(q, d, T) for d in cx.diffs]
-        if not contra:
-            maps.reverse()
+            maps = _diff_maps(self.q, cx, T, contra)
         maps.append(self._ebar_column(cx.roof, T, variance))
         return maps
 
@@ -1377,9 +1342,6 @@ class LocalizedEngine:
                            roof.delta_coords, f)
         return identity_roof(self.spec, self.q, f.source, roof.end_A, coords)
 
-    def all_lifts(self, src, dst, a: ModMorphism, c: ModMorphism):
-        return self.q.lifts(src, dst, a, c)
-
     def identity_lift_exists(self, cx: TableComplex | TableCone,
                              ref: TableComplex) -> bool:
         """One lift cx -> ref of the identity ends exists.  For a cone this
@@ -1391,7 +1353,7 @@ class LocalizedEngine:
         identities, so squares 0 and n put d'_0 and -d_n on the right."""
         q = self.q
         if not isinstance(cx, TableCone):
-            return has_identity_lift(cx, ref, q.project, q.qdim)
+            return has_identity_lift(cx, ref, q)
         n, p = cx.n, q.p
         pre = [self._cone_map(cx, i, ref.terms[i + 1], False)
                for i in range(n + 1)]
@@ -1429,25 +1391,9 @@ class LocalizedEngine:
     def edges(self, X: Module, Y: Module, dual: bool) -> list[ModMorphism]:
         return [self.q.rep(X, Y, c) for c in sorted(self.edge_classes(X, Y, dual))]
 
-    def composites(self, near: Sequence[ModMorphism], mid: Module, far: Module,
-                   dual: bool) -> list[tuple[int, ...]]:
-        """The classes of t . f for f in near and t a far factor mid -> far
-        (dual: f . t over far factors far -> mid), f-major.  Composing with
-        f is linear, so each f applies one `_pre` (dual: `_post`) matrix to
-        the block of far-factor classes."""
-        fars = self._far_classes(mid, far, dual)
-        if not fars:
-            return []
-        q = self.q
-        out: list[tuple[int, ...]] = []
-        for f in near:
-            out.extend(_images(_post(q, far, f) if dual else _pre(q, f, far),
-                               fars))
-        return out
-
     @memo
-    def _far_classes(self, mid: Module, far: Module, dual: bool
-                     ) -> tuple[tuple[int, ...], ...]:
+    def far_classes(self, mid: Module, far: Module, dual: bool
+                    ) -> tuple[tuple[int, ...], ...]:
         """The classes of the far factors mid -> far (dual: far -> mid):
         realized edges with an F-member factor at mid, e . m over m: mid -> Z
         (dual: m . e over m: Z -> mid), member-major.  The class of e . m is

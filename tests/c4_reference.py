@@ -45,7 +45,7 @@ def check_c4(engine) -> CheckResult:
                         for t in fars:
                             checked += 1
                             comp = f.compose(t) if dual else t.compose(f)
-                            if engine.hom_coords(comp) not in target:
+                            if engine.project(comp) not in target:
                                 path = (engine.labels[gi], engine.format_object(mid),
                                         engine.format_object(far))[::-1 if dual else 1]
                                 return CheckResult(

@@ -10,6 +10,7 @@ ways and solves one null homotopy per pair, so it is slow; it decides the
 question without assuming that either complex is exact.
 """
 
+from exangulate.exangulated import enumerate_lifts
 from exangulate.linalg import Matrix, from_columns, rref_solve
 from exangulate.quiver import hom_basis, identity_morphism, zero_morphism
 
@@ -49,9 +50,9 @@ def two_way_equivalent(q, cx1, cx2) -> bool:
     zero_end = (zero_morphism(cx1.terms[0], cx1.terms[0]),)
     zero_end2 = (zero_morphism(cx1.terms[-1], cx1.terms[-1]),)
     bwd = None
-    for u in q.lifts(cx1, cx2, a, c):
+    for u in enumerate_lifts(cx1, cx2, a, c, q):
         if bwd is None:
-            bwd = list(q.lifts(cx2, cx1, a, c))
+            bwd = list(enumerate_lifts(cx2, cx1, a, c, q))
         for v in bwd:
             vu = zero_end + tuple(
                 vi.compose(ui) + (-identity_morphism(ui.source))

@@ -8,9 +8,9 @@ both are slow, and they decide each pair without using that composition
 with a fixed member is linear.
 """
 
-from exangulate.exangulated import CheckResult
+from exangulate.exangulated import CheckResult, _post, _pre
 from exangulate.linalg import Matrix, rref_solve
-from exangulate.localization import LocalizationError, _post, _pre, ore_left, ore_right
+from exangulate.localization import LocalizationError, ore_left, ore_right
 
 
 def check_mr1(spec, q, mem, keys) -> CheckResult:

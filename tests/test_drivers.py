@@ -1,10 +1,10 @@
 """The shared axiom drivers never ask which engine they have.
 
-`check_c1` .. `check_c4`, `exangle_failures` and `homotopy_equivalent` run
-on `ExCategory` and on `LocalizedEngine` through the engine primitives
-alone.  This parses `exangulated.py` with `ast` and checks each driver's
-body: it calls none of isinstance, hasattr and getattr, and it names neither
-engine class nor `backend`.
+`check_c1` .. `check_c4`, `composites`, `exangle_failures` and
+`homotopy_equivalent` run on `ExCategory` and on `LocalizedEngine` through
+the engine primitives alone.  This parses `exangulated.py` with `ast` and
+checks each driver's body: it calls none of isinstance, hasattr and getattr,
+and it names neither engine class nor `backend`.
 """
 
 import ast
@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "exangulate" / "exangulated.py"
-DRIVERS = ("check_c1", "check_c2", "check_c3", "check_c4", "exangle_failures",
-           "homotopy_equivalent")
+DRIVERS = ("check_c1", "check_c2", "check_c3", "check_c4", "composites",
+           "exangle_failures", "homotopy_equivalent")
 PROBES = {"isinstance", "hasattr", "getattr"}
 ENGINE_NAMES = {"ExCategory", "LocalizedEngine", "backend"}
 

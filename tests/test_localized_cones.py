@@ -20,11 +20,12 @@ import cone_reference
 import exangulate.exangulated as exangulated
 import exangulate.localization as localization
 from exangulate.cli import build_category, main, parse_input
-from exangulate.exangulated import ExCategory, check_c3, solve_lift
+from exangulate.exangulated import (CheckResult, ExCategory, check_c3,
+                                    check_c4, solve_lift)
 from exangulate.linalg import rank
-from exangulate.localization import (IdealQuotient, LocalizedEngine,
-                                     MorphismClassSpec, TableComplex,
-                                     TableCone)
+from exangulate.localization import (FractionHoms, IdealQuotient,
+                                     LocalizedEngine, MorphismClassSpec,
+                                     TableComplex, TableCone, localize)
 from exangulate.quiver import (AlgebraPresentation, Arrow, Quiver,
                                identity_morphism, interval_module, sum_module)
 
@@ -66,8 +67,7 @@ def compare(eng, cx, ref):
             seen += got
     a, c = (identity_morphism(t) for t in ref.ends)
     lifts = eng.identity_lift_exists(cx, ref)
-    assert lifts == (solve_lift(mat, ref, a, c, eng.q.project, eng.q.qdim)
-                     is not None)
+    assert lifts == (solve_lift(mat, ref, a, c, eng.q) is not None)
     return seen, lifts
 
 
@@ -211,6 +211,28 @@ def test_subcategory_pickles_without_its_caches():
                 objects.summand_multiset(
                     sum_module([objects.generators[a], objects.generators[b]])))
     assert copy._memo
+
+
+def test_memo_owners_pickle_after_a_run(monkeypatch):
+    """After `check` and `localize` of the bench input every owner of `memo`
+    caches pickles without them and comes back with empty ones, and the
+    unpickled category checks C4 as the original does."""
+    engines = []
+    functor = localization._check_functor
+    monkeypatch.setattr(localization, "_check_functor",
+                        lambda eng: engines.append(eng) or functor(eng))
+    cat = build_category(parse_input(BENCH_INPUT.read_text()))
+    cat.check_core_axioms()
+    assert localize(cat, ISO, []).verdict == "2-exangulated"
+    [eng] = engines
+    fractions = FractionHoms(ISO, eng.q)
+    fractions.reps(*cat.generators[:2])
+    for owner in (cat, cat.objects, eng.q, fractions, eng):
+        assert owner._memo
+        copy = pickle.loads(pickle.dumps(owner))
+        assert type(copy) is type(owner) and not copy._memo
+    copy = pickle.loads(pickle.dumps(cat))
+    assert check_c4(copy) == check_c4(cat) == CheckResult("C4", True, None, 458)
 
 
 def test_a_cone_pickles(monkeypatch):
