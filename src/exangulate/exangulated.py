@@ -458,6 +458,10 @@ class ExCategory(MemoOwner):
         maps.append(self.delta_sharp(nex.delta, tester, variance))
         return maps
 
+    def sequence_homology(self, nex: NExangle, tester: Module, variance: str
+                          ) -> tuple[int | None, ...]:
+        return built_homology(self, nex, tester, variance)
+
     def is_n_exangle(self, nex: NExangle) -> ExangleVerdict:
         """Exactness of both induced Hom sequences at every inner position,
         with every failure (see `exangle_failures`)."""
@@ -758,12 +762,18 @@ def _images(m: Matrix, vectors: Sequence[tuple[int, ...]]
 #   realize(cls)         the complex of cls, which carries cls; raises
 #                        ValueError when cls has no realization
 #   _pair_tag(cls)       cls in words, for witnesses
-#   _hom_sequence(cx, T, variance)   the maps of a Hom sequence (see
-#                        `exangle_failures`); the dimensions are their shapes
+#   sequence_homology(cx, T, variance)   the homology of a Hom sequence at
+#                        each inner slot (see `exangle_failures`):
+#                        `built_homology` of `_hom_sequence(cx, T, variance)`,
+#                        the sequence's maps (the dimensions are their
+#                        shapes), except for a localized cone, which is looked
+#                        up by the values of its pieces first
+#                        (`LocalizedEngine.sequence_homology`)
 #   identity_lift_exists(cx, ref)    one lift cx -> ref of the identity ends
 #                        exists: `solve_lift` over the engine's hom spaces,
 #                        except for a localized cone, whose system is written
-#                        from its pieces (`LocalizedEngine.identity_lift_exists`)
+#                        from its pieces and looked up by their values
+#                        (`LocalizedEngine.identity_lift_exists`)
 #   is_split(cx)         cx, a complex of a zero class, is homotopy equivalent
 #                        to the split complex
 #   arrows(X, Y)         one morphism X -> Y per element of Hom(X, Y)
@@ -797,8 +807,8 @@ def exangle_failures(engine, cx) -> Iterator[ExangleFailure]:
     a direct sum splits), and positions over the inner terms, X_1 .. X_{n+1}
     (contravariant) or X_n .. X_0 (covariant).  Since the sequences end in E,
     the boundary compatibilities (d_0)_* delta = 0 and (d_n)^* delta = 0 are
-    part of the complex condition.  Each sequence is built when first
-    needed, and its defects are read from `_homology`.
+    part of the complex condition.  The defects of each sequence are asked
+    of the engine when first needed (`sequence_homology`).
     """
     n = cx.n
     homology: dict[tuple[str, int], tuple[int | None, ...]] = {}
@@ -807,13 +817,20 @@ def exangle_failures(engine, cx) -> Iterator[ExangleFailure]:
             position = slot if variance == "contravariant" else n + 1 - slot
             for ti, tester in enumerate(engine.generators):
                 if (variance, ti) not in homology:
-                    homology[variance, ti] = _homology(
-                        engine, tuple(engine._hom_sequence(cx, tester, variance)))
+                    homology[variance, ti] = engine.sequence_homology(
+                        cx, tester, variance)
                 h = homology[variance, ti][slot - 1]
                 if h is None:
                     yield ExangleFailure(variance, position, ti, "not a complex")
                 elif h:
                     yield ExangleFailure(variance, position, ti, "homology")
+
+
+def built_homology(engine, cx, T: Module, variance: str
+                   ) -> tuple[int | None, ...]:
+    """The `_homology` of the Hom sequence of cx at T that the engine's
+    `_hom_sequence` builds."""
+    return _homology(engine, tuple(engine._hom_sequence(cx, T, variance)))
 
 
 @memo
@@ -881,8 +898,7 @@ def _hom_homology(engine, cx) -> tuple[int | None, ...]:
     all zero exactly when cx is an n-exangle."""
     return tuple(h for variance in ("contravariant", "covariant")
                  for tester in engine.generators
-                 for h in _homology(engine, tuple(
-                     engine._hom_sequence(cx, tester, variance))))
+                 for h in engine.sequence_homology(cx, tester, variance))
 
 
 # a reference complex is the realization of its class, built once per class

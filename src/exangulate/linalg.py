@@ -158,9 +158,6 @@ class Matrix(Frozen):
     def row_list(self, i: int) -> list[int]:
         return list(self.entries[i * self.cols : (i + 1) * self.cols])
 
-    def to_rows(self) -> list[list[int]]:
-        return [self.row_list(i) for i in range(self.rows)]
-
     def col_list(self, j: int) -> list[int]:
         return [self.entries[i * self.cols + j] for i in range(self.rows)]
 
@@ -267,24 +264,6 @@ def vstack(blocks: Sequence[Matrix]) -> Matrix:
     for b in blocks:
         out.extend(b.entries)
     return Matrix._trusted(p, sum(b.rows for b in blocks), cols, tuple(out))
-
-
-def block_matrix(grid: Sequence[Sequence[Matrix]]) -> Matrix:
-    return vstack([hstack(row) for row in grid])
-
-
-def block_diag(p: int, blocks: Sequence[Matrix]) -> Matrix:
-    if not blocks:
-        return Matrix.zeros(p, 0, 0)
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    grid = []
-    for i, b in enumerate(blocks):
-        row = []
-        for j, c in enumerate(blocks):
-            row.append(b if i == j else Matrix.zeros(p, b.rows, c.cols))
-        grid.append(row)
-    return block_matrix(grid)
 
 
 # -- row reduction ---------------------------------------------------------
@@ -399,16 +378,6 @@ def column_space_basis(m: Matrix) -> list[Matrix]:
     return [m.column_at(j) for j in pivots]
 
 
-def in_column_space(m: Matrix, v: Matrix) -> bool:
-    return rref_solve(m, v) is not None
-
-
-def same_column_space(a: Matrix, b: Matrix) -> bool:
-    if a.p != b.p or a.rows != b.rows:
-        raise ValueError("incomparable column spaces")
-    ra = rank(a)
-    rb = rank(b)
-    return ra == rb == rank(hstack([a, b]))
 
 
 def quotient_with_section(p: int, dim: int, subspace: Sequence[Matrix]) -> tuple[Matrix, Matrix]:

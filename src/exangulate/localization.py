@@ -32,14 +32,16 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 from .exangulated import (ENDPOINT_SUMMANDS, BoundExceeded, CheckResult,
                           ExCategory, MemoOwner, NExangle, _diff_maps,
                           _images, _post, _post_matrix, _pre, _pre_matrix,
-                          check_c1, check_c2, check_c3, check_c4, cone,
-                          cone_blocks, cone_summands, has_identity_lift,
-                          homotopy_equivalent, memo, realization_is_exangle)
+                          built_homology, check_c1, check_c2, check_c3,
+                          check_c4, cone, cone_blocks, cone_summands,
+                          has_identity_lift, homotopy_equivalent, memo,
+                          realization_is_exangle)
 from .linalg import (Matrix, column_space_basis, enumerate_vectors,
                      from_columns, hstack, kernel_basis, quotient_with_section,
                      rank, rref_solve, vstack)
@@ -833,12 +835,6 @@ def roof_add(spec: MorphismClassSpec, q: IdealQuotient,
     return Roof(t, total, s)
 
 
-def roof_zero(spec: MorphismClassSpec, q: IdealQuotient,
-              end_C: Module, end_A: Module) -> Roof:
-    eb = ebar_group(spec, q, end_C, end_A)
-    return identity_roof(spec, q, end_C, end_A, eb.zero_class())
-
-
 def roof_push(spec: MorphismClassSpec, q: IdealQuotient, r: Roof,
               a: ModMorphism, u: ModMorphism | None = None) -> Roof:
     """Push a roof along the fraction inverse(u) . a (u omitted: identity).
@@ -1049,23 +1045,24 @@ def _from_blocks(p: int, blocks) -> Matrix:
     (r, c, m, sign) in blocks, and zero elsewhere, written into one entries
     list.  Every block row and block column up to the last must hold a
     block, which gives its size."""
-    heights = [0] * (1 + max(r for r, _, _, _ in blocks))
-    widths = [0] * (1 + max(c for _, c, _, _ in blocks))
+    heights, widths = {}, {}
     for r, c, m, _ in blocks:
         heights[r], widths[c] = m.rows, m.cols
     row0, col0 = [0], [0]
-    for h in heights:
-        row0.append(row0[-1] + h)
-    for w in widths:
-        col0.append(col0[-1] + w)
+    for r in range(len(heights)):
+        row0.append(row0[-1] + heights[r])
+    for c in range(len(widths)):
+        col0.append(col0[-1] + widths[c])
     width = col0[-1]
     out = [0] * (row0[-1] * width)
     for r, c, m, sign in blocks:
         k, e = m.cols, m.entries
+        if sign < 0:
+            e = [(-x) % p for x in e]
+        at = row0[r] * width + col0[c]
         for a in range(m.rows):
-            row = e[a * k:(a + 1) * k]
-            at = (row0[r] + a) * width + col0[c]
-            out[at:at + k] = row if sign > 0 else [(-x) % p for x in row]
+            out[at:at + k] = e[a * k:a * k + k]
+            at += width
     return Matrix._trusted(p, row0[-1], width, tuple(out))
 
 
@@ -1246,7 +1243,9 @@ class LocalizedEngine(MemoOwner):
     additive, so Hom(T, cone f) is the cone of Hom(T, f): the Hom sequences
     of a cone and its lift system are written block by block from the
     memoized `_post_matrix`/`_pre_matrix` of its pieces, and no sum module
-    of a cone is built."""
+    of a cone is built.  Many cones share these matrices, so each test is
+    first looked up by the values of its pieces, and built only on a miss
+    (`sequence_homology`, `identity_lift_exists`)."""
 
     def __init__(self, cat: ExCategory, spec: MorphismClassSpec,
                  q: IdealQuotient) -> None:
@@ -1293,18 +1292,79 @@ class LocalizedEngine(MemoOwner):
         # every summand of both ends is an end of some block
         q = self.q
         if contra:
-            return self._block_map(tuple((r, c, _post_matrix(q, T, g), sign)
-                                         for r, c, g, sign in cx.layout[i]))
-        return self._block_map(tuple((c, r, _pre_matrix(q, g, T), sign)
-                                     for r, c, g, sign in cx.layout[i]))
+            return _from_blocks(q.p, [(r, c, _post_matrix(q, T, g), sign)
+                                      for r, c, g, sign in cx.layout[i]])
+        return _from_blocks(q.p, [(c, r, _pre_matrix(q, g, T), sign)
+                                  for r, c, g, sign in cx.layout[i]])
 
-    @memo
-    def _block_map(self, blocks: tuple) -> Matrix:
-        """`_from_blocks`, cached by the values of the blocks: the cones of
-        C3/C3' share few maps (84 distinct of the 5292 that their Hom
-        sequences and lift systems use on `bench/inputs`), and a shared
-        map's hash is computed once."""
-        return _from_blocks(self.q.p, blocks)
+    # -- cone tests keyed by the values of their pieces
+    #
+    # C3/C3' test many cones whose Hom sequences and lift systems are equal
+    # as matrices.  So a cone test is looked up before anything is built, by
+    # a key of small integers: `_number` numbers each matrix by its value,
+    # and each piece (a block's `_post_matrix`/`_pre_matrix` at a test
+    # object, an E-bar column) is numbered through a table keyed by the
+    # modules, which hash by identity, and the int tuples that determine it
+    # (a block's `flat` coordinates, a roof's class).  No key holds a
+    # `ModMorphism`, `Matrix` or `Roof`, so each hashes in C; a miss builds
+    # with the builders above.
+
+    def _number(self, m: Matrix) -> int:
+        """m's number in the engine's value table: equal values, one number."""
+        table = self._memo[LocalizedEngine._number]
+        return table.setdefault(m, len(table))
+
+    def _piece(self, T: Module, g: ModMorphism, contra: bool) -> int:
+        """The number of `_post_matrix(q, T, g)` (contra) or
+        `_pre_matrix(q, g, T)`."""
+        pieces = self._memo[LocalizedEngine._piece]
+        key = (T, contra, g.source, g.target, g.flat)
+        got = pieces.get(key)
+        if got is None:
+            q = self.q
+            got = pieces[key] = self._number(
+                _post_matrix(q, T, g) if contra else _pre_matrix(q, g, T))
+        return got
+
+    def _pieces(self, cx: TableCone, tests, contra: bool) -> tuple:
+        """(i, row, column, sign, piece) of each block of each differential
+        i of cx, its piece taken at the test object tests[i]; `_piece` is
+        inlined where the number is known."""
+        pieces = self._memo[LocalizedEngine._piece]
+        out = []
+        for i, blocks in enumerate(cx.layout):
+            T = tests[i]
+            for r, c, g, sign in blocks:
+                got = pieces.get((T, contra, g.source, g.target, g.flat))
+                if got is None:
+                    got = self._piece(T, g, contra)
+                out.append((i, r, c, sign, got))
+        return tuple(out)
+
+    def _ebar_number(self, roof: Roof, T: Module, variance: str) -> int:
+        """The number of `_ebar_column(roof, T, variance)`, which reads only
+        the roof's ends and class."""
+        table = self._memo[LocalizedEngine._ebar_number]
+        key = (T, variance, roof.end_C, roof.end_A, roof.delta_coords)
+        got = table.get(key)
+        if got is None:
+            got = table[key] = self._number(self._ebar_column(roof, T, variance))
+        return got
+
+    def sequence_homology(self, cx: TableComplex | TableCone, T: Module,
+                          variance: str) -> tuple[int | None, ...]:
+        """`built_homology`; for a cone, looked up by the pieces of its maps
+        and the number of its E-bar column."""
+        if not isinstance(cx, TableCone):
+            return built_homology(self, cx, T, variance)
+        key = (variance, self._ebar_number(cx.roof, T, variance),
+               self._pieces(cx, (T,) * len(cx.layout),
+                            variance == "contravariant"))
+        table = self._memo[LocalizedEngine.sequence_homology]
+        got = table.get(key)
+        if got is None:
+            got = table[key] = built_homology(self, cx, T, variance)
+        return got
 
     @memo
     def _ebar_column(self, roof: Roof, T: Module, variance: str) -> Matrix:
@@ -1345,28 +1405,55 @@ class LocalizedEngine(MemoOwner):
     def identity_lift_exists(self, cx: TableComplex | TableCone,
                              ref: TableComplex) -> bool:
         """One lift cx -> ref of the identity ends exists.  For a cone this
-        is the system of `solve_lift` in block coordinates: u_i lies in
-        C-bar(X_i, ref_i), one block per summand of X_i, and square i reads
-        u_{i+1} . d_i - d'_i . u_i = 0.  Its blocks are the map of d_i under
-        C-bar(-, ref_{i+1}) (`_cone_map`, from `_pre_matrix(g, ref_{i+1})`)
-        and minus `_post_matrix(summand, d'_i)`; u_0 and u_{n+1} are the
+        is `_block_lift_exists`, looked up by the pieces of its system: the
+        pre pieces of each cone differential at ref's terms, the post pieces
+        of ref's differentials at each cone summand, ref's d_0 and its
+        right end."""
+        if not isinstance(cx, TableCone):
+            return has_identity_lift(cx, ref, self.q)
+        n, d0 = cx.n, ref.diffs[0]
+        pre = self._pieces(cx, ref.terms[1:], False)
+        post = tuple(tuple(self._piece(X, ref.diffs[i], True) for X in
+                           cone_summands(cx.src, cx.dst, cx.shift, i))
+                     for i in range(1, n + 1))
+        key = (pre, post, d0.source, d0.target, d0.flat, ref.terms[n + 1])
+        table = self._memo[LocalizedEngine.identity_lift_exists]
+        got = table.get(key)
+        if got is None:
+            got = table[key] = self._block_lift_exists(cx, ref)
+        return got
+
+    def _block_lift_exists(self, cx: TableCone, ref: TableComplex) -> bool:
+        """The lift test of a cone: the system of `solve_lift`, written as
+        one block matrix over the summands.  u_i lies in C-bar(X_i, ref_i),
+        one column block per summand of X_i, and square i reads
+        u_{i+1} . d_i - d'_i . u_i = 0, one row block per summand of X_i.
+        A block g of d_i puts `_pre_matrix(g, ref_{i+1})` at (the summand g
+        leaves, the summand of u_{i+1} it enters), as in the covariant Hom
+        sequences, and each summand X of X_i puts minus
+        `_post_matrix(X, d'_i)` at (X, X of u_i).  u_0 and u_{n+1} are the
         identities, so squares 0 and n put d'_0 and -d_n on the right."""
         q = self.q
-        if not isinstance(cx, TableCone):
-            return has_identity_lift(cx, ref, q)
         n, p = cx.n, q.p
-        pre = [self._cone_map(cx, i, ref.terms[i + 1], False)
-               for i in range(n + 1)]
-        blocks = [(i, i, pre[i], 1) for i in range(n)]
-        for i in range(1, n + 1):
-            post = [(k, k, _post_matrix(q, X, ref.diffs[i]), 1) for k, X in
-                    enumerate(cone_summands(cx.src, cx.dst, cx.shift, i))]
-            blocks.append((i, i - 1, _from_blocks(p, post), -1))
+        parts = [cone_summands(cx.src, cx.dst, cx.shift, i)
+                 for i in range(n + 1)]
+        # the first block of square i, and of u_{i+1}
+        row0 = list(accumulate(map(len, parts), initial=0))
+        col0 = list(accumulate(map(len, parts[1:]), initial=0))
+        blocks = [(row0[i] + c, col0[i] + r,
+                   _pre_matrix(q, g, ref.terms[i + 1]), sign)
+                  for i in range(n) for r, c, g, sign in cx.layout[i]]
+        blocks += [(row0[i] + k, col0[i - 1] + k,
+                    _post_matrix(q, X, ref.diffs[i]), -1)
+                   for i in range(1, n + 1) for k, X in enumerate(parts[i])]
+        system = _from_blocks(p, blocks)
         ids = q.identity_class(ref.terms[n + 1])
-        last = -(pre[n] @ Matrix._trusted(p, len(ids), 1, ids))
-        rhs = (q.project(ref.diffs[0]) + (0,) * sum(m.rows for m in pre[1:n])
+        last = -(self._cone_map(cx, n, ref.terms[n + 1], False)
+                 @ Matrix._trusted(p, len(ids), 1, ids))
+        first = q.project(ref.diffs[0])
+        rhs = (first + (0,) * (system.rows - len(first) - last.rows)
                + last.entries)
-        return rref_solve(_from_blocks(p, blocks),
+        return rref_solve(system,
                           Matrix._trusted(p, len(rhs), 1, rhs)) is not None
 
     def mapping_cone(self, src, dst, f, roof: Roof) -> TableCone:

@@ -278,10 +278,6 @@ def path_basis(alg: AlgebraPresentation) -> PathBasis:
     return PathBasis(alg, slots)
 
 
-def algebra_dimension(alg: AlgebraPresentation) -> int:
-    return path_basis(alg).total_dim
-
-
 # -- modules ----------------------------------------------------------------
 
 

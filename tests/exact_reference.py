@@ -8,7 +8,15 @@ space: three rank computations per term and vertex instead of one rank per
 vertex map.
 """
 
-from exangulate.linalg import Matrix, hstack, kernel_basis, same_column_space
+from exangulate.linalg import Matrix, hstack, kernel_basis, rank
+
+
+def same_column_space(a: Matrix, b: Matrix) -> bool:
+    if a.p != b.p or a.rows != b.rows:
+        raise ValueError("incomparable column spaces")
+    ra = rank(a)
+    rb = rank(b)
+    return ra == rb == rank(hstack([a, b]))
 
 
 def is_exact_sequence(mods, maps) -> bool:

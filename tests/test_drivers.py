@@ -1,8 +1,8 @@
 """The shared axiom drivers never ask which engine they have.
 
-`check_c1` .. `check_c4`, `composites`, `exangle_failures` and
-`homotopy_equivalent` run on `ExCategory` and on `LocalizedEngine` through
-the engine primitives alone.  This parses `exangulated.py` with `ast` and
+`check_c1` .. `check_c4`, `composites`, `exangle_failures`,
+`homotopy_equivalent` and `built_homology` run on `ExCategory` and on
+`LocalizedEngine` through the engine primitives alone.  This parses `exangulated.py` with `ast` and
 checks each driver's body: it calls none of isinstance, hasattr and getattr,
 and it names neither engine class nor `backend`.
 """
@@ -14,7 +14,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "exangulate" / "exangulated.py"
 DRIVERS = ("check_c1", "check_c2", "check_c3", "check_c4", "composites",
-           "exangle_failures", "homotopy_equivalent")
+           "exangle_failures", "homotopy_equivalent", "built_homology")
 PROBES = {"isinstance", "hasattr", "getattr"}
 ENGINE_NAMES = {"ExCategory", "LocalizedEngine", "backend"}
 

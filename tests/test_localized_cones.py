@@ -7,7 +7,13 @@ block from the pieces' `_post_matrix`/`_pre_matrix`, and builds no sum
 module.  These tests compare both with the cone materialized through
 inclusions and projections (`cone_reference`), on every cone and cocone
 that localized C3 and C3' test, and on cones that fail: lifts to the
-realization of another class, and cones of a perturbed component.
+realization of another class, a cone's pieces given another class, and
+cones of a perturbed component.
+
+The engine looks each cone test up by the values of its pieces before it
+builds anything (`sequence_homology`, `identity_lift_exists`).  On every
+such cone the looked-up answer is compared with the one built for that
+cone alone.
 """
 
 import pickle
@@ -20,8 +26,8 @@ import cone_reference
 import exangulate.exangulated as exangulated
 import exangulate.localization as localization
 from exangulate.cli import build_category, main, parse_input
-from exangulate.exangulated import (CheckResult, ExCategory, check_c3,
-                                    check_c4, solve_lift)
+from exangulate.exangulated import (CheckResult, ExCategory, _homology,
+                                    check_c3, check_c4, solve_lift)
 from exangulate.linalg import rank
 from exangulate.localization import (FractionHoms, IdealQuotient,
                                      LocalizedEngine, MorphismClassSpec,
@@ -55,19 +61,24 @@ def materialized(cx):
 
 def compare(eng, cx, ref):
     """Check the assembled Hom sequences and lift test of the cone cx
-    against those of its materialized cone; return the slot verdicts of
-    its sequences and whether the identity ends lift to ref."""
+    against those of its materialized cone, and the looked-up ones against
+    those built for cx; return the slot verdicts of its sequences and
+    whether the identity ends lift to ref."""
     mat = materialized(cx)
     assert (cx.n, cx.ends) == (mat.n, mat.ends)
     seen = []
     for variance in VARIANCES:
         for T in eng.generators:
-            got = verdicts(eng._hom_sequence(cx, T, variance))
+            built = eng._hom_sequence(cx, T, variance)
+            got = verdicts(built)
             assert got == verdicts(eng._hom_sequence(mat, T, variance))
+            assert eng.sequence_homology(cx, T, variance) == _homology(
+                eng, tuple(built))
             seen += got
     a, c = (identity_morphism(t) for t in ref.ends)
-    lifts = eng.identity_lift_exists(cx, ref)
+    lifts = eng._block_lift_exists(cx, ref)
     assert lifts == (solve_lift(mat, ref, a, c, eng.q) is not None)
+    assert eng.identity_lift_exists(cx, ref) == lifts
     return seen, lifts
 
 
@@ -138,14 +149,23 @@ def test_assembled_cones_agree_with_the_materialized_ones(
 
 def test_lifts_to_another_class_agree(monkeypatch):
     """Each cone against the realization of every class with its ends: the
-    identity ends lift exactly to its own class, in both computations."""
-    outcomes = set()
+    identity ends lift exactly to its own class, in both computations.  Its
+    pieces given another class end their Hom sequences in that class's
+    E-bar column, which the lookups key on: some are no complex or have
+    homology there, and none lifts to that class's realization."""
+    outcomes, relabelled = set(), set()
     for eng, cx in a2_cones(monkeypatch):
         C, A = cx.ends[1], cx.ends[0]
         for roof in eng.ext_elements(C, A):
             _, lifts = compare(eng, cx, eng.realize(roof))
             outcomes.add((roof == cx.roof, lifts))
-    assert outcomes == {(True, True), (False, False)}
+            if roof != cx.roof:
+                other = TableCone(cx.src, cx.dst, cx.f, cx.shift, roof)
+                got, lifts = compare(eng, other, eng.realize(roof))
+                relabelled.update(got)
+                outcomes.add(("relabelled", lifts))
+    assert outcomes == {(True, True), (False, False), ("relabelled", False)}
+    assert relabelled == {"exact", "homology", "not a complex"}
 
 
 @pytest.mark.parametrize("case", ["bench", "a2-at-p3"])
@@ -169,6 +189,27 @@ def test_cones_of_a_perturbed_component_agree(monkeypatch, capsys, case):
                 outcomes.add(lifts)
     assert "not a complex" in seen
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("case", ["bench", "a2-at-p3"])
+def test_a_second_pass_of_c3_builds_nothing(monkeypatch, case):
+    """Every cone test of a second pass of C3 and C3' is a lookup: with
+    `_from_blocks` and `LocalizedEngine._hom_sequence` raising, both pass
+    again with the same counts."""
+    if case == "bench":
+        cat = build_category(parse_input(BENCH_INPUT.read_text()))
+    else:
+        cat = a2_at_p3().cat
+    eng = LocalizedEngine(cat, ISO, IdealQuotient(cat, []))
+    first = [check_c3(eng, dual) for dual in (False, True)]
+    assert all(r.passed for r in first)
+
+    def boom(*args):
+        raise AssertionError("a cone test was built again")
+
+    monkeypatch.setattr(localization, "_from_blocks", boom)
+    monkeypatch.setattr(LocalizedEngine, "_hom_sequence", boom)
+    assert [check_c3(eng, dual) for dual in (False, True)] == first
 
 
 def test_localize_builds_no_cone(monkeypatch, capsys):
@@ -215,8 +256,9 @@ def test_subcategory_pickles_without_its_caches():
 
 def test_memo_owners_pickle_after_a_run(monkeypatch):
     """After `check` and `localize` of the bench input every owner of `memo`
-    caches pickles without them and comes back with empty ones, and the
-    unpickled category checks C4 as the original does."""
+    caches pickles without them and comes back with empty ones; the
+    unpickled category checks C4, and the unpickled localized engine C3 and
+    C3', as the originals do."""
     engines = []
     functor = localization._check_functor
     monkeypatch.setattr(localization, "_check_functor",
@@ -233,6 +275,10 @@ def test_memo_owners_pickle_after_a_run(monkeypatch):
         assert type(copy) is type(owner) and not copy._memo
     copy = pickle.loads(pickle.dumps(cat))
     assert check_c4(copy) == check_c4(cat) == CheckResult("C4", True, None, 458)
+    copy = pickle.loads(pickle.dumps(eng))
+    for dual, name in ((False, "C3"), (True, "C3'")):
+        assert check_c3(copy, dual) == check_c3(eng, dual) == CheckResult(
+            name, True, None, 98)
 
 
 def test_a_cone_pickles(monkeypatch):

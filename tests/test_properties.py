@@ -15,13 +15,13 @@ from exangulate.localization import (
     ebar_group,
     ebar_push,
     etilde_group,
+    identity_roof,
     k_subgroup,
     member_classes,
     roof_add,
     roof_equal,
     roof_pull,
     roof_push,
-    roof_zero,
     s_tilde,
 )
 from exangulate.quiver import (
@@ -133,9 +133,9 @@ def test_roof_addition_is_denominator_independent():
                            padded(rng, nf, r2, ci, ai))
         assert roof_equal(ISO, q, total, retotal)
         assert roof_equal(ISO, q, total, roof_add(ISO, q, r2, r1))
-        assert roof_equal(
-            ISO, q, roof_add(ISO, q, r1, roof_zero(ISO, q, r1.end_C, r1.end_A)),
-            r1)
+        zero = identity_roof(ISO, q, r1.end_C, r1.end_A,
+                             ebar_group(ISO, q, r1.end_C, r1.end_A).zero_class())
+        assert roof_equal(ISO, q, roof_add(ISO, q, r1, zero), r1)
         cases += 1
     assert cases >= 200
 

@@ -15,7 +15,6 @@ from exangulate.quiver import (
     Module,
     Quiver,
     Relation,
-    algebra_dimension,
     block_morphism,
     cokernel_module,
     decompose,
@@ -68,6 +67,10 @@ def the_map(src, tgt):
 
 
 # -- algebra and path bases ---------------------------------------------------
+
+
+def algebra_dimension(alg: AlgebraPresentation) -> int:
+    return path_basis(alg).total_dim
 
 
 def test_algebra_dimension_with_and_without_relation():

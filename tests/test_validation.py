@@ -26,8 +26,8 @@ from exangulate.cli import build_category, main, parse_input
 from exangulate.exangulated import ExCategory
 from exangulate.localization import (IdealQuotient, LocalizedEngine, Roof,
                                      TableComplex)
-from exangulate.linalg import (LINALG_CACHE_SIZE, Matrix, block_diag, hstack,
-                               kernel_basis, rref, rref_solve, solve_unique)
+from exangulate.linalg import (LINALG_CACHE_SIZE, Matrix, hstack, kernel_basis,
+                               rref, rref_solve, solve_unique, vstack)
 from exangulate.values import Record
 from exangulate.quiver import (
     AlgebraPresentation,
@@ -137,6 +137,22 @@ def test_direct_sums_and_block_morphisms_validate():
         for f in hom_basis(X, Y):
             blocks[1][0] = f
         full_check(block_morphism([X, Y], [X, Y], blocks))
+
+
+def block_diag(p: int, blocks) -> Matrix:
+    """The block-diagonal matrix of blocks, the reference for the arrow
+    maps of a direct sum."""
+    if not blocks:
+        return Matrix.zeros(p, 0, 0)
+    return vstack([hstack([b if i == j else Matrix.zeros(p, b.rows, c.cols)
+                           for j, c in enumerate(blocks)])
+                   for i, b in enumerate(blocks)])
+
+
+def test_block_diag():
+    i2 = Matrix.identity(2, 2)
+    d = block_diag(2, [i2, Matrix.identity(2, 1)])
+    assert d == Matrix.from_rows(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 @pytest.mark.parametrize("gens", [GENS, GENS3], ids=["a4-p2", "a3-p3"])
