@@ -42,9 +42,9 @@ from .exangulated import (ENDPOINT_SUMMANDS, BoundExceeded, CheckResult,
                           check_c4, cone, cone_blocks, cone_summands,
                           has_identity_lift, homotopy_equivalent, memo,
                           realization_is_exangle)
-from .linalg import (Matrix, column_space_basis, enumerate_vectors,
-                     from_columns, hstack, kernel_basis, quotient_with_section,
-                     rank, rref_solve, vstack)
+from .linalg import (Matrix, enumerate_vectors, from_columns, hstack,
+                     kernel_basis, quotient_with_section, rank, rref,
+                     rref_solve, vstack)
 from .quiver import (ExtElement, ModMorphism, Module, combine, direct_sum,
                      enumerate_hom, hom_basis, identity_morphism,
                      morphism_in_coords, pull_back, push_forward)
@@ -605,49 +605,73 @@ def _mr3_filler(spec, q, x1, x2, a, c) -> bool:
 
 
 @memo
-def k_subgroup(spec: MorphismClassSpec, q: IdealQuotient,
-               end_C: Module, end_A: Module) -> list[tuple[int, ...]]:
-    """Basis (coordinate vectors) of K(C, A): the classes some member of F
-    pushes to zero.  The dual pull-back characterization is computed
-    independently; disagreement aborts."""
-    cat = q.base
-    space = cat.ext(end_C, end_A)
-    if q.p ** space.dim > CLASS_ENUM_LIMIT:
-        raise BoundExceeded("extension group too large to enumerate")
-    elements = space.all_elements()
-    killed_push: set = set()
-    for B in q.universe:
-        members = member_classes(spec, q, end_A, B)
-        if not members:
-            continue
-        for s in enumerate_hom(end_A, B):
-            if q.project(s) not in members:
-                continue
-            for el in elements:
-                if push_forward(el, s).is_zero:
-                    killed_push.add(tuple(el.coords.col_list(0)))
-    killed_pull: set = set()
-    for B in q.universe:
-        members = member_classes(spec, q, B, end_C)
-        if not members:
-            continue
-        for t in enumerate_hom(B, end_C):
-            if q.project(t) not in members:
-                continue
-            for el in elements:
-                if pull_back(el, t).is_zero:
-                    killed_pull.add(tuple(el.coords.col_list(0)))
-    if killed_push != killed_pull:
-        raise LocalizationError(
-            "the push and pull characterizations of K disagree")
-    for v in killed_push:
-        for w in killed_push:
-            if tuple((x + y) % q.p for x, y in zip(v, w)) not in killed_push:
+def _ext_basis(q: IdealQuotient, end_C: Module, end_A: Module) -> list:
+    return q.base.ext(end_C, end_A).basis()
+
+
+def _move_matrix(q: IdealQuotient, end_C: Module, end_A: Module,
+                 f: ModMorphism, pull: bool) -> Matrix:
+    """The matrix P_f of the push-forward along f: A -> B on E(C, A) (pull:
+    the pull-back along f: D -> C), whose columns are the moved basis
+    classes.  `_ext_matrix` memoizes it on q, keyed by the ends and f."""
+    move, ends = ((pull_back, (f.source, end_A)) if pull else
+                  (push_forward, (end_C, f.target)))
+    return from_columns(q.p, q.base.ext(*ends).dim, [
+        move(b, f).coords.entries for b in _ext_basis(q, end_C, end_A)])
+
+
+_ext_matrix = memo(_move_matrix)
+
+
+def _union_basis(p: int, subspaces: Sequence[Sequence[Matrix]]
+                 ) -> list[tuple[int, ...]]:
+    """The union of subspaces, each given by a basis of columns, as the
+    rows of its rref; LocalizationError when it is not a subspace, that is,
+    when some vector of their span lies in none of them.  It is one when
+    one of them has the dimension of the span.  Otherwise the span is
+    walked, within CLASS_ENUM_LIMIT: over F_p a union of smaller subspaces
+    can be a subspace, as F_2^2 is the union of its three lines."""
+    if not any(subspaces):
+        return []
+    r, pivots = rref(hstack([v for s in subspaces for v in s]).transpose())
+    basis = [tuple(r.row_list(i)) for i in range(len(pivots))]
+    if all(len(s) < len(basis) for s in subspaces):
+        if p ** len(basis) > CLASS_ENUM_LIMIT:
+            raise BoundExceeded("span of the kernels too large to enumerate")
+        span = from_columns(p, r.cols, basis)
+        parts = [hstack(s) for s in subspaces if s]
+        for c in enumerate_vectors(p, len(basis)):
+            if all(rref_solve(m, span @ c) is None for m in parts):
                 raise LocalizationError(
                     "K is not closed under addition within the bound")
-    cols = [Matrix.column(q.p, list(v)) for v in sorted(killed_push) if any(v)]
-    basis = column_space_basis(hstack(cols)) if cols else []
-    return [tuple(b.col_list(0)) for b in basis]
+    return basis
+
+
+@memo
+def k_subgroup(spec: MorphismClassSpec, q: IdealQuotient,
+               end_C: Module, end_A: Module) -> list[tuple[int, ...]]:
+    """Basis of K(C, A), the rows of its rref: the classes some member of F
+    pushes to zero, the union of the kernels of the push matrices of the
+    members out of A.  The pull-back characterization, by the members into
+    C, is computed independently; disagreement aborts.  No class of E(C, A)
+    is walked, unless `_union_basis` walks the span of the kernels."""
+    if not q.base.ext(end_C, end_A).dim:
+        return []
+    sides = []
+    for pull in (False, True):
+        kernels = []
+        for B in q.universe:
+            ends = (B, end_C) if pull else (end_A, B)
+            members = member_classes(spec, q, *ends)
+            if members:
+                kernels += [kernel_basis(_move_matrix(q, end_C, end_A, s, pull))
+                            for s in enumerate_hom(*ends)
+                            if q.project(s) in members]
+        sides.append(_union_basis(q.p, kernels))
+    if sides[0] != sides[1]:
+        raise LocalizationError(
+            "the push and pull characterizations of K disagree")
+    return sides[0]
 
 
 class EbarSpace(Value):
@@ -699,50 +723,45 @@ def ebar_group(spec: MorphismClassSpec, q: IdealQuotient,
     return EbarSpace(spec, space, kb, proj, sect)
 
 
-@memo
-def _push(q: IdealQuotient, delta: ExtElement, f: ModMorphism) -> ExtElement:
-    return push_forward(delta, f)
+def _keeps_k(moved: Matrix, eb: EbarSpace) -> bool:
+    """Does the move with matrix `moved` (proj_tgt . P_f) kill eb's K?"""
+    return not eb.k_basis or (
+        moved @ from_columns(moved.p, moved.cols, eb.k_basis)).is_zero
 
 
 @memo
-def _pull(q: IdealQuotient, delta: ExtElement, f: ModMorphism) -> ExtElement:
-    return pull_back(delta, f)
+def _ebar_matrix(spec: MorphismClassSpec, q: IdealQuotient, end_C: Module,
+                 end_A: Module, f: ModMorphism, pull: bool) -> Matrix:
+    """The descended move of `_move_matrix`, proj_tgt . P_f . sect_src on
+    E-bar; LocalizationError when P_f does not carry K into K."""
+    src = ebar_group(spec, q, end_C, end_A)
+    tgt = ebar_group(spec, q, *((f.source, end_A) if pull else
+                                (end_C, f.target)))
+    moved = tgt.proj @ _ext_matrix(q, end_C, end_A, f, pull)
+    if not _keeps_k(moved, src):
+        raise LocalizationError(("pull-back" if pull else "push-forward")
+                                + " does not carry K into K")
+    return moved @ src.sect
 
 
-@memo
-def _keeps_k(spec: MorphismClassSpec, q: IdealQuotient, end_C: Module,
-             end_A: Module, f: ModMorphism, pull: bool) -> bool:
-    """Does the push-forward (pull: pull-back) along f carry K(C, A) into
-    the K of its target?"""
-    eb = ebar_group(spec, q, end_C, end_A)
-    if pull:
-        tgt, move = ebar_group(spec, q, f.source, end_A), _pull
-    else:
-        tgt, move = ebar_group(spec, q, end_C, f.target), _push
-    return not any(any(tgt.project(move(q, eb.space.element(list(kb)), f)))
-                   for kb in eb.k_basis)
+def _apply(m: Matrix, coords: Sequence[int]) -> tuple[int, ...]:
+    return (m @ Matrix.column(m.p, coords)).entries
 
 
 def ebar_push(spec: MorphismClassSpec, q: IdealQuotient, eb: EbarSpace,
               coords: Sequence[int], f: ModMorphism) -> tuple[int, ...]:
-    """Descended push-forward E-bar(C, A) -> E-bar(C, B) along f: A -> B."""
+    """Descended push-forward along f: A -> B, by its `_ebar_matrix`."""
     if f.source != eb.end_A:
         raise ValueError("push morphism must start at the A end")
-    if not _keeps_k(spec, q, eb.end_C, eb.end_A, f, False):
-        raise LocalizationError("push-forward does not carry K into K")
-    tgt = ebar_group(spec, q, eb.end_C, f.target)
-    return tgt.project(_push(q, eb.lift(coords), f))
+    return _apply(_ebar_matrix(spec, q, eb.end_C, eb.end_A, f, False), coords)
 
 
 def ebar_pull(spec: MorphismClassSpec, q: IdealQuotient, eb: EbarSpace,
               coords: Sequence[int], f: ModMorphism) -> tuple[int, ...]:
-    """Descended pull-back E-bar(C, A) -> E-bar(D, A) along f: D -> C."""
+    """Descended pull-back along f: D -> C, by its `_ebar_matrix`."""
     if f.target != eb.end_C:
         raise ValueError("pull morphism must end at the C end")
-    if not _keeps_k(spec, q, eb.end_C, eb.end_A, f, True):
-        raise LocalizationError("pull-back does not carry K into K")
-    tgt = ebar_group(spec, q, f.source, eb.end_A)
-    return tgt.project(_pull(q, eb.lift(coords), f))
+    return _apply(_ebar_matrix(spec, q, eb.end_C, eb.end_A, f, True), coords)
 
 
 # -- roofs and the localized extension groups ----------------------------------
@@ -799,22 +818,20 @@ def common_denominator(spec: MorphismClassSpec, q: IdealQuotient,
     for r in roofs[1:]:
         if (r.end_C, r.end_A) != ends:
             raise ValueError("roofs with different outer ends")
+    def move(rho, t, s, u, v):      # pull along u, then push along v
+        rho = ebar_pull(spec, q, ebar_group(spec, q, t.source, s.target),
+                        rho, u)
+        return ebar_push(spec, q, ebar_group(spec, q, u.source, s.target),
+                         rho, v)
+
     t, s = roofs[0].t, roofs[0].s
     rhos = [roofs[0].delta_coords]
     for r in roofs[1:]:
         wt, u1, u2 = ore_left(spec, q, r.t, t)     # t.u1 == r.t.u2 in C-bar
         ws, v2, v1 = ore_right(spec, q, s, r.s)    # v2.r.s == v1.s in C-bar
-        new_rhos = []
-        for rc in rhos:
-            eb_cur = ebar_group(spec, q, t.source, s.target)
-            mid = ebar_pull(spec, q, eb_cur, rc, u1)
-            eb_mid = ebar_group(spec, q, wt, s.target)
-            new_rhos.append(ebar_push(spec, q, eb_mid, mid, v1))
-        eb_r = ebar_group(spec, q, r.t.source, r.s.target)
-        mid = ebar_pull(spec, q, eb_r, r.delta_coords, u2)
-        eb_mid = ebar_group(spec, q, wt, r.s.target)
-        new_rhos.append(ebar_push(spec, q, eb_mid, mid, v2))
-        t, s, rhos = t.compose(u1), v2.compose(r.s), new_rhos
+        rhos = ([move(rc, t, s, u1, v1) for rc in rhos]
+                + [move(r.delta_coords, r.t, r.s, u2, v2)])
+        t, s = t.compose(u1), v2.compose(r.s)
     return t, s, rhos
 
 
@@ -885,13 +902,10 @@ class EtildeGroup(Record):
     def __init__(self, end_C: Module, end_A: Module, reps: tuple[Roof, ...],
                  add_table: tuple[tuple[int, ...], ...], zero_index: int,
                  mu_map: tuple[int, ...], ebar: EbarSpace) -> None:
-        self.end_C = end_C
-        self.end_A = end_A
-        self.reps = reps
-        self.add_table = add_table
-        self.zero_index = zero_index
-        self.mu_map = mu_map      # E-bar class index -> roof class index
-        self.ebar = ebar
+        # mu_map: E-bar class index -> roof class index
+        self.__dict__.update(end_C=end_C, end_A=end_A, reps=reps,
+                             add_table=add_table, zero_index=zero_index,
+                             mu_map=mu_map, ebar=ebar)
 
 
 @memo
@@ -1370,17 +1384,16 @@ class LocalizedEngine(MemoOwner):
     def _ebar_column(self, roof: Roof, T: Module, variance: str) -> Matrix:
         """The last map of a Hom sequence: the roof's class pulled back along
         each basis class of C-bar(T, C), or pushed forward along each of
-        C-bar(A, T), in E-bar coordinates.  Every complex of the roof's class
-        shares it, so it is cached per (roof, T, variance)."""
-        q = self.q
-        delta = self._ebar(roof).lift(roof.delta_coords)
-        if variance == "contravariant":
-            eb = ebar_group(self.spec, q, T, roof.end_A)
-            moved = [_pull(q, delta, r) for r in q.basis_reps(T, roof.end_C)]
-        else:
-            eb = ebar_group(self.spec, q, roof.end_C, T)
-            moved = [_push(q, delta, r) for r in q.basis_reps(roof.end_A, T)]
-        return from_columns(q.p, eb.dim, [eb.project(m) for m in moved])
+        C-bar(A, T), in E-bar coordinates; each column is one product with
+        the `_ebar_matrix` of a basis representative.  Every complex of the
+        roof's class shares it, so it is cached per (roof, T, variance)."""
+        q, spec, C, A = self.q, self.spec, roof.end_C, roof.end_A
+        contra = variance == "contravariant"
+        reps = q.basis_reps(T, C) if contra else q.basis_reps(A, T)
+        eb = ebar_group(spec, q, *((T, A) if contra else (C, T)))
+        return from_columns(q.p, eb.dim, [
+            _apply(_ebar_matrix(spec, q, C, A, r, contra), roof.delta_coords)
+            for r in reps])
 
     def is_split(self, cx: TableComplex) -> bool:
         # the split complex is contractible, so an n-exangle in C-bar too
@@ -1615,32 +1628,23 @@ def _check_equivalence(cat, spec, q) -> CheckResult:
         for A in cat.generators:
             eb = ebar_group(spec, q, C, A)
             for B in cat.generators:
-                for a in hom_basis(A, B):
-                    for coords in eb.classes():
-                        checked += 1
-                        lhs = roof_push(spec, q, identity_roof(
-                            spec, q, C, A, coords), a)
-                        rhs = identity_roof(spec, q, C, B, ebar_push(
-                            spec, q, eb, coords, a))
-                        if not roof_equal(spec, q, lhs, rhs):
-                            return CheckResult(
-                                "equivalence", False,
-                                "comparison map not natural for pushes "
-                                f"E-bar({q.fmt(C)}, {q.fmt(A)}) -> "
-                                f"E-bar({q.fmt(C)}, {q.fmt(B)})", checked)
-                for c in hom_basis(B, C):
-                    for coords in eb.classes():
-                        checked += 1
-                        lhs = roof_pull(spec, q, identity_roof(
-                            spec, q, C, A, coords), c)
-                        rhs = identity_roof(spec, q, B, A, ebar_pull(
-                            spec, q, eb, coords, c))
-                        if not roof_equal(spec, q, lhs, rhs):
-                            return CheckResult(
-                                "equivalence", False,
-                                "comparison map not natural for pulls "
-                                f"E-bar({q.fmt(C)}, {q.fmt(A)}) -> "
-                                f"E-bar({q.fmt(B)}, {q.fmt(A)})", checked)
+                for kind, maps, roof_move, ebar_move, ends in (
+                        ("pushes", hom_basis(A, B), roof_push, ebar_push, (C, B)),
+                        ("pulls", hom_basis(B, C), roof_pull, ebar_pull, (B, A))):
+                    for m in maps:
+                        for coords in eb.classes():
+                            checked += 1
+                            lhs = roof_move(spec, q, identity_roof(
+                                spec, q, C, A, coords), m)
+                            rhs = identity_roof(spec, q, *ends, ebar_move(
+                                spec, q, eb, coords, m))
+                            if not roof_equal(spec, q, lhs, rhs):
+                                return CheckResult(
+                                    "equivalence", False,
+                                    f"comparison map not natural for {kind} "
+                                    f"E-bar({q.fmt(C)}, {q.fmt(A)}) -> E-bar("
+                                    f"{q.fmt(ends[0])}, {q.fmt(ends[1])})",
+                                    checked)
     return CheckResult("equivalence", True, None, checked)
 
 
@@ -1703,13 +1707,9 @@ class LocalizationReport(Record):
                  kc_details: tuple[tuple[str, bool, str | None], ...],
                  nf_labels: tuple[str, ...], mode: str,
                  bounds: dict[str, int]) -> None:
-        self.verdict = verdict
-        self.checks = checks
-        self.skipped = skipped
-        self.kc_details = kc_details
-        self.nf_labels = nf_labels
-        self.mode = mode
-        self.bounds = bounds
+        self.__dict__.update(verdict=verdict, checks=checks, skipped=skipped,
+                             kc_details=kc_details, nf_labels=nf_labels,
+                             mode=mode, bounds=bounds)
 
     @property
     def exit_code(self) -> int:

@@ -29,7 +29,6 @@ from exangulate.quiver import (
     Arrow,
     Quiver,
     Relation,
-    enumerate_hom,
     hom_basis,
     identity_morphism,
     interval_module,
@@ -39,6 +38,7 @@ from exangulate.quiver import (
 )
 
 from homotopy_reference import two_way_equivalent
+from k_reference import killed_sets, span
 
 A4 = Quiver(4, (Arrow("a", 1, 2), Arrow("b", 2, 3), Arrow("c", 3, 4)))
 ALG = AlgebraPresentation(A4, (Relation((1,), (("a", "b", "c"),)),), p=2,
@@ -140,35 +140,6 @@ def test_roof_addition_is_denominator_independent():
     assert cases >= 200
 
 
-def _killed_sets(q, end_C, end_A):
-    """Both descriptions of K, recomputed here without touching k_subgroup:
-    classes pushed to zero by some member out of A, and classes pulled to
-    zero by some member into C."""
-    elements = CAT.ext(end_C, end_A).all_elements()
-    by_push, by_pull = set(), set()
-    for B in q.universe:
-        out_members = member_classes(ISO, q, end_A, B)
-        for s in enumerate_hom(end_A, B) if out_members else ():
-            if q.project(s) in out_members:
-                for el in elements:
-                    if push_forward(el, s).is_zero:
-                        by_push.add(tuple(el.coords.col_list(0)))
-        in_members = member_classes(ISO, q, B, end_C)
-        for t in enumerate_hom(B, end_C) if in_members else ():
-            if q.project(t) in in_members:
-                for el in elements:
-                    if pull_back(el, t).is_zero:
-                        by_pull.add(tuple(el.coords.col_list(0)))
-    return by_push, by_pull
-
-
-def _span(basis, width):
-    out = {(0,) * width}
-    for b in basis:
-        out |= {tuple((x + y) % 2 for x, y in zip(b, v)) for v in out}
-    return out
-
-
 def test_k_push_and_pull_characterizations_agree():
     sums = [(5, 4), (0, 1), (5, 5), (0, 0), (4, 4), (1, 5)]
     cases = 0
@@ -185,10 +156,10 @@ def test_k_push_and_pull_characterizations_agree():
                  (CAT.materialize([5, 5]), CAT.materialize([0, 0])),
                  (CAT.materialize([2, 5]), CAT.materialize([0, 2]))]
         for end_C, end_A in ends:
-            by_push, by_pull = _killed_sets(q, end_C, end_A)
+            by_push, by_pull = killed_sets(ISO, q, end_C, end_A)
             assert by_push == by_pull
             width = CAT.ext(end_C, end_A).dim
-            assert by_push == _span(k_subgroup(ISO, q, end_C, end_A), width)
+            assert by_push == span(2, k_subgroup(ISO, q, end_C, end_A), width)
             cases += 1
     assert cases >= 200
 
