@@ -133,11 +133,21 @@ class Subcategory(MemoOwner, Value):
     @memo
     def summand_multiset(self, m: Module) -> tuple[int, ...] | None:
         """Sorted generator indices of m's summands, or None if m is outside.
-        Cached per module, and so once per value, since equal modules are
-        one interned object."""
+        A sum that `sum_module` built merges the multisets of its recorded
+        parts (Krull-Schmidt); any other module, a generator too, is
+        decomposed.  Cached per module, and so once per value, since equal
+        modules are one interned object."""
         if m.is_zero:
             return ()
+        parts = m.__dict__.get("_parts")
         out = []
+        if parts is not None:
+            for part in parts:
+                got = self.summand_multiset(part)
+                if got is None:
+                    return None
+                out += got
+            return tuple(sorted(out))
         for part, _, _ in decompose(m):
             idx = self.generator_index(part)
             if idx is None:
@@ -488,7 +498,7 @@ class ExCategory(MemoOwner):
     def lift_morphism(self, src: NExangle, dst: NExangle, a: ModMorphism,
                       c: ModMorphism) -> list[ModMorphism]:
         """One morphism of complexes extending (a, c); raises if none exists."""
-        if push_forward(src.delta, a) != pull_back(dst.delta, c):
+        if self.push(src.delta, a) != self.pull(dst.delta, c):
             raise ValueError("(a, c) is not a morphism of extensions: "
                              "a_* delta and c^* delta' differ")
         got = self.lift_space(src, dst, a, c)
@@ -520,10 +530,20 @@ class ExCategory(MemoOwner):
         return enumerate_hom(src, tgt)
 
     def push(self, delta: ExtElement, f: ModMorphism) -> ExtElement:
-        return push_forward(delta, f)
+        """f_* delta for f: A -> B, one product with `move_matrix`."""
+        if f.source != delta.end_A:
+            raise ValueError("pushforward morphism must start at the "
+                             "extension's A end")
+        move = move_matrix(self, delta.end_C, delta.end_A, f, False)
+        return self.ext(delta.end_C, f.target).element(move @ delta.coords)
 
     def pull(self, delta: ExtElement, f: ModMorphism) -> ExtElement:
-        return pull_back(delta, f)
+        """f^* delta for f: D -> C, one product with `move_matrix`."""
+        if f.target != delta.end_C:
+            raise ValueError("pullback morphism must end at the extension's "
+                             "C end")
+        move = move_matrix(self, delta.end_C, delta.end_A, f, True)
+        return self.ext(f.source, delta.end_A).element(move @ delta.coords)
 
     def mapping_cone(self, src: NExangle, dst: NExangle,
                      f: Sequence[ModMorphism], delta: ExtElement) -> NExangle:
@@ -703,6 +723,20 @@ class ExCategory(MemoOwner):
         out["C4"] = check_c4(self)
         out["WIC"] = self._check_wic()
         return out
+
+
+@memo
+def move_matrix(cat: ExCategory, end_C: Module, end_A: Module,
+                f: ModMorphism, pull: bool) -> Matrix:
+    """The matrix P_f of the push-forward along f: A -> B on E(C, A) (pull:
+    the pull-back along f: D -> C), whose columns are the basis classes
+    moved along their cocycles (`push_forward`, `pull_back`).  Memoized on
+    the category, keyed by the ends and f: `ExCategory.push`/`pull` and
+    the E-bar moves and K of `localization` are products with it."""
+    move, ends = ((pull_back, (f.source, end_A)) if pull else
+                  (push_forward, (end_C, f.target)))
+    return from_columns(cat.p, cat.ext(*ends).dim, [
+        move(b, f).coords.entries for b in cat.ext(end_C, end_A).basis()])
 
 
 # -- composition on a hom space ------------------------------------------------
@@ -1208,8 +1242,9 @@ def _unpack_lift(src, dst, bases: Sequence[Sequence[ModMorphism]],
 
 def enumerate_lifts(src, dst, a: ModMorphism, c: ModMorphism, space
                     ) -> Iterator[list[ModMorphism]]:
-    """Every lift of (a, c), lazily: the particular solution plus each
-    combination of the kernel basis, in `enumerate_vectors` order."""
+    """Every lift of (a, c), lazily: the particular solution first, as it
+    is, then the particular solution plus each nonzero combination of the
+    kernel basis, in `enumerate_vectors` order."""
     got = solve_lift(src, dst, a, c, space)
     if got is None:
         return
@@ -1217,9 +1252,12 @@ def enumerate_lifts(src, dst, a: ModMorphism, c: ModMorphism, space
     p = a.source.alg.p
     if p ** len(kernel) > LIFT_ENUM_LIMIT:
         raise BoundExceeded("lift space too large to enumerate")
-    kmat = hstack(kernel) if kernel else Matrix.zeros(p, particular.rows, 0)
-    for combo in enumerate_vectors(p, len(kernel)):
-        yield _unpack_lift(src, dst, bases, particular + kmat @ combo)
+    yield _unpack_lift(src, dst, bases, particular)
+    if kernel:
+        kmat = hstack(kernel)
+        for combo in itertools.islice(enumerate_vectors(p, len(kernel)), 1,
+                                      None):
+            yield _unpack_lift(src, dst, bases, particular + kmat @ combo)
 
 
 # -- module-level operation names -------------------------------------------

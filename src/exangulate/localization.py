@@ -31,7 +31,6 @@ explicit message, rather than guessing.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
@@ -39,15 +38,15 @@ from .exangulated import (ENDPOINT_SUMMANDS, BoundExceeded, CheckResult,
                           ExCategory, MemoOwner, NExangle, _diff_maps,
                           _images, _post, _post_matrix, _pre, _pre_matrix,
                           built_homology, check_c1, check_c2, check_c3,
-                          check_c4, cone, cone_blocks, cone_summands,
+                          check_c4, cone_blocks, cone_summands,
                           has_identity_lift, homotopy_equivalent, memo,
-                          realization_is_exangle)
+                          move_matrix, realization_is_exangle)
 from .linalg import (Matrix, enumerate_vectors, from_columns, hstack,
                      kernel_basis, quotient_with_section, rank, rref,
                      rref_solve, vstack)
 from .quiver import (ExtElement, ModMorphism, Module, combine, direct_sum,
                      enumerate_hom, hom_basis, identity_morphism,
-                     morphism_in_coords, pull_back, push_forward)
+                     morphism_in_coords)
 from .values import Record, Value
 
 CLASS_ENUM_LIMIT = 4096      # largest quotient hom-set we will enumerate
@@ -555,13 +554,13 @@ def _check_mr3(spec, q, mem) -> CheckResult:
             pk = (i1, Y0)
             if pk not in push_cache:
                 push_cache[pk] = [
-                    (a, ac, push_forward(x1.delta, a))
+                    (a, ac, cat.push(x1.delta, a).coords.entries)
                     for a in enumerate_hom(X0, Y0)
                     if (ac := q.project(a)) in amem]
             ck = (i2, Xe)
             if ck not in pull_cache:
                 pull_cache[ck] = [
-                    (c, cc, pull_back(x2.delta, c))
+                    (c, cc, cat.pull(x2.delta, c).coords.entries)
                     for c in enumerate_hom(Xe, Ye)
                     if (cc := q.project(c)) in cmem]
             done: set = set()
@@ -604,25 +603,6 @@ def _mr3_filler(spec, q, x1, x2, a, c) -> bool:
 # -- the killed subgroup K and E-bar ------------------------------------------
 
 
-@memo
-def _ext_basis(q: IdealQuotient, end_C: Module, end_A: Module) -> list:
-    return q.base.ext(end_C, end_A).basis()
-
-
-def _move_matrix(q: IdealQuotient, end_C: Module, end_A: Module,
-                 f: ModMorphism, pull: bool) -> Matrix:
-    """The matrix P_f of the push-forward along f: A -> B on E(C, A) (pull:
-    the pull-back along f: D -> C), whose columns are the moved basis
-    classes.  `_ext_matrix` memoizes it on q, keyed by the ends and f."""
-    move, ends = ((pull_back, (f.source, end_A)) if pull else
-                  (push_forward, (end_C, f.target)))
-    return from_columns(q.p, q.base.ext(*ends).dim, [
-        move(b, f).coords.entries for b in _ext_basis(q, end_C, end_A)])
-
-
-_ext_matrix = memo(_move_matrix)
-
-
 def _union_basis(p: int, subspaces: Sequence[Sequence[Matrix]]
                  ) -> list[tuple[int, ...]]:
     """The union of subspaces, each given by a basis of columns, as the
@@ -651,23 +631,34 @@ def _union_basis(p: int, subspaces: Sequence[Sequence[Matrix]]
 def k_subgroup(spec: MorphismClassSpec, q: IdealQuotient,
                end_C: Module, end_A: Module) -> list[tuple[int, ...]]:
     """Basis of K(C, A), the rows of its rref: the classes some member of F
-    pushes to zero, the union of the kernels of the push matrices of the
-    members out of A.  The pull-back characterization, by the members into
-    C, is computed independently; disagreement aborts.  No class of E(C, A)
-    is walked, unless `_union_basis` walks the span of the kernels."""
+    pushes to zero, the union of the kernels of the push matrices
+    (`move_matrix`) of the members out of A.  The pull-back
+    characterization, by the members into C, is computed independently;
+    disagreement aborts.  A nonzero multiple of a member has the same
+    kernel, so one matrix is built per line of members.  No class of
+    E(C, A) is walked, unless `_union_basis` walks the span of the
+    kernels."""
     if not q.base.ext(end_C, end_A).dim:
         return []
+    p = q.p
     sides = []
     for pull in (False, True):
         kernels = []
         for B in q.universe:
             ends = (B, end_C) if pull else (end_A, B)
             members = member_classes(spec, q, *ends)
-            if members:
-                kernels += [kernel_basis(_move_matrix(q, end_C, end_A, s, pull))
-                            for s in enumerate_hom(*ends)
-                            if q.project(s) in members]
-        sides.append(_union_basis(q.p, kernels))
+            lines = set()
+            for s in enumerate_hom(*ends) if members else ():
+                if q.project(s) not in members:
+                    continue
+                # the line's point with first nonzero entry 1
+                scale = pow(next((x for x in s.flat if x), 1), -1, p)
+                line = tuple(x * scale % p for x in s.flat)
+                if line not in lines:
+                    lines.add(line)
+                    kernels.append(kernel_basis(
+                        move_matrix(q.base, end_C, end_A, s, pull)))
+        sides.append(_union_basis(p, kernels))
     if sides[0] != sides[1]:
         raise LocalizationError(
             "the push and pull characterizations of K disagree")
@@ -732,12 +723,12 @@ def _keeps_k(moved: Matrix, eb: EbarSpace) -> bool:
 @memo
 def _ebar_matrix(spec: MorphismClassSpec, q: IdealQuotient, end_C: Module,
                  end_A: Module, f: ModMorphism, pull: bool) -> Matrix:
-    """The descended move of `_move_matrix`, proj_tgt . P_f . sect_src on
+    """The descended move of `move_matrix`, proj_tgt . P_f . sect_src on
     E-bar; LocalizationError when P_f does not carry K into K."""
     src = ebar_group(spec, q, end_C, end_A)
     tgt = ebar_group(spec, q, *((f.source, end_A) if pull else
                                 (end_C, f.target)))
-    moved = tgt.proj @ _ext_matrix(q, end_C, end_A, f, pull)
+    moved = tgt.proj @ move_matrix(q.base, end_C, end_A, f, pull)
     if not _keeps_k(moved, src):
         raise LocalizationError(("pull-back" if pull else "push-forward")
                                 + " does not carry K into K")
@@ -998,8 +989,8 @@ class TableCone(Value):
     between two TableComplexes, kept as its pieces, with the roof it is
     tested against.  C-bar is additive, so its Hom sequences and its lifts
     are assembled from the pieces' (`LocalizedEngine`): `layout[i]` holds
-    the `cone_blocks` of differential i.  `terms` and `diffs` are built by
-    `cone` only when read, and then kept."""
+    the `cone_blocks` of differential i.  Its terms and differentials are
+    never built."""
 
     _fields = ("src", "dst", "f", "shift", "roof")
 
@@ -1018,18 +1009,6 @@ class TableCone(Value):
     @property
     def ends(self) -> tuple[Module, Module]:
         return self.src.terms[self.shift], self.dst.terms[self.n + self.shift]
-
-    @property
-    def terms(self) -> tuple[Module, ...]:
-        return self._built[0]
-
-    @property
-    def diffs(self) -> tuple[ModMorphism, ...]:
-        return self._built[1]
-
-    @cached_property
-    def _built(self) -> tuple:
-        return cone(self.src, self.dst, self.f, self.shift)
 
 
 def s_tilde(cat: ExCategory, spec: MorphismClassSpec, q: IdealQuotient,

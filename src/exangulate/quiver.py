@@ -146,16 +146,25 @@ class AlgebraPresentation(Value):
         It lives in the instance dict, outside `_fields`, so it takes no
         part in eq, hash or repr; it holds its modules weakly.
         """
+        return self._table("_module_table")
+
+    def _sums(self) -> weakref.WeakValueDictionary:
+        """This algebra's table of direct sums (`sum_module`), keyed by the
+        tuple of parts and held weakly, like `_modules`."""
+        return self._table("_sum_table")
+
+    def _table(self, name: str) -> weakref.WeakValueDictionary:
         d = self.__dict__
-        table = d.get("_module_table")
+        table = d.get(name)
         if table is None:
-            table = d["_module_table"] = weakref.WeakValueDictionary()
+            table = d[name] = weakref.WeakValueDictionary()
         return table
 
     def __getstate__(self) -> dict:
-        # the intern table belongs to this process and is not picklable
+        # the module and sum tables belong to this process and do not pickle
         state = dict(self.__dict__)
         state.pop("_module_table", None)
+        state.pop("_sum_table", None)
         return state
 
 
@@ -650,12 +659,18 @@ class ModMorphism(Frozen):
 
 
 def identity_morphism(m: Module) -> ModMorphism:
-    flat: list[int] = []
-    for d in m.dims:
-        blk = [0] * (d * d)
-        blk[::d + 1] = [1] * d
-        flat += blk
-    return ModMorphism._of(m, m, tuple(flat))
+    """The identity of m, built once and kept on m (`Module.__reduce__`
+    does not pickle it)."""
+    d = m.__dict__
+    ident = d.get("_identity")
+    if ident is None:
+        flat: list[int] = []
+        for k in m.dims:
+            blk = [0] * (k * k)
+            blk[::k + 1] = [1] * k
+            flat += blk
+        ident = d["_identity"] = ModMorphism._of(m, m, tuple(flat))
+    return ident
 
 
 def zero_morphism(src: Module, tgt: Module) -> ModMorphism:
@@ -800,11 +815,21 @@ def sum_module(parts: Sequence[Module]) -> Module:
     """The direct sum module alone, without inclusions or projections.
 
     Each arrow map is the block diagonal of the parts' maps, written entry
-    by entry.
+    by entry, once per tuple of parts: the algebra's sum table
+    (`AlgebraPresentation._sums`) keeps each sum while it lives.  A sum of
+    two or more nonzero parts records them as its `_parts`, which
+    `Subcategory.summand_multiset` reads instead of decomposing it.  A sum
+    with fewer nonzero parts is one of its parts (or zero) and stays out of
+    the table, where its own key would keep it alive.
     """
     if not parts:
         raise ValueError("direct sum of nothing; use zero_module")
+    parts = tuple(parts)
     alg = parts[0].alg
+    sums = alg._sums()
+    got = sums.get(parts)
+    if got is not None:
+        return got
     p = alg.p
     arrows = alg.quiver.arrows
     dims = tuple(map(sum, zip(*(m.dims for m in parts))))
@@ -822,7 +847,13 @@ def sum_module(parts: Sequence[Module]) -> Module:
             r0 += br
             c0 += bc
         maps.append(Matrix._trusted(p, rows, cols, tuple(entries)))
-    return Module._trusted(alg, dims, tuple(maps))
+    total = Module._trusted(alg, dims, tuple(maps))
+    nonzero = sum(not m.is_zero for m in parts)
+    if nonzero >= 2:
+        sums[parts] = total
+        if nonzero == len(parts):
+            total.__dict__.setdefault("_parts", parts)
+    return total
 
 
 def direct_sum(parts: Sequence[Module]) -> tuple[Module, list[ModMorphism], list[ModMorphism]]:
@@ -1201,20 +1232,27 @@ class ExtSpace:
             col = Matrix.column(self.alg.p, list(coords))
         if col.rows != self.dim or col.cols != 1:
             raise ValueError(f"coords must be a {self.dim}-vector")
-        hom_vec = self._zmat @ (self._sect @ col) if self.dim else Matrix.zeros(
+        return ExtElement(self.n, self.end_C, self.end_A, col)
+
+    def cocycle(self, coords: Matrix) -> ModMorphism:
+        """The representing cocycle P_n -> A of the class with these
+        coordinates: the section's lift of the class into the cocycles."""
+        hom_vec = self._zmat @ (self._sect @ coords) if self.dim else Matrix.zeros(
             self.alg.p, len(self.hom_n), 1)
-        cocycle = combine(self.res.terms[self.n], self.end_A, self.hom_n,
-                          hom_vec.entries)
-        return ExtElement(self.n, self.end_C, self.end_A, col, cocycle)
+        return combine(self.res.terms[self.n], self.end_A, self.hom_n,
+                       hom_vec.entries)
 
     def zero(self) -> "ExtElement":
         return self.element([0] * self.dim)
 
     def basis(self) -> list["ExtElement"]:
-        out = []
-        for k in range(self.dim):
-            out.append(self.element([1 if i == k else 0 for i in range(self.dim)]))
-        return out
+        return list(self._basis)
+
+    @cached_property
+    def _basis(self) -> tuple["ExtElement", ...]:
+        # built once, so each basis class computes its cocycle once
+        return tuple(self.element([1 if i == k else 0 for i in range(self.dim)])
+                     for k in range(self.dim))
 
     def class_of_cocycle(self, cocycle: ModMorphism) -> "ExtElement":
         return self.element(self._class_coords(cocycle))
@@ -1233,28 +1271,33 @@ class ExtSpace:
 
 
 class ExtElement(Value):
-    """Class in Ext^n(end_C, end_A): coordinates plus a representing cocycle."""
+    """Class in Ext^n(end_C, end_A), given by its coordinates: equality and
+    hash read the degree, the ends and `coords` only.  The representing
+    `cocycle` is computed by the class's `ExtSpace` the first time it is
+    read, and kept."""
 
-    _fields = ("n", "end_C", "end_A", "coords", "cocycle")
+    _fields = ("n", "end_C", "end_A", "coords")
 
-    def __init__(self, n: int, end_C: Module, end_A: Module, coords: Matrix,
-                 cocycle: ModMorphism) -> None:
-        self.__dict__.update(n=n, end_C=end_C, end_A=end_A, coords=coords,
-                             cocycle=cocycle)
+    def __init__(self, n: int, end_C: Module, end_A: Module,
+                 coords: Matrix) -> None:
+        self.__dict__.update(n=n, end_C=end_C, end_A=end_A, coords=coords)
+
+    @cached_property
+    def cocycle(self) -> ModMorphism:
+        return ext_group(self.end_C.alg, self.n, self.end_C,
+                         self.end_A).cocycle(self.coords)
 
     def __hash__(self) -> int:
         d = self.__dict__
         h = d.get("_hash")
         if h is None:
-            h = d["_hash"] = hash((self.n, self.end_C, self.end_A,
-                                   self.coords, self.cocycle))
+            h = d["_hash"] = hash((self.n, self.end_C, self.end_A, self.coords))
         return h
 
     def __getstate__(self) -> dict:
-        # not the hash: it covers modules, which hash by identity
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+        # the fields only: the hash covers modules, which hash by identity,
+        # and the cocycle is computed again when read
+        return {f: self.__dict__[f] for f in self._fields}
 
     @property
     def is_zero(self) -> bool:

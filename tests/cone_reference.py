@@ -4,9 +4,25 @@ against.
 
 Each middle term is a direct sum with its inclusions and projections; each
 differential is the sum of its three pieces, each composed through them.
+
+`materialize` builds the terms and differentials of a localized cone (a
+`TableCone`), which the engine never builds, for the references that read
+them.
 """
 
+from exangulate import exangulated
+from exangulate.localization import TableComplex, TableCone
 from exangulate.quiver import combine, direct_sum
+
+
+def materialize(cx):
+    """A `TableCone` as the `TableComplex` of its terms and differentials,
+    built from its pieces by `exangulated.cone`, with its roof; any other
+    complex as it is."""
+    if not isinstance(cx, TableCone):
+        return cx
+    return TableComplex(*exangulated.cone(cx.src, cx.dst, cx.f, cx.shift),
+                        cx.roof)
 
 
 def cone(src, dst, f, shift):

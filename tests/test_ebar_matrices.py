@@ -1,6 +1,6 @@
 """Push and pull on E and E-bar are matrices.
 
-For a morphism f and ends (C, A), `localization._ext_matrix` is the matrix
+For a morphism f and ends (C, A), `exangulated.move_matrix` is the matrix
 of f's push-forward (or pull-back) on E(C, A), and `_ebar_matrix` its
 descended form proj . P_f . sect on E-bar.  `ebar_push`, `ebar_pull`,
 `LocalizedEngine._ebar_column` and the test `_keeps_k` read them, and
@@ -289,7 +289,9 @@ def test_k_needs_no_enumeration_bound(monkeypatch):
 def test_a_second_pass_moves_no_cocycle(monkeypatch):
     """After localized C3, C3' and the equivalence check have run once on
     the bench input, a second pass reads every move from the matrix memos:
-    with `push_forward` and `pull_back` raising, it gives the same results."""
+    with `push_forward` and `pull_back` raising, it gives the same results.
+    `localization` moves classes only through `move_matrix`, so it does not
+    import them."""
     cat = build_category(parse_input(BENCH_INPUT.read_text()))
     q = IdealQuotient(cat, [])
     eng = LocalizedEngine(cat, ISO, q)
@@ -304,14 +306,17 @@ def test_a_second_pass_moves_no_cocycle(monkeypatch):
     def boom(*args):
         raise AssertionError("a class was moved by its cocycle")
 
-    for module in (quiver, exangulated, localization):
+    assert not hasattr(localization, "push_forward")
+    assert not hasattr(localization, "pull_back")
+    for module in (quiver, exangulated):
         monkeypatch.setattr(module, "push_forward", boom)
         monkeypatch.setattr(module, "pull_back", boom)
     assert stages() == first
 
 
 def test_the_matrix_memos_are_not_global():
-    """The push, pull and E-bar matrices live in the quotient's `_memo`:
-    `localization.py` adds nothing to the allow-list of global caches."""
+    """The push and pull matrices live in the category's `_memo`, the
+    E-bar matrices in the quotient's: `localization.py` adds nothing to
+    the allow-list of global caches."""
     assert module_level_caches(_tree(SRC / "localization.py")) == []
     assert not any(name.startswith("localization.") for name in ALLOWED)

@@ -267,8 +267,10 @@ def test_corrected_sequence_is_an_exangle():
 
 def test_summand_multiset_decomposes_each_module_once(monkeypatch):
     """Membership tests and labels all ask for the summands of the same few
-    modules; each module value is decomposed once, since equal modules are
-    one object."""
+    modules; each module value is decomposed at most once, since equal
+    modules are one object.  A sum that `sum_module` built is not
+    decomposed at all: its multiset merges those of its recorded parts, and
+    each part, a generator here, is decomposed once."""
     calls = []
     real = exangulated.decompose
     monkeypatch.setattr(exangulated, "decompose",
@@ -282,7 +284,9 @@ def test_summand_multiset_decomposes_each_module_once(monkeypatch):
     assert objects.summand_multiset(m) == (0, 4)
     assert objects.summand_multiset(m) == (0, 4)
     assert objects.contains(rebuilt)
-    assert len(calls) == 1
+    bigger = direct_sum([gen("1/2"), gen("4"), gen("4")])[0]
+    assert objects.summand_multiset(bigger) == (0, 0, 4)
+    assert calls == [(gen("4"),), (gen("1/2"),)]
 
 
 def test_subcategory_rejects_generators_over_a_pickled_copy_of_the_algebra():
