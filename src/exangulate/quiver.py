@@ -160,11 +160,21 @@ class AlgebraPresentation(Value):
             table = d[name] = weakref.WeakValueDictionary()
         return table
 
+    def __hash__(self) -> int:
+        # kept once computed: `ext_group`'s cache key hashes the algebra
+        d = self.__dict__
+        h = d.get("_hash")
+        if h is None:
+            h = d["_hash"] = Value.__hash__(self)
+        return h
+
     def __getstate__(self) -> dict:
-        # the module and sum tables belong to this process and do not pickle
+        # the module and sum tables belong to this process and do not
+        # pickle, nor does the hash, which covers strings (hashed per process)
         state = dict(self.__dict__)
         state.pop("_module_table", None)
         state.pop("_sum_table", None)
+        state.pop("_hash", None)
         return state
 
 

@@ -56,12 +56,12 @@ def two_way_equivalent(q, cx1, cx2) -> bool:
         for v in bwd:
             vu = zero_end + tuple(
                 vi.compose(ui) + (-identity_morphism(ui.source))
-                for vi, ui in zip(v, u)) + zero_end2
+                for vi, ui in zip(v[1:-1], u[1:-1])) + zero_end2
             if not null_homotopic(q, cx1, vu):
                 continue
             uv = zero_end + tuple(
                 ui.compose(vi) + (-identity_morphism(vi.source))
-                for ui, vi in zip(u, v)) + zero_end2
+                for ui, vi in zip(u[1:-1], v[1:-1])) + zero_end2
             if null_homotopic(q, cx2, uv):
                 return True
     return False

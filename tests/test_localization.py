@@ -521,7 +521,8 @@ def test_lift_families_agree_in_both_coordinates():
     def compare(*ends):
         nonlocal compared, several
         lifts = list(CAT.all_lifts(*ends))
-        assert lifts and lifts == list(exangulated.enumerate_lifts(*ends, q))
+        assert lifts and lifts == [list(lift[1:-1]) for lift in
+                                   exangulated.enumerate_lifts(*ends, q)]
         compared += 1
         several += len(lifts) > 1
 

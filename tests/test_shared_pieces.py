@@ -8,6 +8,7 @@
 * An `ExtElement` is its class: degree, ends and coordinates.  Its cocycle
   is computed by its `ExtSpace` when first read.
 * `ExCategory.push`/`pull` are one product with `move_matrix`.
+* The algebra keeps its hash, which `ext_group`'s cache key reads.
 
 These tests check each against what it replaces, on `bench/inputs`,
 `fixtures/a4-cluster.exg` and A2 at p = 3.
@@ -299,3 +300,20 @@ def test_pickling_leaves_the_sum_table_identities_and_parts_behind():
     assert "_sum_table" not in alg.__dict__
     assert back.alg is alg and back.dims == total.dims
     assert "_parts" not in back.__dict__ and "_identity" not in back.__dict__
+
+
+def test_the_algebra_keeps_its_hash_and_pickles_without_it():
+    """`ext_group`'s cache key hashes the algebra, so the algebra keeps its
+    hash once computed.  The hash covers strings, which are hashed per
+    process, so it is not pickled."""
+    text = (ROOT / "bench/inputs/a3-rad2.exg").read_text()
+    alg = build_category(parse_input(text)).alg
+    h = hash(alg)
+    assert alg.__dict__["_hash"] == h == hash(alg._values(alg))
+    assert "_hash" not in alg.__getstate__()
+    back = pickle.loads(pickle.dumps(alg))
+    assert "_hash" not in back.__dict__
+    fresh = build_category(parse_input(text)).alg
+    assert fresh is not alg and "_hash" not in fresh.__dict__
+    assert back == fresh == alg
+    assert hash(back) == hash(fresh) == h
