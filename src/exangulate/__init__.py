@@ -19,13 +19,11 @@ from .quiver import (
     Module,
     Quiver,
     Relation,
-    decompose,
     direct_sum,
     ext_group,
     hom_basis,
     hom_dim,
     interval_module,
-    is_isomorphic,
     projective_cover,
     pull_back,
     push_forward,
@@ -90,14 +88,12 @@ __all__ = [
     "check_core_axioms",
     "check_mr",
     "common_denominator",
-    "decompose",
     "direct_sum",
     "ebar_group",
     "ext_group",
     "hom_basis",
     "hom_dim",
     "interval_module",
-    "is_isomorphic",
     "is_n_exangle",
     "k_subgroup",
     "kernel_basis",

@@ -123,37 +123,43 @@ class Subcategory(MemoOwner, Value):
         alg = self.generators[0].alg
         if any(g.alg is not alg for g in self.generators):
             raise ValueError("generators live over different algebras")
+        # the rank count of `summand_multiset` needs pairwise
+        # non-isomorphic bricks
+        for i, g in enumerate(self.generators):
+            if hom_dim(g, g) != 1:
+                raise ValueError(f"generator {i} is not a brick: "
+                                 f"dim End = {hom_dim(g, g)}")
+        for (i, g), (j, h) in itertools.combinations(
+                enumerate(self.generators), 2):
+            if is_isomorphic(g, h):
+                raise ValueError(f"generators {i} and {j} are isomorphic")
 
     def generator_index(self, m: Module) -> int | None:
-        for i, g in enumerate(self.generators):
-            if is_isomorphic(m, g):
-                return i
-        return None
+        ms = self.summand_multiset(m)
+        return ms[0] if ms is not None and len(ms) == 1 else None
 
     @memo
     def summand_multiset(self, m: Module) -> tuple[int, ...] | None:
         """Sorted generator indices of m's summands, or None if m is outside.
         A sum that `sum_module` built merges the multisets of its recorded
         parts (Krull-Schmidt); any other module, a generator too, is
-        decomposed.  Cached per module, and so once per value, since equal
-        modules are one interned object."""
+        counted by rank (`decompose`).  Cached per module, and so once per
+        value, since equal modules are one interned object."""
         if m.is_zero:
             return ()
         parts = m.__dict__.get("_parts")
-        out = []
         if parts is not None:
+            out = []
             for part in parts:
                 got = self.summand_multiset(part)
                 if got is None:
                     return None
                 out += got
             return tuple(sorted(out))
-        for part, _, _ in decompose(m):
-            idx = self.generator_index(part)
-            if idx is None:
-                return None
-            out.append(idx)
-        return tuple(sorted(out))
+        counts = decompose(m, self.generators)
+        if counts is None:
+            return None
+        return tuple(i for i, c in enumerate(counts) for _ in range(c))
 
     def contains(self, m: Module) -> bool:
         return self.summand_multiset(m) is not None
@@ -262,7 +268,6 @@ class ExCategory(MemoOwner):
             f"G{i}" for i in range(len(generators)))
         if len(self.labels) != len(self.objects.generators):
             raise ValueError("one label per generator required")
-        self._iso_class_reps: dict = {}
         self._memo: defaultdict = defaultdict(dict)
 
     # -- objects ----------------------------------------------------------
@@ -322,19 +327,6 @@ class ExCategory(MemoOwner):
         if not ms:
             return "0"
         return " + ".join(self.labels[i] for i in ms)
-
-    def _iso_rep(self, m: Module) -> Module:
-        """The stored representative of m's isomorphism class (m itself the
-        first time the class is met); a cache key for object properties."""
-        sig = (m.dims,
-               tuple(len(hom_basis(g, m)) for g in self.generators),
-               tuple(len(hom_basis(m, g)) for g in self.generators))
-        reps = self._iso_class_reps.setdefault(sig, [])
-        for rep in reps:
-            if is_isomorphic(m, rep):
-                return rep
-        reps.append(m)
-        return m
 
     # -- realizations -------------------------------------------------------
 
@@ -654,16 +646,13 @@ class ExCategory(MemoOwner):
         return frozenset(self.far_classes(*((tgt, src) if dual else (src, tgt)),
                                           dual))
 
+    @memo
     def _resolvable(self, w: Module, steps: int, dual: bool) -> bool:
         """0 -> w -> Z_1 -> ... -> Z_steps -> 0 exact with Z_i in the
         subcategory (dual: 0 -> Z_steps -> ... -> Z_1 -> w -> 0).  Decided
-        once per isomorphism class of w, from its stored representative."""
+        once per module value, since equal modules are one object."""
         if w.is_zero:
             return True
-        return self._resolvable_rep(self._iso_rep(w), steps, dual)
-
-    @memo
-    def _resolvable_rep(self, w: Module, steps: int, dual: bool) -> bool:
         if steps <= 1:
             return steps == 1 and self.objects.contains(w)
         for ms in self.completion_multisets():

