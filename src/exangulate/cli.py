@@ -34,7 +34,6 @@ Grammar (lines; `#` starts a comment; keys are `name = value`)::
     [category]
     n = 2
     generators = 4, 3/4, 2/3/4, 1/2/3, 1/2, 1
-    backend = cluster-tilting    # optional; the only accepted value
 
     [nf]
     generators = 2/3/4           # optional; omit for the empty null system
@@ -143,7 +142,7 @@ class SessionConfig(Value):
 
 _STANZA_KEYS = {
     "quiver": {"vertices", "arrow", "relation", "prime"},
-    "category": {"n", "generators", "backend"},
+    "category": {"n", "generators"},
     "nf": {"generators"},
     "fbar": {"mode", "seed"},
     "bounds": {"multiplicity", "path_length"},
@@ -343,12 +342,6 @@ def _parse_category(stanza: _Stanza, vertex_count: int
             raise ParseError(f"duplicate generator {label!r}", gline, gcol)
         seen.add(label)
         _check_interval(label, vertex_count, gline, gcol)
-    if "backend" in stanza.scalars:
-        btext, bline, bcol = stanza.scalars["backend"]
-        if btext != "cluster-tilting":
-            raise ParseError(
-                f"backend {btext!r} is not available in session files",
-                bline, bcol)
     return n, tuple(labels)
 
 

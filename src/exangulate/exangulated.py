@@ -513,12 +513,6 @@ class ExCategory(MemoOwner):
                              "(flags a defect of the realization data)")
         return got[0]
 
-    def all_lifts(self, src: NExangle, dst: NExangle, a: ModMorphism,
-                  c: ModMorphism) -> Iterator[list[ModMorphism]]:
-        """The families (f_1..f_n) of every lift, in `enumerate_lifts`
-        order."""
-        return (list(lift[1:-1]) for lift in enumerate_lifts(src, dst, a, c, self))
-
     def identity_lift_exists(self, cx: NExangle, ref: NExangle) -> bool:
         return has_identity_lift(cx, ref, self)
 

@@ -434,12 +434,3 @@ def enumerate_vectors(p: int, dim: int) -> Iterator[Matrix]:
 
 def is_invertible(m: Matrix) -> bool:
     return m.is_square and rank(m) == m.rows
-
-
-def inverse(m: Matrix) -> Matrix:
-    if not m.is_square:
-        raise ValueError("only square matrices invert")
-    x = rref_solve(m, Matrix.identity(m.p, m.rows))
-    if x is None:
-        raise ValueError("matrix is singular")
-    return x

@@ -36,9 +36,9 @@ from typing import Sequence
 
 from .exangulated import (ENDPOINT_SUMMANDS, BoundExceeded, CheckResult,
                           ExCategory, MemoOwner, NExangle, _diff_maps,
-                          _images, _post, _post_matrix, _pre, _pre_matrix,
-                          built_homology, check_c1, check_c2, check_c3,
-                          check_c4, cone_blocks, cone_summands,
+                          _homology, _images, _post, _post_matrix, _pre,
+                          _pre_matrix, built_homology, check_c1, check_c2,
+                          check_c3, check_c4, cone_blocks, cone_summands,
                           has_identity_lift, homotopy_equivalent, memo,
                           move_matrix, realization_is_exangle)
 from .linalg import (Matrix, enumerate_vectors, from_columns, hstack,
@@ -312,43 +312,27 @@ def fbar_membership(spec: MorphismClassSpec, q: IdealQuotient,
 # -- Ore completions ----------------------------------------------------------
 
 
-def ore_right(spec: MorphismClassSpec, q: IdealQuotient,
-              s: ModMorphism, f: ModMorphism):
-    """Complete the span (s: X->Y in F, f: X->Z) to s2.f == f2.s in C-bar
-    with s2 in F-bar.  Returns (W, s2: Z->W, f2: Y->W), deterministic first
-    hit with W = Z tried first."""
-    X, Y, Z = s.source, s.target, f.target
+def ore(spec: MorphismClassSpec, q: IdealQuotient, s: ModMorphism,
+        f: ModMorphism, left: bool):
+    """Right: complete the span (s: X->Y in F, f: X->Z) to s2.f == f2.s in
+    C-bar with s2 in F-bar, and return (W, s2: Z->W, f2: Y->W).  Left:
+    complete the cospan (s: Y->X in F, f: Z->X) to f.s2 == s.f2, and return
+    (W, s2: W->Z, f2: W->Y).  Deterministic first hit with W = Z tried
+    first."""
+    Y, Z = (s.source, f.source) if left else (s.target, f.target)
     for W in [Z] + [o for o in q.universe if o != Z]:
-        mc = member_classes(spec, q, Z, W)
+        ends = (W, Z) if left else (Z, W)
+        mc = member_classes(spec, q, *ends)
         if not mc:
             continue
-        lhs = _pre(q, s, W)
+        lhs = _post(q, W, s) if left else _pre(q, s, W)
         for s2c in sorted(mc):
-            s2 = q.rep(Z, W, s2c)
-            rhs = Matrix.column(q.p, list(q.project(s2.compose(f))))
-            sol = rref_solve(lhs, rhs)
+            s2 = q.rep(*ends, s2c)
+            comp = f.compose(s2) if left else s2.compose(f)
+            sol = rref_solve(lhs, Matrix.column(q.p, list(q.project(comp))))
             if sol is not None:
-                return W, s2, q.rep(Y, W, tuple(sol.col_list(0)))
-    raise LocalizationError("Ore completion not found within bound")
-
-
-def ore_left(spec: MorphismClassSpec, q: IdealQuotient,
-             s: ModMorphism, f: ModMorphism):
-    """Complete the cospan (s: Y->X in F, f: Z->X) to f.s2 == s.f2 in C-bar
-    with s2 in F-bar.  Returns (W, s2: W->Z, f2: W->Y), deterministic first
-    hit with W = Z tried first."""
-    Y, Z = s.source, f.source
-    for W in [Z] + [o for o in q.universe if o != Z]:
-        mc = member_classes(spec, q, W, Z)
-        if not mc:
-            continue
-        lhs = _post(q, W, s)
-        for s2c in sorted(mc):
-            s2 = q.rep(W, Z, s2c)
-            rhs = Matrix.column(q.p, list(q.project(f.compose(s2))))
-            sol = rref_solve(lhs, rhs)
-            if sol is not None:
-                return W, s2, q.rep(W, Y, tuple(sol.col_list(0)))
+                return W, s2, q.rep(*((W, Y) if left else (Y, W)),
+                                    tuple(sol.col_list(0)))
     raise LocalizationError("Ore completion not found within bound")
 
 
@@ -439,44 +423,31 @@ def _check_mr1(spec, q, mem, keys) -> CheckResult:
     `_saturate_extra` closes the seeds under exactly that.  So g . f in
     F-bar puts g in F-bar (dually for an invertible second factor g)."""
     checked = 0
-    for X, Y in keys:
-        inv = _invertible_classes(q, X, Y)
-        for fc in sorted(mem[(X, Y)]):
-            f = None if fc in inv else q.rep(X, Y, fc)
-            for Z in q.universe:
-                mem_xz = mem.get((X, Z), frozenset())
-                if f is None or not mem_xz:
-                    checked += q.class_count(Y, Z)
-                    continue
-                mem_yz = mem.get((Y, Z), frozenset())
-                gcs = q.classes(Y, Z)
-                for gc, comp in zip(gcs, _images(_pre(q, f, Z), gcs)):
-                    checked += 1
-                    if comp in mem_xz and gc not in mem_yz:
-                        return CheckResult(
-                            "MR1", False,
-                            f"{q.fmt(X)} -> {q.fmt(Y)} -> {q.fmt(Z)}: the first "
-                            "factor and the composite are in F-bar but the "
-                            "second factor is not", checked)
-    for Y, Z in keys:
-        inv = _invertible_classes(q, Y, Z)
-        for gc in sorted(mem[(Y, Z)]):
-            g = None if gc in inv else q.rep(Y, Z, gc)
-            for X in q.universe:
-                mem_xz = mem.get((X, Z), frozenset())
-                if g is None or not mem_xz:
-                    checked += q.class_count(X, Y)
-                    continue
-                mem_xy = mem.get((X, Y), frozenset())
-                fcs = q.classes(X, Y)
-                for fc, comp in zip(fcs, _images(_post(q, X, g), fcs)):
-                    checked += 1
-                    if comp in mem_xz and fc not in mem_xy:
-                        return CheckResult(
-                            "MR1", False,
-                            f"{q.fmt(X)} -> {q.fmt(Y)} -> {q.fmt(Z)}: the second "
-                            "factor and the composite are in F-bar but the "
-                            "first factor is not", checked)
+    # the member m: A -> B is the first factor of X -> Y -> Z, then the second
+    for second in (False, True):
+        fixed, other = ("second", "first") if second else ("first", "second")
+        for A, B in keys:
+            inv = _invertible_classes(q, A, B)
+            for mc in sorted(mem[(A, B)]):
+                m = None if mc in inv else q.rep(A, B, mc)
+                for V in q.universe:
+                    X, Y, Z = (V, A, B) if second else (A, B, V)
+                    ends = (X, Y) if second else (Y, Z)   # the other factor
+                    mem_xz = mem.get((X, Z), frozenset())
+                    if m is None or not mem_xz:
+                        checked += q.class_count(*ends)
+                        continue
+                    mem_other = mem.get(ends, frozenset())
+                    ocs = q.classes(*ends)
+                    moved = _post(q, X, m) if second else _pre(q, m, Z)
+                    for oc, comp in zip(ocs, _images(moved, ocs)):
+                        checked += 1
+                        if comp in mem_xz and oc not in mem_other:
+                            return CheckResult(
+                                "MR1", False,
+                                f"{q.fmt(X)} -> {q.fmt(Y)} -> {q.fmt(Z)}: the "
+                                f"{fixed} factor and the composite are in "
+                                f"F-bar but the {other} factor is not", checked)
     return CheckResult("MR1", True, None, checked)
 
 
@@ -488,48 +459,33 @@ def _check_mr2(spec, q, mem, keys) -> CheckResult:
     Elsewhere each class is solved for, and searched for an Ore completion
     when that fails."""
     checked = 0
-    for X, Y in keys:
-        inv = _invertible_classes(q, X, Y)
-        for sc in sorted(mem[(X, Y)]):
-            s = None if sc in inv else q.rep(X, Y, sc)
-            for Z in q.universe:
-                lhs = None if s is None else _pre(q, s, Z)
-                if lhs is None or rank(lhs) == lhs.rows:
-                    checked += q.class_count(X, Z)
-                    continue
-                for fc in q.classes(X, Z):
-                    checked += 1
-                    rhs = Matrix.column(q.p, list(fc))
-                    if rref_solve(lhs, rhs) is not None:
+    # the member s: A -> B starts a span A -> Z, then ends a cospan Z -> B
+    for left in (False, True):
+        for A, B in keys:
+            inv = _invertible_classes(q, A, B)
+            for sc in sorted(mem[(A, B)]):
+                s = None if sc in inv else q.rep(A, B, sc)
+                for Z in q.universe:
+                    ends = (Z, B) if left else (A, Z)
+                    lhs = (None if s is None else
+                           _post(q, Z, s) if left else _pre(q, s, Z))
+                    if lhs is None or rank(lhs) == lhs.rows:
+                        checked += q.class_count(*ends)
                         continue
-                    try:
-                        ore_right(spec, q, s, q.rep(X, Z, fc))
-                    except LocalizationError:
-                        return CheckResult(
-                            "MR2", False,
-                            f"no right Ore completion for the span "
-                            f"{q.fmt(Y)} <- {q.fmt(X)} -> {q.fmt(Z)}", checked)
-    for Y, X in keys:
-        inv = _invertible_classes(q, Y, X)
-        for sc in sorted(mem[(Y, X)]):
-            s = None if sc in inv else q.rep(Y, X, sc)
-            for Z in q.universe:
-                lhs = None if s is None else _post(q, Z, s)
-                if lhs is None or rank(lhs) == lhs.rows:
-                    checked += q.class_count(Z, X)
-                    continue
-                for fc in q.classes(Z, X):
-                    checked += 1
-                    rhs = Matrix.column(q.p, list(fc))
-                    if rref_solve(lhs, rhs) is not None:
-                        continue
-                    try:
-                        ore_left(spec, q, s, q.rep(Z, X, fc))
-                    except LocalizationError:
-                        return CheckResult(
-                            "MR2", False,
-                            f"no left Ore completion for the cospan "
-                            f"{q.fmt(Y)} -> {q.fmt(X)} <- {q.fmt(Z)}", checked)
+                    for fc in q.classes(*ends):
+                        checked += 1
+                        rhs = Matrix.column(q.p, list(fc))
+                        if rref_solve(lhs, rhs) is not None:
+                            continue
+                        try:
+                            ore(spec, q, s, q.rep(*ends, fc), left)
+                        except LocalizationError:
+                            a, b, z = q.fmt(A), q.fmt(B), q.fmt(Z)
+                            return CheckResult("MR2", False, (
+                                f"no left Ore completion for the cospan "
+                                f"{a} -> {b} <- {z}" if left else
+                                f"no right Ore completion for the span "
+                                f"{b} <- {a} -> {z}"), checked)
     return CheckResult("MR2", True, None, checked)
 
 
@@ -818,8 +774,8 @@ def common_denominator(spec: MorphismClassSpec, q: IdealQuotient,
     t, s = roofs[0].t, roofs[0].s
     rhos = [roofs[0].delta_coords]
     for r in roofs[1:]:
-        wt, u1, u2 = ore_left(spec, q, r.t, t)     # t.u1 == r.t.u2 in C-bar
-        ws, v2, v1 = ore_right(spec, q, s, r.s)    # v2.r.s == v1.s in C-bar
+        wt, u1, u2 = ore(spec, q, r.t, t, left=True)   # t.u1 == r.t.u2
+        ws, v2, v1 = ore(spec, q, s, r.s, left=False)  # v2.r.s == v1.s
         rhos = ([move(rc, t, s, u1, v1) for rc in rhos]
                 + [move(r.delta_coords, r.t, r.s, u2, v2)])
         t, s = t.compose(u1), v2.compose(r.s)
@@ -857,7 +813,7 @@ def roof_push(spec: MorphismClassSpec, q: IdealQuotient, r: Roof,
         raise ValueError("fraction legs must share their target")
     if not fbar_membership(spec, q, u):
         raise ValueError("fraction denominator is not in F-bar")
-    w, s2, a2 = ore_right(spec, q, r.s, a)   # s2.a == a2.r.s in C-bar
+    w, s2, a2 = ore(spec, q, r.s, a, left=False)  # s2.a == a2.r.s in C-bar
     eb = ebar_group(spec, q, r.t.source, r.s.target)
     coords = ebar_push(spec, q, eb, r.delta_coords, a2)
     return Roof(r.t, coords, s2.compose(u))
@@ -877,7 +833,7 @@ def roof_pull(spec: MorphismClassSpec, q: IdealQuotient, r: Roof,
         raise ValueError("fraction legs must share their source")
     if not fbar_membership(spec, q, v):
         raise ValueError("fraction denominator is not in F-bar")
-    w, t2, c2 = ore_left(spec, q, r.t, c)    # c.t2 == r.t.c2 in C-bar
+    w, t2, c2 = ore(spec, q, r.t, c, left=True)   # c.t2 == r.t.c2 in C-bar
     eb = ebar_group(spec, q, r.t.source, r.s.target)
     coords = ebar_pull(spec, q, eb, r.delta_coords, c2)
     return Roof(v.compose(t2), coords, r.s)
@@ -1081,22 +1037,21 @@ def weak_kc_check(cat: ExCategory, spec: MorphismClassSpec, q: IdealQuotient,
 
 
 def _kc_tables(cat, q, nex):
+    """The homology of each Hom sequence of nex in C-bar, by `_homology`;
+    `_diff_maps` lists the covariant maps from d_n down, so position pos is
+    its slot n + 1 - pos."""
     n = nex.n
     checked = 0
     for side in ("covariant", "contravariant"):
+        contra = side == "contravariant"
+        homology = [_homology(q, tuple(_diff_maps(q, nex, T, contra)))
+                    for T in cat.generators]
         for pos in range(1, n + 1):
-            for ti, T in enumerate(cat.generators):
+            slot = pos if contra else n + 1 - pos
+            for ti, label in enumerate(cat.labels):
                 checked += 1
-                if side == "contravariant":
-                    m_in = _post_matrix(q, T, nex.diffs[pos - 1])
-                    m_out = _post_matrix(q, T, nex.diffs[pos])
-                    dim_mid = q.qdim(T, nex.terms[pos])
-                else:
-                    m_in = _pre_matrix(q, nex.diffs[pos], T)
-                    m_out = _pre_matrix(q, nex.diffs[pos - 1], T)
-                    dim_mid = q.qdim(nex.terms[pos], T)
-                if rank(m_in) != dim_mid - rank(m_out):
-                    return (side, pos, cat.labels[ti]), checked
+                if homology[ti][slot - 1] != 0:
+                    return (side, pos, label), checked
     return None, checked
 
 
@@ -1150,7 +1105,7 @@ class FractionHoms(MemoOwner):
     def postcompose(self, X: Module, Y: Module, item, d: ModMorphism):
         """The fraction Q(d) . item for d: Y -> Y', an item at (X, Y')."""
         f, s = self._morphs(X, Y, item)
-        w, s2, d2 = ore_right(self.spec, self.q, s, d)  # s2.d == d2.s
+        w, s2, d2 = ore(self.spec, self.q, s, d, left=False)  # s2.d == d2.s
         return (w, self.q.project(d2.compose(f)), self.q.project(s2))
 
     def _equal(self, X: Module, Y: Module, it1, it2) -> bool:
@@ -1159,6 +1114,9 @@ class FractionHoms(MemoOwner):
         f2, s2 = self._morphs(X, Y, it2)
         p = q.p
         for V in q.universe:
+            # u1 = u2 = 0 is a solution, which the walk below skips
+            if q.zero_class(Y, V) in member_classes(self.spec, q, Y, V):
+                return True
             s1_mat = _pre(q, s1, V)
             mat = hstack([vstack([s1_mat, _pre(q, f1, V)]),
                           vstack([_pre(q, s2, V), _pre(q, f2, V)]).scale(p - 1)])

@@ -28,7 +28,6 @@ from .linalg import (
     enumerate_vectors,
     from_columns,
     hstack,
-    inverse as mat_inverse,
     is_invertible,
     is_prime,
     kernel_basis,
@@ -657,10 +656,6 @@ class ModMorphism(Frozen):
     def is_iso(self) -> bool:
         return all(is_invertible(m) for m in self.maps)
 
-    def inverse(self) -> "ModMorphism":
-        return ModMorphism._trusted(self.target, self.source,
-                                    tuple(mat_inverse(m) for m in self.maps))
-
 
 def identity_morphism(m: Module) -> ModMorphism:
     """The identity of m, built once and kept on m (`Module.__reduce__`
@@ -885,25 +880,6 @@ def direct_sum(parts: Sequence[Module]) -> tuple[Module, list[ModMorphism], list
         incls.append(ModMorphism._of(m, total, tuple(inc)))
         projs.append(ModMorphism._of(total, m, tuple(prj)))
     return total, incls, projs
-
-
-def block_morphism(src_parts: Sequence[Module], tgt_parts: Sequence[Module],
-                   blocks: Sequence[Sequence[ModMorphism | None]]) -> ModMorphism:
-    """Morphism between direct sums given a grid of components.
-
-    blocks[i][j] maps src_parts[j] -> tgt_parts[i]; None means zero.
-    """
-    src, _, sprj = direct_sum(src_parts)
-    tgt, tinc, _ = direct_sum(tgt_parts)
-    parts = []
-    for i, row in enumerate(blocks):
-        for j, blk in enumerate(row):
-            if blk is None:
-                continue
-            if blk.source != src_parts[j] or blk.target != tgt_parts[i]:
-                raise ValueError(f"block ({i},{j}) has wrong ends")
-            parts.append(tinc[i].compose(blk.compose(sprj[j])))
-    return combine(src, tgt, parts, [1] * len(parts))
 
 
 def kernel_module(phi: ModMorphism) -> tuple[Module, ModMorphism]:

@@ -7,12 +7,39 @@ differential is the sum of its three pieces, each composed through them.
 
 `materialize` builds the terms and differentials of a localized cone (a
 `TableCone`), which the engine never builds, for the references that read
-them.
+them.  `block_morphism` assembles a morphism between direct sums the same
+way, and `all_lifts` lists the middle components of the lifts that C3's
+cones are built from.
 """
 
 from exangulate import exangulated
 from exangulate.localization import TableComplex, TableCone
 from exangulate.quiver import combine, direct_sum
+
+
+def block_morphism(src_parts, tgt_parts, blocks):
+    """Morphism between direct sums given a grid of components.
+
+    blocks[i][j] maps src_parts[j] -> tgt_parts[i]; None means zero.
+    """
+    src, _, sprj = direct_sum(src_parts)
+    tgt, tinc, _ = direct_sum(tgt_parts)
+    parts = []
+    for i, row in enumerate(blocks):
+        for j, blk in enumerate(row):
+            if blk is None:
+                continue
+            if blk.source != src_parts[j] or blk.target != tgt_parts[i]:
+                raise ValueError(f"block ({i},{j}) has wrong ends")
+            parts.append(tinc[i].compose(blk.compose(sprj[j])))
+    return combine(src, tgt, parts, [1] * len(parts))
+
+
+def all_lifts(space, src, dst, a, c):
+    """The families (f_1..f_n) of every lift of (a, c) from src to dst over
+    the hom space `space`, in `enumerate_lifts` order."""
+    return (list(lift[1:-1])
+            for lift in exangulated.enumerate_lifts(src, dst, a, c, space))
 
 
 def materialize(cx):

@@ -8,7 +8,8 @@ indecomposability), else by Fitting splitting of seeded random
 endomorphisms, falling back to exhaustive search while p^dim stays within a
 fixed budget.  `isomorphism_between` tries random combinations of a hom
 basis, then all of them while the space is small.  Past a budget both raise
-`BoundExceeded`.  `image_module` is used by these searches alone.
+`BoundExceeded`.  `image_module` and `inverse` are used by these searches
+and the tests alone.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from exangulate.linalg import (
     column_space_basis,
     enumerate_vectors,
     hstack,
-    inverse as mat_inverse,
     is_invertible,
     rank,
+    rref_solve,
     solve_unique,
 )
 from exangulate.quiver import (
@@ -39,6 +40,15 @@ from exangulate.quiver import (
 DECOMPOSE_END_ENUM_LIMIT = 6  # End(M) dimension up to which idempotents are enumerated
 DECOMPOSE_FITTING_TRIES = 24
 DECOMPOSE_FALLBACK_ENUM = 4096
+
+
+def inverse(m: Matrix) -> Matrix:
+    if not m.is_square:
+        raise ValueError("only square matrices invert")
+    x = rref_solve(m, Matrix.identity(m.p, m.rows))
+    if x is None:
+        raise ValueError("matrix is singular")
+    return x
 
 
 def image_module(phi: ModMorphism) -> tuple[Module, ModMorphism, ModMorphism]:
@@ -107,7 +117,7 @@ def _fitting_split(m: Module, rng: random.Random,
                 if not is_invertible(joint):
                     ok = False
                     break
-                inv = mat_inverse(joint)
+                inv = inverse(joint)
                 sel = incl.map_at(v) @ Matrix(
                     p, im.vertex_dim(v), joint.cols,
                     tuple(inv.entries[: im.vertex_dim(v) * joint.cols]))

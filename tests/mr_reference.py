@@ -10,7 +10,7 @@ with a fixed member is linear.
 
 from exangulate.exangulated import CheckResult, _post, _pre
 from exangulate.linalg import Matrix, rref_solve
-from exangulate.localization import LocalizationError, ore_left, ore_right
+from exangulate.localization import LocalizationError, ore
 
 
 def check_mr1(spec, q, mem, keys) -> CheckResult:
@@ -60,7 +60,7 @@ def check_mr2(spec, q, mem, keys) -> CheckResult:
                     if rref_solve(lhs, rhs) is not None:
                         continue
                     try:
-                        ore_right(spec, q, s, q.rep(X, Z, fc))
+                        ore(spec, q, s, q.rep(X, Z, fc), left=False)
                     except LocalizationError:
                         return CheckResult(
                             "MR2", False,
@@ -77,7 +77,7 @@ def check_mr2(spec, q, mem, keys) -> CheckResult:
                     if rref_solve(lhs, rhs) is not None:
                         continue
                     try:
-                        ore_left(spec, q, s, q.rep(Z, X, fc))
+                        ore(spec, q, s, q.rep(Z, X, fc), left=True)
                     except LocalizationError:
                         return CheckResult(
                             "MR2", False,

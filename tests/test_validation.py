@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exangulate.quiver as quiver
+from cone_reference import block_morphism
 from decompose_reference import decompose, image_module
 from exangulate.cli import build_category, main, parse_input
 from exangulate.exangulated import ExCategory
@@ -37,7 +38,6 @@ from exangulate.quiver import (
     Module,
     Quiver,
     Relation,
-    block_morphism,
     cokernel_module,
     combine,
     direct_sum,
