@@ -9,10 +9,10 @@ access, so a program that never localizes neither compiles nor runs it.
 
 __version__ = "0.1.0"
 
-from .linalg import Matrix, kernel_basis, quotient_with_section, rref, rref_solve
+from .linalg import (BoundExceeded, Matrix, kernel_basis, quotient_with_section,
+                     rref, rref_solve)
 from .quiver import (
     AlgebraPresentation,
-    BoundExceeded,
     ExtElement,
     ExtSpace,
     ModMorphism,

@@ -65,8 +65,8 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .exangulated import BoundExceeded, ExCategory, NExangle, format_failure
-from .linalg import is_prime
+from .exangulated import ExCategory, NExangle, format_failure
+from .linalg import BoundExceeded, is_prime
 from .quiver import (
     AlgebraPresentation,
     Arrow,

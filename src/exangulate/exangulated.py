@@ -32,7 +32,6 @@ from .linalg import (Matrix, enumerate_vectors, from_columns, hstack,
                      kernel_basis, rank, rref_solve)
 from .quiver import (
     AlgebraPresentation,
-    BoundExceeded,
     ExtElement,
     ExtSpace,
     ModMorphism,
@@ -58,10 +57,6 @@ from .quiver import (
 )
 from .values import Record, Value
 
-# largest hom space enumerated element by element (`_bounded_homs`): the
-# realization search and `_resolvable`
-HOM_ENUM_LIMIT = 4096
-LIFT_ENUM_LIMIT = 4096  # largest affine space of lifts searched for a good lift
 EXT_ENUM_LIMIT = 64  # an E(C, A) with more classes is sampled as zero plus a basis
 ENDPOINT_SUMMANDS = 2   # most generator summands of an object of the universe
 
@@ -337,8 +332,11 @@ class ExCategory(MemoOwner):
         A, C = delta.end_A, delta.end_C
         n = self.n
         if n == 1:
-            mid, incls, projs = direct_sum([A, C])
-            return NExangle((A, mid, C), (incls[0], projs[1]), delta)
+            # the parts in summand-multiset order, as the universe sums them
+            ms = self.objects.summand_multiset
+            swap = ms(C) < ms(A)
+            mid, incls, projs = direct_sum([C, A] if swap else [A, C])
+            return NExangle((A, mid, C), (incls[swap], projs[not swap]), delta)
         z = zero_module(self.alg)
         terms = [A, A] + [z] * (n - 2) + [C, C]
         diffs: list[ModMorphism] = [identity_morphism(A)]
@@ -360,18 +358,13 @@ class ExCategory(MemoOwner):
             return self.split_realization(delta)
         return self._search_realization(delta)
 
-    def _bounded_homs(self, src: Module, tgt: Module) -> list[ModMorphism]:
-        if self.alg.p ** len(hom_basis(src, tgt)) > HOM_ENUM_LIMIT:
-            raise BoundExceeded("hom space too large to enumerate")
-        return enumerate_hom(src, tgt)
-
     def _monos(self, src: Module, tgt: Module) -> Iterator[ModMorphism]:
-        return (phi for phi in self._bounded_homs(src, tgt) if phi.is_mono)
+        return (phi for phi in enumerate_hom(src, tgt) if phi.is_mono)
 
     def _isos(self, src: Module, tgt: Module) -> Iterator[ModMorphism]:
         if src.dims != tgt.dims:
             return iter(())
-        return (phi for phi in self._bounded_homs(src, tgt) if phi.is_iso)
+        return (phi for phi in enumerate_hom(src, tgt) if phi.is_iso)
 
     def _search_realization(self, delta: ExtElement) -> NExangle:
         A, C = delta.end_A, delta.end_C
@@ -454,18 +447,20 @@ class ExCategory(MemoOwner):
 
         contravariant: C(tester, end_C) -> E(tester, end_A), f -> f^* delta.
         covariant:     C(end_A, tester) -> E(end_C, tester), g -> g_* delta.
+
+        Each column moves delta along a hom-basis map by its `move_matrix`,
+        as `push`/`pull` do.
         """
+        C, A = delta.end_C, delta.end_A
         if variance == "contravariant":
-            basis = hom_basis(tester, delta.end_C)
-            target = ext_group(self.alg, self.n, tester, delta.end_A)
-            cols = [pull_back(delta, f).coords.entries for f in basis]
+            basis, target, pull = hom_basis(tester, C), self.ext(tester, A), True
         elif variance == "covariant":
-            basis = hom_basis(delta.end_A, tester)
-            target = ext_group(self.alg, self.n, delta.end_C, tester)
-            cols = [push_forward(delta, g).coords.entries for g in basis]
+            basis, target, pull = hom_basis(A, tester), self.ext(C, tester), False
         else:
             raise ValueError(f"unknown variance {variance!r}")
-        return from_columns(self.alg.p, target.dim, cols)
+        return from_columns(self.p, target.dim, [
+            (move_matrix(self, C, A, f, pull) @ delta.coords).entries
+            for f in basis])
 
     def _hom_sequence(self, nex: NExangle, tester: Module, variance: str
                       ) -> list[Matrix]:
@@ -655,7 +650,7 @@ class ExCategory(MemoOwner):
                 continue
             if dual:
                 rests = (kernel_module(e)[0]
-                         for e in self._bounded_homs(z, w) if e.is_epi)
+                         for e in enumerate_hom(z, w) if e.is_epi)
             else:
                 rests = (cokernel_module(j)[0] for j in self._monos(w, z))
             if any(self._resolvable(r, steps - 1, dual) for r in rests):
@@ -1313,9 +1308,8 @@ def enumerate_lifts(src, dst, a: ModMorphism, c: ModMorphism, space
     if particular is None:
         return
     kernel = kernel_basis(mat)
-    p = space.p
-    if p ** len(kernel) > LIFT_ENUM_LIMIT:
-        raise BoundExceeded("lift space too large to enumerate")
+    # built, and so bounded, before the first lift is yielded
+    combos = itertools.islice(enumerate_vectors(space.p, len(kernel)), 1, None)
 
     def verified(x: Matrix) -> VerifiedLift:
         if mat @ x != rhs:
@@ -1326,8 +1320,7 @@ def enumerate_lifts(src, dst, a: ModMorphism, c: ModMorphism, space
     yield verified(particular)
     if kernel:
         kmat = hstack(kernel)
-        for combo in itertools.islice(enumerate_vectors(p, len(kernel)), 1,
-                                      None):
+        for combo in combos:
             yield verified(particular + kmat @ combo)
 
 

@@ -23,6 +23,12 @@ from typing import Iterator, Sequence
 from .values import Frozen
 
 LINALG_CACHE_SIZE = 1024  # results each row-reduction cache keeps
+ENUM_LIMIT = 4096  # most vectors of one F_p-space that `enumerate_vectors` lists
+
+
+class BoundExceeded(RuntimeError):
+    """An enumeration would pass its bound (`ENUM_LIMIT`, or a pool bound),
+    so the question is left undecided within bounds."""
 
 
 def is_prime(p: int) -> bool:
@@ -420,9 +426,24 @@ def quotient_with_section(p: int, dim: int, subspace: Sequence[Matrix]) -> tuple
             Matrix._trusted(p, dim, q, tuple(sect)))
 
 
-def enumerate_vectors(p: int, dim: int) -> Iterator[Matrix]:
-    """All column vectors of F_p^dim in lexicographic coordinate order."""
+def space_size(p: int, dim: int) -> int:
+    """p^dim, the size of F_p^dim; raises BoundExceeded past ENUM_LIMIT, as
+    `enumerate_vectors` does."""
     total = p ** dim
+    if total > ENUM_LIMIT:
+        raise BoundExceeded(
+            f"F_{p}^{dim} has more than {ENUM_LIMIT} vectors to enumerate")
+    return total
+
+
+def enumerate_vectors(p: int, dim: int) -> Iterator[Matrix]:
+    """All column vectors of F_p^dim in lexicographic coordinate order.
+    Every walk of an F_p-space goes through here, so this is its one bound:
+    past ENUM_LIMIT it raises BoundExceeded at the call, before any vector."""
+    return _vectors(p, dim, space_size(p, dim))
+
+
+def _vectors(p: int, dim: int, total: int) -> Iterator[Matrix]:
     for idx in range(total):
         v = []
         t = idx

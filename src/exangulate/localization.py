@@ -22,10 +22,12 @@ specification of the morphism class F to invert, the pipeline
      "weakly n-exangulated", "fails weak-kc", or "MR precondition failed".
 
 All searches (Ore completions, fillers, lifts, roof pools) run over the
-bounded object universe of the ExCategory.  An enumeration that would pass
-one of the `*_ENUM_LIMIT` bounds raises BoundExceeded, and a search that
-finds nothing within the universe raises LocalizationError, each with an
-explicit message, rather than guessing.
+bounded object universe of the ExCategory.  Every walk of an F_p-space
+(hom-sets, classes, solution families) goes through `enumerate_vectors`,
+which raises BoundExceeded past `linalg.ENUM_LIMIT`; a roof pool past
+ROOF_ENUM_LIMIT raises it too.  A search that finds nothing within the
+universe raises LocalizationError.  Each has an explicit message, rather
+than a guess.
 """
 
 from __future__ import annotations
@@ -34,23 +36,21 @@ from collections import defaultdict
 from itertools import accumulate
 from typing import Sequence
 
-from .exangulated import (ENDPOINT_SUMMANDS, BoundExceeded, CheckResult,
+from .exangulated import (ENDPOINT_SUMMANDS, CheckResult,
                           ExCategory, MemoOwner, NExangle, _diff_maps,
                           _homology, _images, _post, _post_matrix, _pre,
                           _pre_matrix, built_homology, check_c1, check_c2,
                           check_c3, check_c4, cone_blocks, cone_summands,
                           has_identity_lift, homotopy_equivalent, memo,
                           move_matrix, realization_is_exangle)
-from .linalg import (Matrix, enumerate_vectors, from_columns, hstack,
-                     kernel_basis, quotient_with_section, rank, rref,
-                     rref_solve, vstack)
+from .linalg import (BoundExceeded, Matrix, enumerate_vectors, from_columns,
+                     hstack, kernel_basis, quotient_with_section, rank, rref,
+                     rref_solve, space_size, vstack)
 from .quiver import (ExtElement, ModMorphism, Module, combine, direct_sum,
                      enumerate_hom, hom_basis, identity_morphism,
                      morphism_in_coords)
 from .values import Record, Value
 
-CLASS_ENUM_LIMIT = 4096      # largest quotient hom-set we will enumerate
-SOLUTION_ENUM_LIMIT = 4096   # largest affine solution family we will scan
 ROOF_ENUM_LIMIT = 20000      # largest roof pool per localized Ext group
 FUNCTOR_UNIVERSE = 8         # the functor check walks only the first 8 universe objects
 
@@ -149,17 +149,8 @@ class IdealQuotient(MemoOwner):
         return tuple(self.rep(X, Y, tuple(1 if i == k else 0 for i in range(d)))
                      for k in range(d))
 
-    def class_count(self, X: Module, Y: Module) -> int:
-        """How many classes C-bar(X, Y) has; raises BoundExceeded exactly
-        where `classes` does."""
-        count = self.p ** self.qdim(X, Y)
-        if count > CLASS_ENUM_LIMIT:
-            raise BoundExceeded("quotient hom space too large to enumerate")
-        return count
-
     def classes(self, X: Module, Y: Module) -> list[tuple[int, ...]]:
         """Every class of C-bar(X, Y), the zero class first."""
-        self.class_count(X, Y)
         return [v.entries for v in enumerate_vectors(self.p, self.qdim(X, Y))]
 
     @memo
@@ -435,7 +426,7 @@ def _check_mr1(spec, q, mem, keys) -> CheckResult:
                     ends = (X, Y) if second else (Y, Z)   # the other factor
                     mem_xz = mem.get((X, Z), frozenset())
                     if m is None or not mem_xz:
-                        checked += q.class_count(*ends)
+                        checked += space_size(q.p, q.qdim(*ends))
                         continue
                     mem_other = mem.get(ends, frozenset())
                     ocs = q.classes(*ends)
@@ -470,7 +461,7 @@ def _check_mr2(spec, q, mem, keys) -> CheckResult:
                     lhs = (None if s is None else
                            _post(q, Z, s) if left else _pre(q, s, Z))
                     if lhs is None or rank(lhs) == lhs.rows:
-                        checked += q.class_count(*ends)
+                        checked += space_size(q.p, q.qdim(*ends))
                         continue
                     for fc in q.classes(*ends):
                         checked += 1
@@ -565,15 +556,13 @@ def _union_basis(p: int, subspaces: Sequence[Sequence[Matrix]]
     rows of its rref; LocalizationError when it is not a subspace, that is,
     when some vector of their span lies in none of them.  It is one when
     one of them has the dimension of the span.  Otherwise the span is
-    walked, within CLASS_ENUM_LIMIT: over F_p a union of smaller subspaces
-    can be a subspace, as F_2^2 is the union of its three lines."""
+    walked: over F_p a union of smaller subspaces can be a subspace, as
+    F_2^2 is the union of its three lines."""
     if not any(subspaces):
         return []
     r, pivots = rref(hstack([v for s in subspaces for v in s]).transpose())
     basis = [tuple(r.row_list(i)) for i in range(len(pivots))]
     if all(len(s) < len(basis) for s in subspaces):
-        if p ** len(basis) > CLASS_ENUM_LIMIT:
-            raise BoundExceeded("span of the kernels too large to enumerate")
         span = from_columns(p, r.cols, basis)
         parts = [hstack(s) for s in subspaces if s]
         for c in enumerate_vectors(p, len(basis)):
@@ -1123,9 +1112,6 @@ class FractionHoms(MemoOwner):
             kb = kernel_basis(mat)
             if not kb:
                 continue
-            if p ** len(kb) > SOLUTION_ENUM_LIMIT:
-                raise BoundExceeded(
-                    "fraction comparison family too large")
             kmat = hstack(kb)
             for combo in enumerate_vectors(p, len(kb)):
                 if combo.is_zero:

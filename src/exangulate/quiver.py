@@ -40,11 +40,6 @@ from .linalg import (
 from .values import Frozen, Record, Value
 
 
-class BoundExceeded(RuntimeError):
-    """An enumeration or search would pass one of its bounds (a
-    `*_ENUM_LIMIT`), so the question is left undecided within bounds."""
-
-
 class Arrow(Value):
     _fields = ("name", "source", "target")
 
@@ -454,53 +449,27 @@ def interval_module(alg: AlgebraPresentation, top: int, socle: int) -> Module:
     return Module(alg, dims, tuple(maps))
 
 
-def standard_module(alg: AlgebraPresentation, kind: str, v: int) -> Module:
-    """Indecomposable projective ('proj') or injective ('inj') at a vertex.
-
-    proj v: basis at vertex j is the reduced paths v -> j, arrows act by
-    right multiplication.  inj v: the dual construction, basis at j is the
-    reduced paths j -> v with arrows acting as transposed left multiplication.
-    """
+def projective_module(alg: AlgebraPresentation, v: int) -> Module:
+    """The indecomposable projective at vertex v: its basis at vertex j is
+    the reduced paths v -> j, and arrows act by right multiplication."""
     pb = path_basis(alg)
     quiver, p = alg.quiver, alg.p
-    nv = quiver.vertex_count
-    if kind == "proj":
-        dims = tuple(pb.slot(v, j).dim for j in range(1, nv + 1))
-        maps = []
-        for a in quiver.arrows:
-            src_slot = pb.slot(v, a.source)
-            tgt_slot = pb.slot(v, a.target)
-            cols = [
-                tgt_slot.reduce_path(q + (a.name,)).col_list(0)
-                for q in src_slot.basis_paths
-            ]
-            if cols:
-                maps.append(Matrix.from_rows(
-                    p, [[col[r] for col in cols] for r in range(tgt_slot.dim)],
-                    cols=len(cols)))
-            else:
-                maps.append(Matrix.zeros(p, tgt_slot.dim, 0))
-        return Module(alg, dims, tuple(maps))
-    if kind == "inj":
-        dims = tuple(pb.slot(j, v).dim for j in range(1, nv + 1))
-        maps = []
-        for a in quiver.arrows:
-            # left multiplication by a: paths(target -> v) -> paths(source -> v)
-            src_slot = pb.slot(a.target, v)
-            dst_slot = pb.slot(a.source, v)
-            cols = [
-                dst_slot.reduce_path((a.name,) + q).col_list(0)
-                for q in src_slot.basis_paths
-            ]
-            if cols:
-                left_mult = Matrix.from_rows(
-                    p, [[col[r] for col in cols] for r in range(dst_slot.dim)],
-                    cols=len(cols))
-            else:
-                left_mult = Matrix.zeros(p, dst_slot.dim, 0)
-            maps.append(left_mult.transpose())
-        return Module(alg, dims, tuple(maps))
-    raise ValueError(f"unknown standard module kind {kind!r}")
+    dims = tuple(pb.slot(v, j).dim for j in range(1, quiver.vertex_count + 1))
+    maps = []
+    for a in quiver.arrows:
+        src_slot = pb.slot(v, a.source)
+        tgt_slot = pb.slot(v, a.target)
+        cols = [
+            tgt_slot.reduce_path(q + (a.name,)).col_list(0)
+            for q in src_slot.basis_paths
+        ]
+        if cols:
+            maps.append(Matrix.from_rows(
+                p, [[col[r] for col in cols] for r in range(tgt_slot.dim)],
+                cols=len(cols)))
+        else:
+            maps.append(Matrix.zeros(p, tgt_slot.dim, 0))
+    return Module(alg, dims, tuple(maps))
 
 
 # -- morphisms ----------------------------------------------------------------
@@ -955,7 +924,7 @@ def projective_cover(m: Module) -> ModMorphism:
         cols = [rincl.map_at(v).column_at(j) for j in range(rincl.map_at(v).cols)]
         proj, sect = quotient_with_section(p, m.vertex_dim(v), cols)
         for t in range(proj.rows):
-            parts.append(standard_module(alg, "proj", v))
+            parts.append(projective_module(alg, v))
             lifts.append((v, sect.column_at(t)))
     cover, incls, _ = direct_sum(parts)
     pb = path_basis(alg)

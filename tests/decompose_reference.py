@@ -18,6 +18,7 @@ import random
 from typing import Sequence
 
 from exangulate.linalg import (
+    BoundExceeded,
     Matrix,
     column_space_basis,
     enumerate_vectors,
@@ -28,7 +29,6 @@ from exangulate.linalg import (
     solve_unique,
 )
 from exangulate.quiver import (
-    BoundExceeded,
     ModMorphism,
     Module,
     combine,

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import exangulate.linalg as linalg
 import exangulate.localization as localization
 from exangulate.cli import ParseError, main, parse_input
 
@@ -18,6 +19,7 @@ BENCH = ROOT / "bench"
 CLUSTER = str(FIXTURES / "a4-cluster.exg")
 PROJINJ = str(FIXTURES / "a4-projinj.exg")
 TRIVIAL = str(FIXTURES / "a4-trivial.exg")
+SERRE = str(FIXTURES / "a3-serre2.exg")
 
 MINIMAL = """\
 [quiver]
@@ -289,6 +291,20 @@ def test_localize_projinj_also_fails_weak_kc(capsys, tmp_path):
     assert "verdict: fails weak-kc" in out
 
 
+def test_localize_serre_quotient_passes_mr(capsys, tmp_path):
+    """The Serre quotient mod kA3 / add(2) in saturate mode: the split
+    realizations' middle terms are the universe's sums, so MR3 finds the
+    filler a + 1 between zero classes and passes.  The verdict stays weak
+    until fraction hom-sets get coordinates."""
+    json_path = tmp_path / "report.json"
+    code, out, _ = run(["localize", SERRE, "--json", str(json_path)], capsys)
+    assert code == 10
+    assert_golden("localize-a3-serre2", out, json_path)
+    assert "MR3: pass (76 checks)" in out
+    assert "weak-kc: pass (492 checks)" in out
+    assert "verdict: weakly 1-exangulated" in out
+
+
 @pytest.mark.parametrize("command, name", [
     ("check", "check-a3"), ("localize", "localize-a3-trivial")])
 def test_benchmark_invocations_match_their_expected_output(
@@ -319,13 +335,16 @@ def test_localize_mr_violation_exits_30(capsys, tmp_path):
 
 def test_exhausted_bound_exits_3(capsys, monkeypatch):
     """Running out of an enumeration bound is its own outcome, not an
-    internal error."""
-    monkeypatch.setattr(localization, "CLASS_ENUM_LIMIT", 1)
-    code, out, err = run(["localize", str(BENCH / "inputs" / "a3-rad2.exg")],
-                         capsys)
-    assert code == 3
-    assert out == ""
-    assert err == "bound exceeded: quotient hom space too large to enumerate\n"
+    internal error.  The bench input's largest walk has 16 vectors, so one
+    under it `check` and `localize` both stop there, with the one message."""
+    monkeypatch.setattr(linalg, "ENUM_LIMIT", 15)
+    for command in ("check", "localize"):
+        code, out, err = run([command, str(BENCH / "inputs" / "a3-rad2.exg")],
+                             capsys)
+        assert code == 3
+        assert out == ""
+        assert err == ("bound exceeded: F_2^4 has more than 15 vectors to "
+                       "enumerate\n")
 
 
 def test_localization_error_exits_1(capsys, monkeypatch):

@@ -17,13 +17,14 @@ from pathlib import Path
 import pytest
 
 import exangulate.exangulated as exangulated
+import exangulate.linalg as linalg
 import exangulate.localization as localization
 import exangulate.quiver as quiver
 import k_reference
 from test_caches import ALLOWED, SRC, _tree, module_level_caches
 from exangulate.cli import build_category, main, parse_input
-from exangulate.exangulated import BoundExceeded, ExCategory, check_c3
-from exangulate.linalg import Matrix
+from exangulate.exangulated import ExCategory, check_c1, check_c3
+from exangulate.linalg import BoundExceeded, Matrix
 from exangulate.localization import (IdealQuotient, LocalizationError,
                                      LocalizedEngine, MorphismClassSpec,
                                      _check_equivalence, _union_basis,
@@ -257,22 +258,30 @@ def test_a_union_of_lines_that_is_not(p, vectors):
 def test_the_union_walks_only_when_no_subspace_holds_the_rest(monkeypatch):
     """With a subspace that contains the others the union is found with
     nothing walked, whatever the bound; otherwise the walk of the span
-    stops at CLASS_ENUM_LIMIT."""
+    stops at `linalg.ENUM_LIMIT`."""
     plane = (Matrix.column(2, (1, 0, 0)), Matrix.column(2, (0, 1, 0)))
-    monkeypatch.setattr(localization, "CLASS_ENUM_LIMIT", 1)
+    monkeypatch.setattr(linalg, "ENUM_LIMIT", 1)
     assert _union_basis(2, [plane] + lines(2, (1, 1, 0))) == [
         (1, 0, 0), (0, 1, 0)]
     three = lines(2, (1, 0), (0, 1), (1, 1))
-    monkeypatch.setattr(localization, "CLASS_ENUM_LIMIT", 3)
-    with pytest.raises(BoundExceeded, match="too large to enumerate"):
+    monkeypatch.setattr(linalg, "ENUM_LIMIT", 3)
+    with pytest.raises(BoundExceeded,
+                       match="^F_2\\^2 has more than 3 vectors to enumerate$"):
         _union_basis(2, three)
-    monkeypatch.setattr(localization, "CLASS_ENUM_LIMIT", 4)
+    monkeypatch.setattr(linalg, "ENUM_LIMIT", 4)
     assert _union_basis(2, three) == [(1, 0), (0, 1)]
 
 
 def test_k_needs_no_enumeration_bound(monkeypatch):
-    """With the member classes known, K is the same at CLASS_ENUM_LIMIT 1:
-    on the bench input (K = 0) and on A2 saturated (K = E)."""
+    """With the member classes known, K lists no class of E(C, A): it is
+    the same with every such listing (`ExtSpace.all_elements`, and
+    `enumerate_vectors` in `localization`, which `_union_basis` walks the
+    span with) raising, on the bench input (K = 0) and on A2 saturated
+    (K = E)."""
+
+    def listed(*args):
+        raise AssertionError("a class of E(C, A) was listed")
+
     bench = build_category(parse_input(BENCH_INPUT.read_text()))
     small = a2(3)
     for spec, cat in ((ISO, bench), (saturated(small)[0], small)):
@@ -282,22 +291,25 @@ def test_k_needs_no_enumeration_bound(monkeypatch):
         assert any(expected) == (spec is not ISO)
         member_table(spec, q)
         with monkeypatch.context() as m:
-            m.setattr(localization, "CLASS_ENUM_LIMIT", 1)
+            m.setattr(quiver.ExtSpace, "all_elements", listed)
+            m.setattr(localization, "enumerate_vectors", listed)
             assert [k_subgroup(spec, q, *e) for e in ends] == expected
 
 
 def test_a_second_pass_moves_no_cocycle(monkeypatch):
-    """After localized C3, C3' and the equivalence check have run once on
-    the bench input, a second pass reads every move from the matrix memos:
-    with `push_forward` and `pull_back` raising, it gives the same results.
-    `localization` moves classes only through `move_matrix`, so it does not
-    import them."""
+    """After C1, C3 and C3' in C, localized C3 and C3' and the equivalence
+    check have run once on the bench input, a second pass reads every move
+    from the matrix memos, the connecting maps of C1's Hom sequences
+    (`delta_sharp`) among them: with `push_forward` and `pull_back` raising,
+    it gives the same results.  `localization` moves classes only through
+    `move_matrix`, so it does not import them."""
     cat = build_category(parse_input(BENCH_INPUT.read_text()))
     q = IdealQuotient(cat, [])
     eng = LocalizedEngine(cat, ISO, q)
 
     def stages():
-        return [check_c3(eng, False), check_c3(eng, True),
+        return [check_c1(cat), check_c3(cat, False), check_c3(cat, True),
+                check_c3(eng, False), check_c3(eng, True),
                 _check_equivalence(cat, ISO, q)]
 
     first = stages()

@@ -11,6 +11,7 @@ import pytest
 import exact_reference
 import exangulate.quiver as quiver
 import exangulate.exangulated as exangulated
+import exangulate.linalg as linalg
 from exangulate.cli import build_category, parse_input
 from exangulate.exangulated import (
     CheckResult,
@@ -129,6 +130,20 @@ def test_split_realization_degree_one():
         (0, 0, 0, 1), (1, 0, 0, 1), (1, 0, 0, 0)]
     assert split.diffs[1].compose(split.diffs[0]).is_zero
     assert split.diffs[0].is_mono and split.diffs[1].is_epi
+
+
+def test_split_realization_middle_is_the_universe_sum():
+    """In degree one the middle term of a split realization is the sum the
+    universe materializes, whichever end has the smaller generators: its
+    parts go in summand-multiset order."""
+    cat1 = ExCategory(ALG, 1, GENS, labels=LABELS, multiplicity_bound=2)
+    for A in cat1.generators:
+        for C in cat1.generators:
+            split = cat1.split_realization(cat1.ext(C, A).zero())
+            ms = cat1.objects.summand_multiset
+            assert split.terms[1] is cat1.materialize(ms(A) + ms(C))
+            assert split.diffs[1].compose(split.diffs[0]).is_zero
+            assert split.diffs[0].is_mono and split.diffs[1].is_epi
 
 
 def test_split_realization_zero_end():
@@ -692,7 +707,8 @@ def test_edge_table_is_the_filtered_hom_enumeration():
 @pytest.mark.parametrize("prime", [2, 3])
 def test_edge_table_skips_pairs_the_dimensions_rule_out(monkeypatch, prime):
     """A pair with a larger source dimension at some vertex has no inflation
-    (a smaller one, no deflation), and its hom space is never walked."""
+    (a smaller one, no deflation), and its hom space is never walked, so
+    not even an enumeration limit of 1 stops it."""
     cat = fresh_category("bench/inputs/a3-rad2.exg", prime)
 
     def walked(*args):
@@ -700,6 +716,7 @@ def test_edge_table_skips_pairs_the_dimensions_rule_out(monkeypatch, prime):
 
     monkeypatch.setattr(exangulated, "enumerate_hom", walked)
     monkeypatch.setattr(exangulated, "hom_basis", walked)
+    monkeypatch.setattr(linalg, "ENUM_LIMIT", 1)
     pruned = 0
     for X in cat.universe:
         for Y in cat.universe:

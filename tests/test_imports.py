@@ -1,7 +1,9 @@
 """Imports: every name a package module imports is used, every function
 the package defines is used in it or exported, no package module imports
 `random`, the localization layer loads only where it is used, and no run
-loads `dataclasses` or `inspect`.
+loads `dataclasses` or `inspect`.  Also the one enumeration bound: only
+`linalg` and the roof pool raise BoundExceeded, and no module adds an
+`*_ENUM_LIMIT`.
 
 No linter ships with the toolchain, so the first check parses each module
 with `ast`: an imported name must occur as a name somewhere in the module,
@@ -86,6 +88,50 @@ def test_the_check_sees_an_unused_def():
                "    def m(self):\n        pass\n\n\ndef h():\n    pass\n"
                "\n\ndef m():\n    pass\n"]
     assert unused_defs(sources, ["h"]) == ["f", "m"]
+
+
+# -- one enumeration bound ----------------------------------------------------------
+
+# the places that may raise BoundExceeded: the bound of every F_p-space walk,
+# in `linalg`, and the roof pool, which is summed over many spaces
+BOUND_RAISERS = {("linalg.py", None), ("localization.py", "etilde_group")}
+ENUM_LIMITS = {"ENUM_LIMIT", "EXT_ENUM_LIMIT", "ROOF_ENUM_LIMIT"}
+
+
+def bound_raisers(name: str, tree: ast.Module) -> set:
+    """(file, enclosing top-level function) of each `raise BoundExceeded`;
+    the function is None in `linalg`, which may raise it anywhere."""
+    found = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(exc, ast.Name) and exc.id == "BoundExceeded":
+                found.add((name, None if name == "linalg.py"
+                           else getattr(top, "name", None)))
+    return found
+
+
+def test_only_the_walk_and_the_roof_pool_raise_bound_exceeded():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= bound_raisers(path.name, ast.parse(path.read_text(
+            encoding="utf-8")))
+    assert found == BOUND_RAISERS
+
+
+def test_the_bound_check_sees_a_stray_raise():
+    tree = ast.parse("def walk():\n    raise BoundExceeded('too many')\n")
+    assert bound_raisers("quiver.py", tree) == {("quiver.py", "walk")}
+
+
+def test_no_other_enumeration_limit():
+    names = set()
+    for path in sorted(SRC.glob("*.py")):
+        names |= set(re.findall(r"\w*ENUM_LIMIT\b",
+                                path.read_text(encoding="utf-8")))
+    assert names == ENUM_LIMITS
 
 
 # -- the localization layer loads on first use ----------------------------------

@@ -11,13 +11,15 @@ from pathlib import Path
 import pytest
 
 import exangulate.exangulated as exangulated
+import exangulate.linalg as linalg
 import exangulate.localization as localization
 import c4_reference
 import cone_reference
 import mr_reference
 from exangulate.cli import build_category, main, parse_input
-from exangulate.exangulated import (BoundExceeded, CheckResult, ExCategory,
-                                    check_c1, check_c2, check_c3, check_c4)
+from exangulate.exangulated import (CheckResult, ExCategory, check_c1,
+                                    check_c2, check_c3, check_c4)
+from exangulate.linalg import BoundExceeded, space_size
 from exangulate.localization import (
     FractionHoms,
     IdealQuotient,
@@ -364,20 +366,24 @@ def test_invertible_classes_filter_on_dimensions(monkeypatch, make):
     assert skipped
 
 
-def test_class_count_stops_where_classes_does(monkeypatch):
-    """`class_count` is the length of `classes`, and raises BoundExceeded at
-    exactly the limit where `classes` does."""
+def test_space_size_stops_where_classes_does(monkeypatch):
+    """`space_size`, which MR1 and MR2 count classes with, is the length of
+    `classes`, and raises BoundExceeded at exactly the limit where `classes`
+    does."""
     q = a3_rad2_quotient()
     X, Y = max(((X, Y) for X in q.universe for Y in q.universe),
                key=lambda k: q.qdim(*k))
-    count = q.p ** q.qdim(X, Y)
+    dim = q.qdim(X, Y)
+    count = q.p ** dim
     assert count > 1
-    monkeypatch.setattr(localization, "CLASS_ENUM_LIMIT", count)
-    assert q.class_count(X, Y) == len(q.classes(X, Y)) == count
-    monkeypatch.setattr(localization, "CLASS_ENUM_LIMIT", count - 1)
-    for enumerate_classes in (q.class_count, q.classes):
-        with pytest.raises(BoundExceeded, match="too large to enumerate"):
-            enumerate_classes(X, Y)
+    monkeypatch.setattr(linalg, "ENUM_LIMIT", count)
+    assert space_size(q.p, dim) == len(q.classes(X, Y)) == count
+    monkeypatch.setattr(linalg, "ENUM_LIMIT", count - 1)
+    message = f"^F_2\\^{dim} has more than {count - 1} vectors to enumerate$"
+    with pytest.raises(BoundExceeded, match=message):
+        space_size(q.p, dim)
+    with pytest.raises(BoundExceeded, match=message):
+        q.classes(X, Y)
 
 
 def test_mr2_builds_no_matrix_for_an_invertible_member(monkeypatch):

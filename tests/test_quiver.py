@@ -4,16 +4,15 @@ import random
 import pytest
 
 import exangulate
-import exangulate.exangulated as exangulated
+import exangulate.linalg as linalg
 import exangulate.quiver as quiver
 from cone_reference import block_morphism
 from decompose_reference import decompose, image_module, is_isomorphic
 from exangulate.exangulated import Subcategory
-from exangulate.linalg import Matrix
+from exangulate.linalg import BoundExceeded, Matrix
 from exangulate.quiver import (
     AlgebraPresentation,
     Arrow,
-    BoundExceeded,
     ModMorphism,
     Module,
     Quiver,
@@ -29,11 +28,11 @@ from exangulate.quiver import (
     kernel_module,
     path_basis,
     projective_cover,
+    projective_module,
     pull_back,
     push_forward,
     resolution,
     simple_module,
-    standard_module,
     yoneda_class,
     zero_module,
     zero_morphism,
@@ -56,6 +55,30 @@ GENS = {
     "1/2": iv(1, 2),
     "1": iv(1, 1),
 }
+
+
+def injective_module(alg: AlgebraPresentation, v: int) -> Module:
+    """The indecomposable injective at vertex v, dual to `projective_module`:
+    its basis at vertex j is the reduced paths j -> v, and arrows act by
+    transposed left multiplication."""
+    pb, p = path_basis(alg), alg.p
+    dims = tuple(pb.slot(j, v).dim
+                 for j in range(1, alg.quiver.vertex_count + 1))
+    maps = []
+    for a in alg.quiver.arrows:
+        # left multiplication by a: paths(target -> v) -> paths(source -> v)
+        src_slot = pb.slot(a.target, v)
+        dst_slot = pb.slot(a.source, v)
+        cols = [dst_slot.reduce_path((a.name,) + q).col_list(0)
+                for q in src_slot.basis_paths]
+        if cols:
+            left_mult = Matrix.from_rows(
+                p, [[col[r] for col in cols] for r in range(dst_slot.dim)],
+                cols=len(cols))
+        else:
+            left_mult = Matrix.zeros(p, dst_slot.dim, 0)
+        maps.append(left_mult.transpose())
+    return Module(alg, dims, tuple(maps))
 
 
 def the_map(src, tgt):
@@ -109,13 +132,13 @@ def test_relation_must_be_parallel_and_long():
 def test_projective_dimension_vectors():
     want = {1: (1, 1, 1, 0), 2: (0, 1, 1, 1), 3: (0, 0, 1, 1), 4: (0, 0, 0, 1)}
     for v, dims in want.items():
-        assert standard_module(ALG, "proj", v).dims == dims
+        assert projective_module(ALG, v).dims == dims
 
 
 def test_injective_dimension_vectors():
     want = {1: (1, 0, 0, 0), 2: (1, 1, 0, 0), 3: (1, 1, 1, 0), 4: (0, 1, 1, 1)}
     for v, dims in want.items():
-        assert standard_module(ALG, "inj", v).dims == dims
+        assert injective_module(ALG, v).dims == dims
 
 
 def test_interval_module_rejects_relation_violation():
@@ -125,9 +148,9 @@ def test_interval_module_rejects_relation_violation():
 
 
 def test_interval_matches_standard_constructions():
-    assert iv(2, 4) == standard_module(ALG, "proj", 2)
-    assert iv(1, 3) == standard_module(ALG, "proj", 1)
-    assert iv(1, 2) == standard_module(ALG, "inj", 2)
+    assert iv(2, 4) == projective_module(ALG, 2)
+    assert iv(1, 3) == projective_module(ALG, 1)
+    assert iv(1, 2) == injective_module(ALG, 2)
     assert iv(1, 1) == simple_module(ALG, 1)
 
 
@@ -216,14 +239,14 @@ def test_hom_table_between_generators():
 def test_hom_of_projective_is_fibre_dimension():
     rng = random.Random(4)
     for v in range(1, 5):
-        P = standard_module(ALG, "proj", v)
+        P = projective_module(ALG, v)
         for label in GEN_LABELS:
             assert hom_dim(P, GENS[label]) == GENS[label].vertex_dim(v)
 
 
 def test_hom_examples_from_both_sides():
-    assert hom_dim(standard_module(ALG, "proj", 1), standard_module(ALG, "inj", 2)) == 1
-    assert hom_dim(standard_module(ALG, "inj", 2), standard_module(ALG, "proj", 2)) == 0
+    assert hom_dim(projective_module(ALG, 1), injective_module(ALG, 2)) == 1
+    assert hom_dim(injective_module(ALG, 2), projective_module(ALG, 2)) == 0
 
 
 def test_enumerate_hom_counts_field_size():
@@ -307,7 +330,7 @@ def test_search_budgets_raise_bound_exceeded():
     isomorphic, though Hom(3/4, 1/2/3) is nonzero, so random tries do not
     tell them apart and the reference's search has a budget to run out of.
     The rank count tells them apart with neither."""
-    assert exangulated.BoundExceeded is exangulate.BoundExceeded is BoundExceeded
+    assert linalg.BoundExceeded is exangulate.BoundExceeded is BoundExceeded
     objects = Subcategory(tuple(GENS[lab] for lab in GEN_LABELS))
     a = direct_sum([GENS["1/2"], GENS["3/4"]])[0]
     b = direct_sum([GENS["1/2/3"], GENS["4"]])[0]
@@ -323,7 +346,7 @@ def test_search_budgets_raise_bound_exceeded():
 
 def test_projective_cover_of_simple_is_projective():
     cov = projective_cover(simple_module(ALG, 1))
-    assert cov.source == standard_module(ALG, "proj", 1)
+    assert cov.source == projective_module(ALG, 1)
     assert cov.is_epi
 
 

@@ -23,14 +23,14 @@ from pathlib import Path
 import pytest
 
 import exangulate.exangulated as exangulated
+import exangulate.linalg as linalg
 import exangulate.localization as localization
 import cone_reference
 import decompose_reference
 import k_reference
 from exangulate.cli import build_category, parse_input
-from exangulate.exangulated import (BoundExceeded, ExCategory, check_c3,
-                                    move_matrix)
-from exangulate.linalg import Matrix
+from exangulate.exangulated import ExCategory, check_c3, move_matrix
+from exangulate.linalg import BoundExceeded, Matrix
 from exangulate.quiver import (AlgebraPresentation, Arrow, ExtElement, Quiver,
                                combine, direct_sum, hom_basis,
                                identity_morphism, interval_module, pull_back,
@@ -237,7 +237,7 @@ def lift_problems(cat):
 def test_the_particular_lift_comes_first_and_the_bound_before_it(monkeypatch):
     """`enumerate_lifts` yields the particular solution of `lift_space`
     first, then each nonzero kernel combination; a lift space past
-    LIFT_ENUM_LIMIT raises before the first lift."""
+    `linalg.ENUM_LIMIT` raises before the first lift."""
     cat = category("bench/inputs/a3-rad2.exg")
     problem, particular, kernel = next(
         (problem, *got) for problem in lift_problems(cat)
@@ -245,8 +245,8 @@ def test_the_particular_lift_comes_first_and_the_bound_before_it(monkeypatch):
     lifts = list(cone_reference.all_lifts(cat, *problem))
     assert lifts[0] == particular
     assert len({tuple(lift) for lift in lifts}) == cat.p ** len(kernel)
-    monkeypatch.setattr(exangulated, "LIFT_ENUM_LIMIT", 1)
-    with pytest.raises(BoundExceeded, match="lift space too large"):
+    monkeypatch.setattr(linalg, "ENUM_LIMIT", 1)
+    with pytest.raises(BoundExceeded, match="more than 1 vectors"):
         next(cone_reference.all_lifts(cat, *problem))
 
 
