@@ -384,23 +384,25 @@ def column_space_basis(m: Matrix) -> list[Matrix]:
     return [m.column_at(j) for j in pivots]
 
 
-
-
 def quotient_with_section(p: int, dim: int, subspace: Sequence[Matrix]) -> tuple[Matrix, Matrix]:
-    """Coordinates on F_p^dim / span(subspace).
-
-    Returns (proj, sect): proj is q x dim, sect is dim x q with
-    proj @ sect = identity, and proj kills exactly the subspace.  The chosen
-    complement is spanned by the standard basis vectors at the non-pivot
-    coordinates of the subspace matrix, so representatives are reproducible.
-    """
+    """Coordinates on F_p^dim / span(subspace): `column_quotient` of the
+    dim x len(subspace) matrix with these columns."""
     for v in subspace:
         if v.p != p or v.rows != dim or v.cols != 1:
             raise ValueError("subspace vectors must be dim x 1 columns over F_p")
-    if subspace:
-        w = hstack(list(subspace))
-    else:
-        w = Matrix.zeros(p, dim, 0)
+    return column_quotient(hstack(list(subspace)) if subspace
+                           else Matrix.zeros(p, dim, 0))
+
+
+def column_quotient(w: Matrix) -> tuple[Matrix, Matrix]:
+    """Coordinates on F_p^rows / (column span of w).
+
+    Returns (proj, sect): proj is q x rows, sect is rows x q with
+    proj @ sect = identity, and proj kills exactly the column span.  The
+    chosen complement is spanned by the standard basis vectors at the
+    non-pivot coordinates of w, so representatives are reproducible.
+    """
+    p, dim = w.p, w.rows
     # Row-reduce the transpose: pivot coordinates belong to the subspace's
     # echelon support, the free coordinates index a complement.
     rt, pivots = rref(w.transpose())
@@ -452,6 +454,3 @@ def _vectors(p: int, dim: int, total: int) -> Iterator[Matrix]:
             t //= p
         yield Matrix._trusted(p, dim, 1, tuple(v))
 
-
-def is_invertible(m: Matrix) -> bool:
-    return m.is_square and rank(m) == m.rows

@@ -19,16 +19,16 @@ from __future__ import annotations
 
 import weakref
 from functools import cached_property, lru_cache
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Sequence
 
 from .linalg import (
     Matrix,
+    column_quotient,
     column_space_basis,
     enumerate_vectors,
     from_columns,
     hstack,
-    is_invertible,
     is_prime,
     kernel_basis,
     quotient_with_section,
@@ -481,7 +481,9 @@ class ModMorphism(Frozen):
     The one stored form is `flat`: the vertex matrices' entries, vertex by
     vertex, each row-major.  That is the layout of the hom-space constraint
     matrix, so `flat` is also the morphism's hom coordinate vector.  `maps`,
-    the vertex matrices, is a view of it built on first use.
+    the vertex matrices, is a view of it built on first use; it serves
+    `validate` and `map_at`.  Composites, ranks, kernels and cokernels read
+    `flat` directly.
 
     The public constructor takes the vertex matrices and checks ends, shapes
     and squares; `ModMorphism._of` (from `flat`) and `_trusted` (from vertex
@@ -519,14 +521,9 @@ class ModMorphism(Frozen):
     @cached_property
     def maps(self) -> tuple[Matrix, ...]:
         """The vertex matrices, cut out of `flat`."""
-        p, flat = self.source.alg.p, self.flat
-        out, pos = [], 0
-        for r, c in zip(self.target.dims, self.source.dims):
-            out.append(Matrix._trusted(p, r, c, flat[pos:pos + r * c]))
-            pos += r * c
-        if pos != len(flat):
+        if sum(map(mul, self.target.dims, self.source.dims)) != len(self.flat):
             raise ValueError("coordinate length mismatch")
-        return tuple(out)
+        return tuple(_vertex_blocks(self))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -568,30 +565,21 @@ class ModMorphism(Frozen):
         return self.maps[v - 1]
 
     def compose(self, other: "ModMorphism") -> "ModMorphism":
-        """self after other (other first).  At each vertex the n x k block of
-        self times the k x m block of other is written straight into the
-        output: zeros when a side is empty, an outer product when k = 1."""
+        """self after other (other first), by the index plan of their shape
+        (`_compose_plan`): two gathers, one product per pair, and a sum of
+        `width` products mod p per output entry."""
         if other.target is not self.source:
             raise ValueError("composition mismatch")
+        size, left, right, width = _compose_plan(
+            self.target.dims, self.source.dims, other.source.dims)
+        if left is None:
+            return ModMorphism._of(other.source, self.target, (0,) * size)
         p = self.source.alg.p
-        a, b = self.flat, other.flat
-        out: list[int] = []
-        i = j = 0
-        for n, k, m in zip(self.target.dims, self.source.dims, other.source.dims):
-            if not (n and k and m):
-                out += [0] * (n * m)
-            elif k == 1:
-                col = b[j:j + m]
-                for x in a[i:i + n]:
-                    out += [x * y % p for y in col]
-            else:
-                cols = [b[c:j + k * m:m] for c in range(j, j + m)]
-                for r in range(i, i + n * k, k):
-                    row = a[r:r + k]
-                    out += [sum(map(mul, row, col)) % p for col in cols]
-            i += n * k
-            j += k * m
-        return ModMorphism._of(other.source, self.target, tuple(out))
+        prods = map(mul, left((0,) + self.flat), right(other.flat))
+        if width > 1:  # sum each run of `width` consecutive products
+            prods = map(sum, zip(*[prods] * width))
+        return ModMorphism._of(other.source, self.target,
+                               tuple([x % p for x in prods]))
 
     def __add__(self, other: "ModMorphism") -> "ModMorphism":
         if self.source is not other.source or self.target is not other.target:
@@ -613,17 +601,68 @@ class ModMorphism(Frozen):
     def is_zero(self) -> bool:
         return not any(self.flat)
 
+    def vertex_ranks(self) -> tuple[int, ...]:
+        """The rank of each vertex block, read from `flat`.  A block with at
+        most one row or column has rank 1 iff it has a nonzero entry (as in
+        `linalg.rank`); only larger blocks are row-reduced."""
+        p, flat = self.source.alg.p, self.flat
+        out, pos = [], 0
+        for r, c in zip(self.target.dims, self.source.dims):
+            end = pos + r * c
+            if r <= 1 or c <= 1:
+                out.append(1 if any(flat[pos:end]) else 0)
+            else:
+                out.append(rank(Matrix._trusted(p, r, c, flat[pos:end])))
+            pos = end
+        return tuple(out)
+
     @property
     def is_mono(self) -> bool:
-        return all(rank(m) == m.cols for m in self.maps)
+        return self.vertex_ranks() == self.source.dims
 
     @property
     def is_epi(self) -> bool:
-        return all(rank(m) == m.rows for m in self.maps)
+        return self.vertex_ranks() == self.target.dims
 
     @property
     def is_iso(self) -> bool:
-        return all(is_invertible(m) for m in self.maps)
+        return self.source.dims == self.target.dims == self.vertex_ranks()
+
+
+@lru_cache(maxsize=4096)
+def _compose_plan(tdims: tuple[int, ...], sdims: tuple[int, ...],
+                  odims: tuple[int, ...]):
+    """How `ModMorphism.compose` multiplies f: S -> T by g: O -> S, for the
+    dimension vectors of T, S and O: (size, left, right, width).
+
+    Output entry e (vertex blocks in order, each row-major) is the sum of
+    the `width` products left(a)[e*width + t] * right(b)[e*width + t],
+    where a is (0,) + f.flat and b is g.flat.  `width` is the largest inner
+    dimension among the vertices with output entries; an entry with fewer
+    terms, or none, is padded with products a[0] * b[0] = 0.  `left` is
+    None when every entry is zero.  The plan holds ints and itemgetters
+    only: one plan per shape, however many modules share it.
+    """
+    shape = tuple(zip(tdims, sdims, odims))
+    size = sum(n * m for n, _, m in shape)
+    width = max((k for n, k, m in shape if n and m), default=0)
+    if not width:
+        return size, None, None, 0
+    if size == 1:
+        width = max(width, 2)  # an itemgetter of one index returns a bare int
+    left, right = [], []
+    i, j = 1, 0
+    for n, k, m in shape:
+        pad = [0] * (width - k)
+        for r in range(n):
+            row = [*range(i + r * k, i + (r + 1) * k), *pad]
+            for c in range(j, j + m):
+                left += row
+                right += range(c, c + k * m, m)
+                right += pad
+        i += n * k
+        j += k * m
+    return size, itemgetter(*left), itemgetter(*right), width
 
 
 def identity_morphism(m: Module) -> ModMorphism:
@@ -652,12 +691,15 @@ def combine(src: Module, tgt: Module, basis: Sequence[ModMorphism],
     """The morphism sum_k coeffs[k] * basis[k] in Hom(src, tgt).
 
     One pass over the `flat` vectors of the terms with a nonzero
-    coefficient; no intermediate morphisms are built.
+    coefficient; no intermediate morphisms are built.  A single term with
+    coefficient 1 shares its basis vector's `flat`.
     """
     p = src.alg.p
     terms = [(c % p, b.flat) for c, b in zip(coeffs, basis) if c % p]
     if not terms:
         return zero_morphism(src, tgt)
+    if len(terms) == 1 and terms[0][0] == 1:
+        return ModMorphism._of(src, tgt, terms[0][1])
     cs = [c for c, _ in terms]
     return ModMorphism._of(src, tgt, tuple(
         sum(map(mul, cs, col)) % p for col in zip(*(f for _, f in terms))))
@@ -851,15 +893,24 @@ def direct_sum(parts: Sequence[Module]) -> tuple[Module, list[ModMorphism], list
     return total, incls, projs
 
 
+def _vertex_blocks(phi: ModMorphism) -> list[Matrix]:
+    """phi's vertex blocks cut out of `flat`; unlike the `maps` view, they
+    are not kept on phi."""
+    p, flat = phi.source.alg.p, phi.flat
+    out, pos = [], 0
+    for r, c in zip(phi.target.dims, phi.source.dims):
+        out.append(Matrix._trusted(p, r, c, flat[pos:pos + r * c]))
+        pos += r * c
+    return out
+
+
 def kernel_module(phi: ModMorphism) -> tuple[Module, ModMorphism]:
     """Kernel with its inclusion."""
     alg = phi.source.alg
-    p = alg.p
-    nv = alg.quiver.vertex_count
     kbases = []
-    for v in range(1, nv + 1):
-        kb = kernel_basis(phi.map_at(v))
-        kbases.append(hstack(kb) if kb else Matrix.zeros(p, phi.source.vertex_dim(v), 0))
+    for blk in _vertex_blocks(phi):
+        kb = kernel_basis(blk)
+        kbases.append(hstack(kb) if kb else Matrix.zeros(alg.p, blk.cols, 0))
     dims = tuple(kb.cols for kb in kbases)
     maps = []
     for a in alg.quiver.arrows:
@@ -871,22 +922,16 @@ def kernel_module(phi: ModMorphism) -> tuple[Module, ModMorphism]:
 
 
 def cokernel_module(phi: ModMorphism) -> tuple[Module, ModMorphism]:
-    """Cokernel with the quotient projection."""
+    """Cokernel with the quotient projection: at each vertex, the quotient
+    by the column span of phi's block (`column_quotient`)."""
     alg = phi.source.alg
-    p = alg.p
-    nv = alg.quiver.vertex_count
-    projs, sects = [], []
-    for v in range(1, nv + 1):
-        cols = [phi.map_at(v).column_at(j) for j in range(phi.map_at(v).cols)]
-        proj, sect = quotient_with_section(p, phi.target.vertex_dim(v), cols)
-        projs.append(proj)
-        sects.append(sect)
+    projs, sects = zip(*map(column_quotient, _vertex_blocks(phi)))
     dims = tuple(pr.rows for pr in projs)
     maps = []
     for a in alg.quiver.arrows:
         maps.append(projs[a.target - 1] @ phi.target.arrow_map(a.name) @ sects[a.source - 1])
     cok = Module._trusted(alg, dims, tuple(maps))
-    return cok, ModMorphism._trusted(phi.target, cok, tuple(projs))
+    return cok, ModMorphism._trusted(phi.target, cok, projs)
 
 
 def radical_inclusion(m: Module) -> tuple[Module, ModMorphism]:
@@ -921,8 +966,7 @@ def projective_cover(m: Module) -> ModMorphism:
     parts: list[Module] = []
     lifts: list[tuple[int, Matrix]] = []  # (vertex, chosen lift column)
     for v in range(1, nv + 1):
-        cols = [rincl.map_at(v).column_at(j) for j in range(rincl.map_at(v).cols)]
-        proj, sect = quotient_with_section(p, m.vertex_dim(v), cols)
+        proj, sect = column_quotient(rincl.map_at(v))
         for t in range(proj.rows):
             parts.append(projective_module(alg, v))
             lifts.append((v, sect.column_at(t)))
@@ -1236,7 +1280,7 @@ def _is_exact_sequence(mods: Sequence[Module], maps: Sequence[ModMorphism]) -> b
             return False
     before = (0,) * len(mods[0].dims)
     for k, m in enumerate(mods):
-        after = tuple(map(rank, maps[k].maps)) if k < len(maps) else (0,) * len(m.dims)
+        after = maps[k].vertex_ranks() if k < len(maps) else (0,) * len(m.dims)
         if tuple(map(add, before, after)) != m.dims:
             return False
         before = after

@@ -8,8 +8,8 @@ indecomposability), else by Fitting splitting of seeded random
 endomorphisms, falling back to exhaustive search while p^dim stays within a
 fixed budget.  `isomorphism_between` tries random combinations of a hom
 basis, then all of them while the space is small.  Past a budget both raise
-`BoundExceeded`.  `image_module` and `inverse` are used by these searches
-and the tests alone.
+`BoundExceeded`.  `image_module`, `inverse` and `is_invertible` are used by
+these searches and the tests alone.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from exangulate.linalg import (
     column_space_basis,
     enumerate_vectors,
     hstack,
-    is_invertible,
     rank,
     rref_solve,
     solve_unique,
@@ -40,6 +39,10 @@ from exangulate.quiver import (
 DECOMPOSE_END_ENUM_LIMIT = 6  # End(M) dimension up to which idempotents are enumerated
 DECOMPOSE_FITTING_TRIES = 24
 DECOMPOSE_FALLBACK_ENUM = 4096
+
+
+def is_invertible(m: Matrix) -> bool:
+    return m.is_square and rank(m) == m.rows
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -4,8 +4,9 @@ one needs a deliberate edit.
 A cache is a function decorated with `functools.lru_cache` or
 `functools.cache`, or a module-level name bound to an empty dict or set.
 The `linalg` caches hold matrices, ints and tuples only and keep a bounded
-number of results.  The `quiver` caches are keyed by modules and unbounded;
-ROADMAP item 5 moves them onto their algebra.
+number of results.  `quiver._compose_plan` is bounded too and holds ints and
+itemgetters, keyed by dimension vectors.  The other `quiver` caches are keyed
+by modules and unbounded; ROADMAP item 5 moves them onto their algebra.
 """
 
 import ast
@@ -23,6 +24,7 @@ ALLOWED = {
     "linalg.rref",
     "linalg.rref_solve",
     "quiver._chain_lift",
+    "quiver._compose_plan",
     "quiver.ext_group",
     "quiver.hom_basis",
     "quiver.path_basis",

@@ -305,6 +305,23 @@ def test_localize_serre_quotient_passes_mr(capsys, tmp_path):
     assert "verdict: weakly 1-exangulated" in out
 
 
+@pytest.mark.parametrize("command, fixture, verdict", [
+    ("check", "a2", "all core axioms hold"),
+    ("localize", "a2", "1-exangulated"),
+    ("check", "a3-n1", "all core axioms hold")])
+def test_runs_at_p3_match_their_golden_bytes(capsys, tmp_path, command,
+                                             fixture, verdict):
+    """Byte goldens over F_3, where scalars other than 1 occur: mod kA2
+    (`check` and `localize`) and mod kA3 at n = 1 (`check`)."""
+    json_path = tmp_path / "report.json"
+    code, out, _ = run([command, str(FIXTURES / f"{fixture}.exg"),
+                        "--json", str(json_path)], capsys)
+    assert code == 0
+    assert_golden(f"{command}-{fixture}", out, json_path)
+    assert f"verdict: {verdict}" in out
+    assert json.loads(json_path.read_text())["prime"] == 3
+
+
 @pytest.mark.parametrize("command, name", [
     ("check", "check-a3"), ("localize", "localize-a3-trivial")])
 def test_benchmark_invocations_match_their_expected_output(

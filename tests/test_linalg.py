@@ -12,7 +12,6 @@ from exangulate.linalg import (
     column_space_basis,
     enumerate_vectors,
     hstack,
-    is_invertible,
     kernel_basis,
     quotient_with_section,
     rank,
@@ -21,7 +20,7 @@ from exangulate.linalg import (
     solve_unique,
     vstack,
 )
-from decompose_reference import inverse
+from decompose_reference import inverse, is_invertible
 from exact_reference import same_column_space
 
 

@@ -15,6 +15,7 @@ import itertools
 import pickle
 import types
 import weakref
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -504,16 +505,18 @@ def _reachable(roots):
 
 
 def test_linalg_caches_are_bounded_and_hold_no_module(capsys):
-    """The row-reduction caches are process-global, so they must not keep
-    a finished run alive.  After `check` and `localize` of the benchmark
-    input, each is within its bound, and neither its keys nor its results
-    reach a module, morphism or algebra."""
+    """The row-reduction caches and `quiver._compose_plan` are
+    process-global, so they must not keep a finished run alive.  After
+    `check` and `localize` of the benchmark input, each is within its
+    bound, and neither its keys nor its results reach a module, morphism or
+    algebra.  The composition plans hold ints and itemgetters only, so they
+    reach no matrix either."""
     path = str(ROOT / "bench" / "inputs" / "a3-rad2.exg")
     assert main(["check", path]) == 0
     assert main(["localize", path]) == 0
     capsys.readouterr()
-    for fn in (rref, kernel_basis, rref_solve):
-        assert 0 < fn.cache_info().currsize <= LINALG_CACHE_SIZE
+    for fn in (rref, kernel_basis, rref_solve, quiver._compose_plan):
+        assert 0 < fn.cache_info().currsize <= fn.cache_parameters()["maxsize"]
         # the C lru_cache keeps its table as a referent; its links are not
         # tracked, so each result is read back by a call that hits
         keys = [key for d in gc.get_referents(fn) if isinstance(d, dict)
@@ -523,6 +526,11 @@ def test_linalg_caches_are_bounded_and_hold_no_module(capsys):
         results = [fn(*key) for key in keys]
         assert fn.cache_info().hits == hits + len(keys)
         held = _reachable(keys + results)
-        assert any(isinstance(x, Matrix) for x in held)
         assert not [x for x in held
                     if isinstance(x, (Module, ModMorphism, AlgebraPresentation))]
+        if fn is quiver._compose_plan:
+            assert any(isinstance(x, itemgetter) for x in held)
+            assert not [x for x in held if isinstance(x, Matrix)]
+        else:
+            assert fn.cache_parameters()["maxsize"] == LINALG_CACHE_SIZE
+            assert any(isinstance(x, Matrix) for x in held)
